@@ -10,7 +10,7 @@ from .activation import (DEFAULT_EPSILON, cauchy_activation,
                          cauchy_activation_derivative,
                          cauchy_activation_partials)
 from .baseline import MlpModel, init_mlp, mlp_backward, mlp_forward, mlp_trainable
-from .complex_linalg import Rng, cinv, cmul, derive_seed, normal_complex
+from .complex_linalg import Rng, derive_seed, normal_complex
 from .data import (Decomposition, MissingMask, ScalerState, SplitDataset,
                    apply_mask, find_turning_points, load_series_csv,
                    make_split, scaler_apply, scaler_fit, scaler_invert,

@@ -6,12 +6,12 @@ hidden width, same optimizer budget, standard backprop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .complex_linalg import Rng
 from .data import ScalerState
 from .errors import NonFiniteError, SchemaError
@@ -138,7 +138,7 @@ def mlp_trainable(model: MlpModel) -> Trainable:
 
 def save_mlp_checkpoint(model: MlpModel, scaler: ScalerState, path,
                         seed: int = 0) -> None:
-    doc = {
+    fileio.write_json(path, {
         "version": MLP_CHECKPOINT_VERSION,
         "model_type": "relu_mlp",
         "h": model.h,
@@ -147,32 +147,19 @@ def save_mlp_checkpoint(model: MlpModel, scaler: ScalerState, path,
         "b1": model.b1.tolist(),
         "W2": model.W2.tolist(),
         "b2": model.b2,
-        "scaler": {"min": scaler.min, "max": scaler.max,
-                   "range_lo": scaler.range_lo, "range_hi": scaler.range_hi},
+        "scaler": fileio.scaler_doc(scaler),
         "seed": int(seed),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_mlp_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    """Load (model, scaler); any malformed field raises SchemaError."""
+    doc = fileio.read_json(path, MLP_CHECKPOINT_VERSION)
     if doc.get("model_type") != "relu_mlp":
         raise SchemaError(f"{path}: not a relu_mlp checkpoint")
-    if doc.get("version") != MLP_CHECKPOINT_VERSION:
-        raise SchemaError(f"{path}: unsupported version {doc.get('version')!r}")
-    for key in ("h", "m", "W1", "b1", "W2", "b2", "scaler"):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing field {key!r}")
-    W1 = np.asarray(doc["W1"], dtype=float)
-    if W1.shape != (doc["h"], doc["m"]):
-        raise SchemaError(f"{path}: W1 shape mismatch")
-    model = MlpModel(W1, np.asarray(doc["b1"]), np.asarray(doc["W2"]), doc["b2"])
-    sc = doc["scaler"]
-    scaler = ScalerState(sc["min"], sc["max"], sc["range_lo"], sc["range_hi"])
-    return model, scaler
+    h, m = fileio.read_int(doc, "h", path), fileio.read_int(doc, "m", path)
+    model = MlpModel(fileio.read_array(doc, "W1", (h, m), path),
+                     fileio.read_array(doc, "b1", (h,), path),
+                     fileio.read_array(doc, "W2", (h,), path),
+                     fileio.read_number(doc, "b2", path))
+    return model, fileio.read_scaler(doc, path)

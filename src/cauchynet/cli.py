@@ -6,8 +6,8 @@ config file mirroring ExperimentSpec; individual fields are overridden with
 repeated --set key=value flags (dotted paths, JSON-parsed values).
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence,
-4 I/O error.  The CAUCHYNET_SEED environment variable overrides the
-configured seed.
+4 I/O error or malformed checkpoint.  The CAUCHYNET_SEED environment
+variable overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from . import experiments as xp
 from . import model as mdl
 from .errors import (CauchyNetError, NonFiniteError, ParseError, SchemaError,
                      ValidationError)
+from .fileio import write_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -171,8 +172,7 @@ def cmd_sweep(args):
         if "wd" not in keep and wds is None:
             wds = [spec.train.weight_decay]
     rows = xp.run_sensitivity_grid(spec, hidden, sizes, lrs, wds,
-                                   outdir=_outdir(args, spec),
-                                   threads=args.threads)
+                                   outdir=_outdir(args, spec))
     failed = sum(1 for r in rows if r[4] != r[4])
     print(f"{len(rows)} cells ({failed} failed) in "
           f"{_outdir(args, spec) / 'sweep.csv'}")
@@ -197,13 +197,9 @@ def cmd_decompose(args):
     dec = dt.seasonal_decompose_multiplicative(series, args.period)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    import csv as _csv
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["t", "value", "trend", "seasonal", "residual"])
-        for i, v in enumerate(series):
-            w.writerow([i, repr(float(v)), repr(float(dec.trend[i])),
-                        repr(float(dec.seasonal[i])), repr(float(dec.residual[i]))])
+    cols = zip(series, dec.trend, dec.seasonal, dec.residual)
+    write_csv(out, ["t", "value", "trend", "seasonal", "residual"],
+              ([i] + [repr(float(v)) for v in vals] for i, vals in enumerate(cols)))
     print(f"decomposition (period {args.period}) written to {out}")
     return EXIT_OK
 
@@ -245,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", help="comma-separated dataset sizes")
     p.add_argument("--lrs", help="comma-separated learning rates")
     p.add_argument("--wds", help="comma-separated weight decays")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("kernel-demo", help="contour quadrature convergence table")

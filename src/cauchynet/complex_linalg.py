@@ -1,9 +1,9 @@
 """Scalar complex arithmetic and deterministic random number generation.
 
 Complex vectors and matrices throughout the library are plain numpy
-``complex128`` arrays (row-major); this module provides the scalar
-operations, finiteness checks, and the seeded generator everything else
-draws from.
+``complex128`` arrays (row-major); this module provides the complex
+normal draw, the finiteness check, and the seeded generator everything
+else draws from.
 
 The generator is splitmix64 with Box-Muller normals.  The algorithm is
 spelled out in full (no hidden library state) so that a seed produces the
@@ -95,19 +95,6 @@ class Rng:
         idx = list(range(n))
         self.shuffle(idx)
         return np.asarray(idx, dtype=np.int64)
-
-
-def cmul(a: complex, b: complex) -> complex:
-    """Standard complex product."""
-    return complex(a) * complex(b)
-
-
-def cinv(a: complex) -> complex:
-    """Multiplicative inverse conj(a)/|a|^2; raises ZeroDivisionError at 0."""
-    a = complex(a)
-    if a.real == 0.0 and a.imag == 0.0:
-        raise ZeroDivisionError("complex inverse of 0")
-    return 1.0 / a
 
 
 def normal_complex(rng: Rng, sigma: float) -> complex:

@@ -269,7 +269,7 @@ def seasonal_decompose_multiplicative(series, period: int) -> Decomposition:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion and dumps
+# CSV ingestion
 
 
 def load_series_csv(path, column: str) -> np.ndarray:
@@ -300,16 +300,3 @@ def load_series_csv(path, column: str) -> np.ndarray:
                     f"value {row[col] if col < len(row) else '<missing>'!r}"
                 ) from None
     return np.asarray(out)
-
-
-def write_dataset_csv(ds: SplitDataset, path) -> None:
-    """Dump a split dataset as rows of split,x0[,x1],y."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        xcols = [f"x{i}" for i in range(ds.m)]
-        w.writerow(["split"] + xcols + ["y"])
-        for name, X, y in (("train", ds.train_x, ds.train_y),
-                           ("val", ds.val_x, ds.val_y),
-                           ("test", ds.test_x, ds.test_y)):
-            for xi, yi in zip(X, y):
-                w.writerow([name] + [repr(float(v)) for v in xi] + [repr(float(yi))])

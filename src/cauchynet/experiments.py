@@ -12,12 +12,13 @@ manifest, which the manifest marks as nondeterministic.
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
-import json
+import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from . import baseline as bl
 from . import data as dt
 from . import grad, kernel, model as mdl
 from .complex_linalg import Rng, derive_seed
-from .errors import (LengthMismatch, NonFiniteError, ValidationError)
+from .errors import CauchyNetError, LengthMismatch, NonFiniteError, ValidationError
+from .fileio import write_csv, write_json
 from .optim import TrainConfig, train
 
 CONFIG_VERSION = 1
@@ -42,20 +44,20 @@ _STREAM_BASELINE_INIT = 14
 # Metrics
 
 
-def metric_mse(preds, truths) -> float:
+def _residuals(preds, truths) -> np.ndarray:
     p = np.asarray(preds, dtype=float)
     t = np.asarray(truths, dtype=float)
     if p.shape != t.shape or p.size == 0:
         raise LengthMismatch("predictions and truths must be nonempty and equal-length")
-    return float(((p - t) ** 2).mean())
+    return p - t
+
+
+def metric_mse(preds, truths) -> float:
+    return float((_residuals(preds, truths) ** 2).mean())
 
 
 def metric_mae(preds, truths) -> float:
-    p = np.asarray(preds, dtype=float)
-    t = np.asarray(truths, dtype=float)
-    if p.shape != t.shape or p.size == 0:
-        raise LengthMismatch("predictions and truths must be nonempty and equal-length")
-    return float(np.abs(p - t).mean())
+    return float(np.abs(_residuals(preds, truths)).mean())
 
 
 @dataclass
@@ -69,7 +71,9 @@ class MetricsReport:
 
     def __post_init__(self):
         # mae^2 <= mse by Cauchy-Schwarz; a violation means a metrics bug.
-        assert self.mae ** 2 <= self.mse * (1 + 1e-12), "mae^2 exceeded mse"
+        if not self.mae ** 2 <= self.mse * (1 + 1e-12):
+            raise CauchyNetError(f"metrics invariant broken: mae^2 = {self.mae ** 2!r} "
+                                 f"exceeds mse = {self.mse!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +118,59 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
+        """Build a spec from a config document, checking every field first.
+
+        Raises ValidationError listing every unknown, missing or mistyped
+        field, so a bad config stops before any compute.
+        """
+        if not isinstance(doc, dict):
+            raise ValidationError(["config must be a JSON object"])
         doc = copy.deepcopy(doc)
         version = doc.pop("config_version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ValidationError([f"unsupported config_version {version!r}"])
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError([f"unknown config fields: {sorted(unknown)}"])
-        if "model" in doc and isinstance(doc["model"], dict):
-            doc["model"] = ModelSpec(**doc["model"])
-        if "train" in doc and isinstance(doc["train"], dict):
-            tr = dict(doc["train"])
-            if "lambda" in tr:          # accepted alias for lam
-                tr["lam"] = tr.pop("lambda")
-            doc["train"] = TrainConfig(**tr)
-        for key in ("fractions", "masked_fractions", "scaler_range", "lambdas",
-                    "grid_hidden", "grid_sizes", "grid_lrs", "grid_wds"):
-            if key in doc and isinstance(doc[key], list):
-                doc[key] = tuple(doc[key])
+        tr = doc.get("train")
+        if isinstance(tr, dict) and "lambda" in tr:     # accepted alias for lam
+            tr["lam"] = tr.pop("lambda")
+        problems = _check_fields(cls, doc)
+        if problems:
+            raise ValidationError(problems)
         return cls(**doc)
+
+
+def _check_fields(cls, doc: dict, where: str = "") -> list[str]:
+    """Check doc, in place, as the keyword arguments of dataclass cls.
+
+    Returns every unknown, missing or mistyped field.  An int field rejects
+    floats, bools and strings; a float field takes an int (stored as a
+    float) and a tuple field a list; a nested dataclass field takes a dict,
+    checked the same way and then constructed.
+    """
+    hints = typing.get_type_hints(cls)
+    problems = []
+    unknown = [where + k for k in doc if k not in hints]
+    if unknown:
+        problems.append(f"unknown config fields: {unknown}")
+    missing = [where + f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        problems.append(f"missing config fields: {missing}")
+    for key in [k for k in doc if k in hints]:
+        kind, *rest = typing.get_args(hints[key]) or (hints[key],)
+        val = doc[key]
+        if kind is float and type(val) is int:
+            doc[key] = val = float(val)
+        elif kind is tuple and type(val) is list:
+            doc[key] = val = tuple(val)
+        elif is_dataclass(kind) and type(val) is dict:
+            nested = _check_fields(kind, val, f"{where}{key}.")
+            if nested:
+                problems += nested
+                continue
+            doc[key] = val = kind(**val)
+        if type(val) is not kind and not (val is None and type(None) in rest):
+            problems.append(f"{where}{key} must be {kind.__name__}, got {val!r}")
+    return problems
 
 
 def validate_spec(spec: ExperimentSpec) -> None:
@@ -152,6 +189,10 @@ def validate_spec(spec: ExperimentSpec) -> None:
         if kind == "intervals":
             if spec.mask.get("half_width", 0) <= 0:
                 problems.append("interval mask needs half_width > 0")
+            if (spec.mask.get("centers", "turning-points") == "turning-points"
+                    and spec.generator in GENERATORS
+                    and GENERATORS[spec.generator][0] is not _even_1d):
+                problems.append("turning-point mask centers need a 1-D synthetic generator")
         elif kind == "disk":
             if spec.mask.get("radius", 0) <= 0:
                 problems.append("disk mask needs radius > 0")
@@ -185,48 +226,33 @@ def validate_spec(spec: ExperimentSpec) -> None:
 # Dataset generators
 
 
-def _gen_even_1d(lo, hi, target):
-    def build(spec: ExperimentSpec, rng: Rng):
-        xs = np.linspace(lo, hi, spec.n_samples)
-        return xs[:, None], target(xs)
-    return build
+def _even_1d(spec: ExperimentSpec, rng: Rng, lo, hi, target):
+    xs = np.linspace(lo, hi, spec.n_samples)
+    return xs[:, None], target(xs)
 
 
-def _gen_random_2d(lo, hi, target):
-    def build(spec: ExperimentSpec, rng: Rng):
-        pts = np.array([[rng.uniform_in(lo, hi), rng.uniform_in(lo, hi)]
-                        for _ in range(spec.n_samples)])
-        return pts, target(pts[:, 0], pts[:, 1])
-    return build
+def _random_2d(spec: ExperimentSpec, rng: Rng, lo, hi, target):
+    pts = np.array([[rng.uniform_in(lo, hi), rng.uniform_in(lo, hi)]
+                    for _ in range(spec.n_samples)])
+    return pts, target(pts[:, 0], pts[:, 1])
 
 
-def _gen_csv_trend(spec: ExperimentSpec, rng: Rng):
+def _csv_trend(spec: ExperimentSpec, rng: Rng, lo, hi, target):
     series = dt.load_series_csv(spec.data_path, spec.data_column)
     dec = dt.seasonal_decompose_multiplicative(series, spec.period)
-    ok = np.isfinite(dec.trend)
-    trend = dec.trend[ok]
-    t = np.linspace(-1.0, 1.0, len(trend))
-    return t[:, None], trend
+    trend = dec.trend[np.isfinite(dec.trend)]
+    return np.linspace(lo, hi, len(trend))[:, None], trend
 
 
+# name -> (sampler, input domain, target).  The target of a 1-D generator
+# also places the turning-point centers of an interval mask.
 GENERATORS = {
-    "intro-spike": _gen_even_1d(-1.0, 1.0, dt.target_intro_spike),
-    "exp1": _gen_even_1d(-1.0, 1.0, dt.target_exp1),
-    "exp2-gap": _gen_even_1d(-2.0, 2.0, dt.target_exp2_gap),
-    "disk2d": _gen_random_2d(-0.8, 0.8, dt.target_2d_missing_disk),
-    "surface2d": _gen_random_2d(-1.5, 1.5, dt.target_2d_surface),
-    "csv-trend": _gen_csv_trend,
-}
-
-_GENERATOR_DOMAINS = {
-    "intro-spike": (-1.0, 1.0), "exp1": (-1.0, 1.0), "exp2-gap": (-2.0, 2.0),
-    "disk2d": (-0.8, 0.8), "surface2d": (-1.5, 1.5), "csv-trend": (-1.0, 1.0),
-}
-
-_GENERATOR_TARGETS_1D = {
-    "intro-spike": dt.target_intro_spike,
-    "exp1": dt.target_exp1,
-    "exp2-gap": dt.target_exp2_gap,
+    "intro-spike": (_even_1d, (-1.0, 1.0), dt.target_intro_spike),
+    "exp1": (_even_1d, (-1.0, 1.0), dt.target_exp1),
+    "exp2-gap": (_even_1d, (-2.0, 2.0), dt.target_exp2_gap),
+    "disk2d": (_random_2d, (-0.8, 0.8), dt.target_2d_missing_disk),
+    "surface2d": (_random_2d, (-1.5, 1.5), dt.target_2d_surface),
+    "csv-trend": (_csv_trend, (-1.0, 1.0), None),
 }
 
 
@@ -239,9 +265,8 @@ def resolve_mask(spec: ExperimentSpec) -> dt.MissingMask | None:
     if kind == "intervals":
         centers = spec.mask.get("centers", "turning-points")
         if centers == "turning-points":
-            lo, hi = _GENERATOR_DOMAINS[spec.generator]
-            centers = dt.find_turning_points(
-                _GENERATOR_TARGETS_1D[spec.generator], lo, hi)
+            _, (lo, hi), target = GENERATORS[spec.generator]
+            centers = dt.find_turning_points(target, lo, hi)
         return dt.MissingMask(kind="intervals", centers=list(centers),
                               half_width=spec.mask["half_width"])
     return dt.MissingMask(kind="disk",
@@ -251,8 +276,8 @@ def resolve_mask(spec: ExperimentSpec) -> dt.MissingMask | None:
 
 def build_dataset(spec: ExperimentSpec) -> dt.SplitDataset:
     """Sample the generator and split; masked regions become the test set."""
-    sample_rng = Rng(derive_seed(spec.train.seed, _STREAM_SAMPLES))
-    X, y = GENERATORS[spec.generator](spec, sample_rng)
+    sample, (lo, hi), target = GENERATORS[spec.generator]
+    X, y = sample(spec, Rng(derive_seed(spec.train.seed, _STREAM_SAMPLES)), lo, hi, target)
     split_rng = Rng(derive_seed(spec.train.seed, _STREAM_SPLIT))
     mask = resolve_mask(spec)
     if mask is None:
@@ -271,6 +296,20 @@ def build_dataset(spec: ExperimentSpec) -> dt.SplitDataset:
                            provenance=f"{spec.generator}+mask")
 
 
+def prepare(spec: ExperimentSpec):
+    """Build the dataset and min-max scale its targets by the train split.
+
+    Returns (ds, scaled, scaler): ds keeps the targets in their own units,
+    scaled is what the trainer sees.  The spec is not validated here.
+    """
+    ds = build_dataset(spec)
+    scaler = dt.scaler_fit(ds.train_y, *spec.scaler_range)
+    scaled = replace(ds, train_y=dt.scaler_apply(ds.train_y, scaler),
+                     val_y=dt.scaler_apply(ds.val_y, scaler),
+                     test_y=dt.scaler_apply(ds.test_y, scaler))
+    return ds, scaled, scaler
+
+
 def _init_model(spec: ExperimentSpec, m: int, seed_tag: int):
     rng = Rng(derive_seed(spec.train.seed, seed_tag))
     ms = spec.model
@@ -283,42 +322,49 @@ def _init_model(spec: ExperimentSpec, m: int, seed_tag: int):
 # ---------------------------------------------------------------------------
 # Run harness
 
+_RUN_NOTES = [
+    "complex_params counts complex parameter pairs; real_params counts "
+    "real scalars (two per complex). Size tables elsewhere may use "
+    "either convention.",
+    "wall_ms columns in metrics.csv vary between reruns; all other "
+    "emitted values are deterministic for a fixed seed.",
+]
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_predictions(path, ds, scaler, predict_fn):
-    """split,x0[,x1],y_true,y_pred,e_pred,abs_err over all three splits.
+def _reprs(*values) -> list[str]:
+    """17-digit text of each value, so a CSV reload is bit-exact."""
+    return [repr(float(v)) for v in values]
 
-    y columns are in unscaled target units; e_pred stays in scaled output
-    units (the imaginary channel has no unscaled counterpart).
+
+def _wall_ms(log) -> float:
+    return sum(e.wall_ms for e in log.entries)
+
+
+def _write_run(outdir: Path, prefix: str, log, ds, scaler, predict_fn) -> dict:
+    """Write <prefix>trainlog.csv and <prefix>predictions.csv for one model.
+
+    Predicts each split once and returns {split: (X, y_true, y_pred,
+    e_pred)}, which every other artifact of the run reads.  y values are in
+    target units; e_pred stays in scaled output units (the imaginary
+    channel has no unscaled counterpart).
     """
-    import csv as _csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        xcols = [f"x{i}" for i in range(ds.m)]
-        w.writerow(["split"] + xcols + ["y_true", "y_pred", "e_pred", "abs_err"])
-        for name, X, y in (("train", ds.train_x, ds.train_y),
-                           ("val", ds.val_x, ds.val_y),
-                           ("test", ds.test_x, ds.test_y)):
-            yp_s, ep = predict_fn(X)
-            yp = dt.scaler_invert(yp_s, scaler)
-            for xi, yt, ypi, epi in zip(X, y, yp, ep):
-                w.writerow([name] + [repr(float(v)) for v in xi]
-                           + [repr(float(yt)), repr(float(ypi)),
-                              repr(float(epi)), repr(abs(float(ypi - yt)))])
-
-
-def _split_metrics(ds, scaler, predict_fn):
-    out = {}
-    for name, X, y in (("train", ds.train_x, ds.train_y),
-                       ("val", ds.val_x, ds.val_y),
-                       ("test", ds.test_x, ds.test_y)):
-        yp_s, _ = predict_fn(X)
-        yp = dt.scaler_invert(yp_s, scaler)
-        out[name] = (metric_mse(yp, y), metric_mae(yp, y), len(y))
-    return out
+    log.write_csv(outdir / f"{prefix}trainlog.csv", include_wall=False)
+    preds = {}
+    for name in ("train", "val", "test"):
+        X, y = getattr(ds, f"{name}_x"), getattr(ds, f"{name}_y")
+        yp_s, ep = predict_fn(X)
+        preds[name] = (X, y, dt.scaler_invert(yp_s, scaler), ep)
+    write_csv(outdir / f"{prefix}predictions.csv",
+              ["split"] + [f"x{i}" for i in range(ds.m)]
+              + ["y_true", "y_pred", "e_pred", "abs_err"],
+              ([name] + _reprs(*xi, yt, ypi, epi, abs(ypi - yt))
+               for name, (X, y, yp, ep) in preds.items()
+               for xi, yt, ypi, epi in zip(X, y, yp, ep)))
+    return preds
 
 
 def render_plots(outdir: Path) -> list[str]:
@@ -333,12 +379,11 @@ def render_plots(outdir: Path) -> list[str]:
         import matplotlib.pyplot as plt
     except ImportError:
         return []
-    import csv as _csv
     written = []
     trainlog = outdir / "trainlog.csv"
     if trainlog.exists():
         with open(trainlog, newline="", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
+            rows = list(csv.DictReader(fh))
         fig, ax = plt.subplots(figsize=(6, 4))
         ax.semilogy([int(r["epoch"]) for r in rows],
                     [float(r["train_loss"]) for r in rows], label="train")
@@ -354,7 +399,7 @@ def render_plots(outdir: Path) -> list[str]:
     preds = outdir / "predictions.csv"
     if preds.exists():
         with open(preds, newline="", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
+            rows = list(csv.DictReader(fh))
         if rows and "x1" not in rows[0]:
             pts = sorted((float(r["x0"]), float(r["y_true"]), float(r["y_pred"]))
                          for r in rows)
@@ -377,113 +422,67 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-
-    ds = build_dataset(spec)
-    scaler = dt.scaler_fit(ds.train_y, *spec.scaler_range)
-    scaled = dt.SplitDataset(
-        ds.train_x, dt.scaler_apply(ds.train_y, scaler),
-        ds.val_x, dt.scaler_apply(ds.val_y, scaler),
-        ds.test_x, dt.scaler_apply(ds.test_y, scaler),
-        m=ds.m, provenance=ds.provenance)
-
-    files = []
-    notes = [
-        "complex_params counts complex parameter pairs; real_params counts "
-        "real scalars (two per complex). Size tables elsewhere may use "
-        "either convention.",
-        "wall_ms columns in metrics.csv vary between reruns; all other "
-        "emitted values are deterministic for a fixed seed.",
-    ]
+    ds, scaled, scaler = prepare(spec)
+    seed = spec.train.seed
 
     net = _init_model(spec, ds.m, _STREAM_INIT)
     log = train(grad.cauchynet_trainable(net), scaled, spec.train)
     cplx, real = mdl.parameter_count(net)
-
-    log.write_csv(outdir / "trainlog.csv", include_wall=False)
-    files.append("trainlog.csv")
-    _write_predictions(outdir / "predictions.csv", ds, scaler,
-                       lambda X: mdl.predict(net, X))
-    files.append("predictions.csv")
-    mdl.save_checkpoint(net, scaler, outdir / "checkpoint.json",
-                        seed=spec.train.seed)
-    files.append("checkpoint.json")
-
-    split_stats = {"cauchynet": _split_metrics(ds, scaler,
-                                               lambda X: mdl.predict(net, X))}
-    wall_ms = {"cauchynet": sum(e.wall_ms for e in log.entries)}
+    preds = _write_run(outdir, "", log, ds, scaler, lambda X: mdl.predict(net, X))
+    mdl.save_checkpoint(net, scaler, outdir / "checkpoint.json", seed=seed)
+    files = ["trainlog.csv", "predictions.csv", "checkpoint.json"]
+    # model name -> (per-split predictions, complex params, real params, log)
+    runs = {"cauchynet": (preds, cplx, real, log)}
 
     if spec.baseline:
         mlp = bl.init_mlp(spec.model.h, ds.m,
-                          Rng(derive_seed(spec.train.seed, _STREAM_BASELINE_INIT)))
+                          Rng(derive_seed(seed, _STREAM_BASELINE_INIT)))
         bcfg = copy.deepcopy(spec.train)
         if spec.baseline_lr is not None:
             bcfg.lr0 = spec.baseline_lr
         blog = train(bl.mlp_trainable(mlp), scaled, bcfg)
-        blog.write_csv(outdir / "baseline_trainlog.csv", include_wall=False)
-        files.append("baseline_trainlog.csv")
-        _write_predictions(outdir / "baseline_predictions.csv", ds, scaler,
-                           lambda X: bl.mlp_predict(mlp, X))
-        files.append("baseline_predictions.csv")
+        bpreds = _write_run(outdir, "baseline_", blog, ds, scaler,
+                            lambda X: bl.mlp_predict(mlp, X))
         bl.save_mlp_checkpoint(mlp, scaler, outdir / "baseline_checkpoint.json",
-                               seed=spec.train.seed)
-        files.append("baseline_checkpoint.json")
-        split_stats["relu_mlp"] = _split_metrics(ds, scaler,
-                                                 lambda X: bl.mlp_predict(mlp, X))
-        wall_ms["relu_mlp"] = sum(e.wall_ms for e in blog.entries)
+                               seed=seed)
+        files += ["baseline_trainlog.csv", "baseline_predictions.csv",
+                  "baseline_checkpoint.json"]
+        runs["relu_mlp"] = (bpreds, "", bl.mlp_parameter_count(mlp), blog)
 
+    test_x, test_y, test_yp, _ = preds["test"]
     if spec.mask is not None:
-        import csv as _csv
-        with open(outdir / "imputation_errors.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            xcols = [f"x{i}" for i in range(ds.m)]
-            w.writerow(xcols + ["y_true", "y_pred", "signed_err"])
-            yp_s, _ = mdl.predict(net, ds.test_x)
-            yp = dt.scaler_invert(yp_s, scaler)
-            for xi, yt, ypi in zip(ds.test_x, ds.test_y, yp):
-                w.writerow([repr(float(v)) for v in xi]
-                           + [repr(float(yt)), repr(float(ypi)),
-                              repr(float(ypi - yt))])
+        write_csv(outdir / "imputation_errors.csv",
+                  [f"x{i}" for i in range(ds.m)] + ["y_true", "y_pred", "signed_err"],
+                  (_reprs(*xi, yt, ypi, ypi - yt)
+                   for xi, yt, ypi in zip(test_x, test_y, test_yp)))
         files.append("imputation_errors.csv")
 
-    import csv as _csv
-    with open(outdir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["model", "split", "mse", "mae", "n",
-                    "complex_params", "real_params", "wall_ms"])
-        for model_name, stats in split_stats.items():
-            if model_name == "cauchynet":
-                pc, pr = cplx, real
-            else:
-                pr = bl.mlp_parameter_count(mlp)
-                pc = ""
-            for split_name, (mse, mae, n) in stats.items():
-                w.writerow([model_name, split_name, repr(mse), repr(mae), n,
-                            pc, pr, repr(wall_ms[model_name])])
+    write_csv(outdir / "metrics.csv",
+              ["model", "split", "mse", "mae", "n", "complex_params",
+               "real_params", "wall_ms"],
+              ([name, split, repr(metric_mse(yp, y)), repr(metric_mae(yp, y)),
+                len(y), pc, pr, repr(_wall_ms(run_log))]
+               for name, (by_split, pc, pr, run_log) in runs.items()
+               for split, (_, y, yp, _) in by_split.items()))
     files.append("metrics.csv")
 
-    manifest = {
+    write_json(outdir / "manifest.json", {
         "name": spec.name,
         "spec": spec.to_dict(),
         "status": "ok",
         "files": {f: _sha256(outdir / f) for f in files},
         "nondeterministic_files": ["metrics.csv", "manifest.json"],
-        "notes": notes,
+        "notes": _RUN_NOTES,
         "wall_ms_total": (time.perf_counter() - t_start) * 1e3,
-    }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    })
 
-    test_yp_s, _ = mdl.predict(net, ds.test_x)
-    test_yp = dt.scaler_invert(test_yp_s, scaler)
     return MetricsReport(
-        mse=metric_mse(test_yp, ds.test_y),
-        mae=metric_mae(test_yp, ds.test_y),
-        abs_errors=np.abs(test_yp - ds.test_y),
+        mse=metric_mse(test_yp, test_y),
+        mae=metric_mae(test_yp, test_y),
+        abs_errors=np.abs(test_yp - test_y),
         complex_params=cplx,
         real_params=real,
-        wall_ms=wall_ms["cauchynet"],
+        wall_ms=_wall_ms(log),
     )
 
 
@@ -504,14 +503,7 @@ def run_lambda_ablation(spec: ExperimentSpec, lambdas=None, outdir=None):
     if any(l < 0 for l in lambdas):
         raise ValidationError(["lambda values must be nonnegative"])
     validate_spec(spec)
-
-    ds = build_dataset(spec)
-    scaler = dt.scaler_fit(ds.train_y, *spec.scaler_range)
-    scaled = dt.SplitDataset(
-        ds.train_x, dt.scaler_apply(ds.train_y, scaler),
-        ds.val_x, dt.scaler_apply(ds.val_y, scaler),
-        ds.test_x, dt.scaler_apply(ds.test_y, scaler),
-        m=ds.m, provenance=ds.provenance)
+    ds, scaled, scaler = prepare(spec)
 
     rows = []
     for lam in lambdas:
@@ -537,13 +529,9 @@ def run_lambda_ablation(spec: ExperimentSpec, lambdas=None, outdir=None):
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        import csv as _csv
-        with open(outdir / "lambda_ablation.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["lambda", "seed", "epoch", "test_mse"])
-            for lam, seed, epoch, mse in rows:
-                w.writerow([repr(float(lam)), seed, epoch, repr(mse)])
+        write_csv(outdir / "lambda_ablation.csv", ["lambda", "seed", "epoch", "test_mse"],
+                  ([repr(float(lam)), seed, epoch, repr(mse)]
+                   for lam, seed, epoch, mse in rows))
         (outdir / "lambda_ablation_summary.txt").write_text(summary + "\n",
                                                             encoding="utf-8")
     return rows, summary
@@ -555,27 +543,21 @@ def _sweep_cell(spec: ExperimentSpec, h, n, lr, wd):
     sub.n_samples = int(n)
     sub.train.lr0 = float(lr)
     sub.train.weight_decay = float(wd)
-    ds = build_dataset(sub)
-    scaler = dt.scaler_fit(ds.train_y, *sub.scaler_range)
-    scaled = dt.SplitDataset(
-        ds.train_x, dt.scaler_apply(ds.train_y, scaler),
-        ds.val_x, dt.scaler_apply(ds.val_y, scaler),
-        ds.test_x, dt.scaler_apply(ds.test_y, scaler),
-        m=ds.m, provenance=ds.provenance)
+    ds, scaled, scaler = prepare(sub)
     net = _init_model(sub, ds.m, _STREAM_INIT)
     train(grad.cauchynet_trainable(net), scaled, sub.train)
     yp_s, _ = mdl.predict(net, ds.test_x)
-    yp = dt.scaler_invert(yp_s, scaler)
-    return metric_mse(yp, ds.test_y)
+    return metric_mse(dt.scaler_invert(yp_s, scaler), ds.test_y)
 
 
 def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
-                         lrs=None, wds=None, outdir=None, threads: int = 1):
+                         lrs=None, wds=None, outdir=None):
     """Cross-product sweep over hidden width, data size, lr, weight decay.
 
-    Individual cell failures (divergence, poles) become NaN rows carrying
-    an error note; the sweep only fails if every cell fails.  Rows are
-    (h, n, lr, wd, test_mse, note) in deterministic axis order.
+    Individual cell failures (divergence, poles, invalid cells) become NaN
+    rows carrying an error note.  If every cell fails the sweep raises:
+    NonFiniteError when some cell diverged, ValidationError otherwise.
+    Rows are (h, n, lr, wd, test_mse, note) in deterministic axis order.
     """
     hidden = list(spec.grid_hidden if hidden is None else hidden)
     data_sizes = list(spec.grid_sizes if data_sizes is None else data_sizes)
@@ -585,35 +567,26 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
         raise ValidationError(["every sweep axis must be nonempty"])
     validate_spec(spec)
 
-    cells = [(h, n, lr, wd) for h in hidden for n in data_sizes
-             for lr in lrs for wd in wds]
-
-    def evaluate(cell):
-        h, n, lr, wd = cell
+    rows, diverged = [], False
+    for h, n, lr, wd in itertools.product(hidden, data_sizes, lrs, wds):
         try:
-            return (h, n, lr, wd, _sweep_cell(spec, h, n, lr, wd), "")
+            rows.append((h, n, lr, wd, _sweep_cell(spec, h, n, lr, wd), ""))
         except (NonFiniteError, ValidationError, ValueError) as exc:
-            return (h, n, lr, wd, float("nan"), f"failed: {exc}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, cells))
-    else:
-        rows = [evaluate(c) for c in cells]
+            diverged |= isinstance(exc, NonFiniteError)
+            rows.append((h, n, lr, wd, float("nan"), f"failed: {exc}"))
 
     if all(math.isnan(r[4]) for r in rows):
-        raise NonFiniteError("every sweep cell failed")
+        if diverged:
+            raise NonFiniteError("every sweep cell failed")
+        raise ValidationError(["every sweep cell failed"]
+                              + list(dict.fromkeys(r[5] for r in rows)))
 
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        import csv as _csv
-        with open(outdir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["h", "n", "lr", "wd", "test_mse", "note"])
-            for h, n, lr, wd, mse, note in rows:
-                w.writerow([h, n, repr(float(lr)), repr(float(wd)),
-                            repr(float(mse)), note])
+        write_csv(outdir / "sweep.csv", ["h", "n", "lr", "wd", "test_mse", "note"],
+                  ([h, n, repr(float(lr)), repr(float(wd)), repr(float(mse)), note]
+                   for h, n, lr, wd, mse, note in rows))
     return rows
 
 
@@ -653,12 +626,8 @@ def run_kernel_demo(target: str = "square", a: float = 2.0, b: float = 1.0,
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        import csv as _csv
-        with open(outdir / "kernel_demo.csv", "w", newline="", encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["nodes", "sup_error"])
-            for n, err in rows:
-                w.writerow([n, repr(err)])
+        write_csv(outdir / "kernel_demo.csv", ["nodes", "sup_error"],
+                  ([n, repr(err)] for n, err in rows))
     return rows
 
 

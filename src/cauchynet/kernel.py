@@ -15,12 +15,12 @@ tests.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleEncountered, SchemaError, SingularSystem
+from . import fileio
+from .errors import PoleEncountered, SingularSystem
 
 DEFAULT_RIDGE = 1e-15
 
@@ -76,15 +76,6 @@ def ellipse_mesh(a: float, b: float, center: complex = 0j,
     zeta = center + a * np.cos(t) + 1j * b * np.sin(t)
     dzeta = (-a * np.sin(t) + 1j * b * np.cos(t)) * (2 * np.pi / nodes)
     return BoundaryMesh([zeta], [dzeta])
-
-
-def product_mesh(*meshes: BoundaryMesh) -> BoundaryMesh:
-    """Tensor product of one-dimensional meshes."""
-    nodes, increments = [], []
-    for m in meshes:
-        nodes.extend(m.nodes)
-        increments.extend(m.increments)
-    return BoundaryMesh(nodes, increments)
 
 
 def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
@@ -167,31 +158,17 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
 
 
 def save_expansion(exp: KernelExpansion, path) -> None:
-    doc = {
+    fileio.write_json(path, {
         "version": 1,
         "xi_re": exp.xi.real.tolist(),
         "xi_im": exp.xi.imag.tolist(),
         "theta_re": exp.theta.real.tolist(),
         "theta_im": exp.theta.imag.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_expansion(path) -> KernelExpansion:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    for key in ("version", "xi_re", "xi_im", "theta_re", "theta_im"):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing field {key!r}")
-    if doc["version"] != 1:
-        raise SchemaError(f"{path}: unsupported version {doc['version']!r}")
-    xi = np.asarray(doc["xi_re"], dtype=float) + 1j * np.asarray(doc["xi_im"], dtype=float)
-    theta = np.asarray(doc["theta_re"], dtype=float) + 1j * np.asarray(doc["theta_im"], dtype=float)
-    if len(np.atleast_1d(theta)) != len(np.atleast_2d(xi)):
-        raise SchemaError(f"{path}: xi and theta lengths differ")
-    return KernelExpansion(xi, theta)
+    """Load an expansion; any malformed field raises SchemaError."""
+    doc = fileio.read_json(path, 1)
+    xi = fileio.read_complex(doc, "xi", (None, None), path)
+    return KernelExpansion(xi, fileio.read_complex(doc, "theta", (len(xi),), path))

@@ -14,12 +14,12 @@ the training penalty.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .activation import DEFAULT_EPSILON
 from .complex_linalg import Rng, normal_complex, require_finite
 from .errors import NonFiniteError, PoleEncountered, SchemaError
@@ -193,7 +193,7 @@ def save_checkpoint(model: CauchyNetModel, scaler: ScalerState, path,
     Floats serialize via repr (17 significant digits), so a load reproduces
     every parameter bit-exactly.
     """
-    doc = {
+    fileio.write_json(path, {
         "version": CHECKPOINT_VERSION,
         "h": model.h,
         "m": model.m,
@@ -202,48 +202,23 @@ def save_checkpoint(model: CauchyNetModel, scaler: ScalerState, path,
         "B_im": model.B.imag.tolist(),
         "C_re": model.C.real.tolist(),
         "C_im": model.C.imag.tolist(),
-        "scaler": {"min": scaler.min, "max": scaler.max,
-                   "range_lo": scaler.range_lo, "range_hi": scaler.range_hi},
+        "scaler": fileio.scaler_doc(scaler),
         "seed": int(seed),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(path):
-    """Load (model, scaler) from a checkpoint written by save_checkpoint."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    """Load (model, scaler) from a checkpoint written by save_checkpoint.
 
-    for key in ("version", "h", "m", "epsilon", "B_re", "B_im",
-                "C_re", "C_im", "scaler"):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing field {key!r}")
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise SchemaError(f"{path}: unsupported version {doc['version']!r}")
-
-    h, m = doc["h"], doc["m"]
+    Any malformed field raises SchemaError.
+    """
+    doc = fileio.read_json(path, CHECKPOINT_VERSION)
+    h, m = fileio.read_int(doc, "h", path), fileio.read_int(doc, "m", path)
+    B = fileio.read_complex(doc, "B", (h, m), path)
+    C = fileio.read_complex(doc, "C", (h,), path)
+    scaler = fileio.read_scaler(doc, path)
     try:
-        B = np.asarray(doc["B_re"], dtype=float) + 1j * np.asarray(doc["B_im"], dtype=float)
-        C = np.asarray(doc["C_re"], dtype=float) + 1j * np.asarray(doc["C_im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed parameter arrays: {exc}") from None
-    if B.shape != (h, m):
-        raise SchemaError(f"{path}: B shape {B.shape} does not match h={h}, m={m}")
-    if C.shape != (h,):
-        raise SchemaError(f"{path}: C length {C.shape} does not match h={h}")
-
-    sc = doc["scaler"]
-    for key in ("min", "max", "range_lo", "range_hi"):
-        if key not in sc:
-            raise SchemaError(f"{path}: scaler missing field {key!r}")
-    scaler = ScalerState(sc["min"], sc["max"], sc["range_lo"], sc["range_hi"])
-    try:
-        model = CauchyNetModel(h, m, doc["epsilon"], B, C)
-    except (ValueError, NonFiniteError) as exc:
+        model = CauchyNetModel(h, m, fileio.read_number(doc, "epsilon", path), B, C)
+    except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return model, scaler

@@ -8,7 +8,6 @@ seed, so a run is reproducible end to end.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -17,6 +16,7 @@ import numpy as np
 
 from .complex_linalg import Rng, derive_seed
 from .errors import NonFiniteError
+from .fileio import write_csv
 
 _SHUFFLE_STREAM = 0x5A
 
@@ -84,17 +84,9 @@ class TrainLog:
         wall_ms is the only nondeterministic column; callers that need
         byte-reproducible files pass include_wall=False.
         """
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            header = ["epoch", "lr", "train_loss", "val_loss"]
-            if include_wall:
-                header.append("wall_ms")
-            w.writerow(header)
-            for r in self.entries:
-                row = [r.epoch, repr(r.lr), repr(r.train_loss), repr(r.val_loss)]
-                if include_wall:
-                    row.append(repr(r.wall_ms))
-                w.writerow(row)
+        cols = ["lr", "train_loss", "val_loss"] + (["wall_ms"] if include_wall else [])
+        write_csv(path, ["epoch"] + cols,
+                  ([r.epoch] + [repr(getattr(r, c)) for c in cols] for r in self.entries))
 
     def final(self) -> TrainLogEntry:
         return self.entries[-1]

@@ -7,8 +7,7 @@ from cauchynet.data import (MissingMask, apply_mask, find_turning_points,
                             scaler_fit, scaler_invert,
                             seasonal_decompose_multiplicative,
                             target_2d_missing_disk, target_2d_surface,
-                            target_exp1, target_exp2_gap, target_intro_spike,
-                            write_dataset_csv)
+                            target_exp1, target_exp2_gap, target_intro_spike)
 from cauchynet.errors import (DegenerateRange, NonPositiveValue, ParseError)
 
 # 40-digit evaluations rounded to 17 significant digits; regression anchors
@@ -289,13 +288,3 @@ def test_load_series_bad_cell_cites_row(tmp_path):
     p.write_text("\n".join(rows) + "\n")
     with pytest.raises(ParseError, match="row 7"):
         load_series_csv(p, "y")
-
-
-def test_write_dataset_csv(tmp_path):
-    xs = np.linspace(0, 1, 20)
-    ds = make_split(xs, xs ** 2, rng=Rng(2))
-    out = tmp_path / "dataset.csv"
-    write_dataset_csv(ds, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "split,x0,y"
-    assert len(lines) == 21

@@ -1,14 +1,20 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cauchynet import cli
-from cauchynet.errors import LengthMismatch, ValidationError
-from cauchynet.experiments import (ExperimentSpec, ModelSpec, build_dataset,
-                                   get_preset, metric_mae, metric_mse,
-                                   run_experiment, run_kernel_demo,
+from cauchynet import experiments as xp
+from cauchynet import model as mdl
+from cauchynet.complex_linalg import Rng
+from cauchynet.data import ScalerState
+from cauchynet.errors import (CauchyNetError, LengthMismatch, NonFiniteError,
+                              ValidationError)
+from cauchynet.experiments import (ExperimentSpec, MetricsReport, ModelSpec,
+                                   build_dataset, get_preset, metric_mae,
+                                   metric_mse, run_experiment, run_kernel_demo,
                                    run_lambda_ablation, run_sensitivity_grid,
                                    validate_spec)
 from cauchynet.optim import TrainConfig
@@ -49,6 +55,12 @@ def test_mae_squared_below_mse_randomized():
         assert metric_mae(p, t) ** 2 <= metric_mse(p, t) + 1e-15
 
 
+def test_metrics_report_rejects_mae_above_rms():
+    with pytest.raises(CauchyNetError, match="mae"):
+        MetricsReport(mse=1.0, mae=2.0, abs_errors=np.array([2.0]),
+                      complex_params=0, real_params=0, wall_ms=0.0)
+
+
 def test_presets_all_validate():
     for name in ("intro-spike", "exp1", "exp2-gap", "exp2-disk",
                  "exp3-surface", "exp5-lambda", "exp5-grid"):
@@ -80,11 +92,46 @@ def test_spec_rejects_unknown_fields():
         ExperimentSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    ("model", "h", 1.5, "model.h must be int"),
+    ("model", "h", True, "model.h must be int"),
+    ("model", "h", "8", "model.h must be int"),
+    ("train", "epochs", 1.5, "train.epochs must be int"),
+    ("train", "lr0", "0.1", "train.lr0 must be float"),
+    ("train", "bogus", 1, "unknown config fields: ['train.bogus']"),
+    (None, "n_samples", 3.0, "n_samples must be int"),
+    (None, "baseline", 1, "baseline must be bool"),
+])
+def test_spec_rejects_mistyped_fields(section, key, value, message):
+    doc = tiny_spec().to_dict()
+    (doc[section] if section else doc)[key] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ExperimentSpec.from_dict(doc)
+
+
+def test_spec_float_fields_accept_ints():
+    doc = tiny_spec().to_dict()
+    doc["train"]["lr0"] = 1
+    doc["model"]["init_major"] = 2
+    doc["fractions"] = [0.5, 0.25, 0.25]
+    spec = ExperimentSpec.from_dict(doc)
+    assert type(spec.train.lr0) is float and spec.train.lr0 == 1.0
+    assert type(spec.model.init_major) is float
+    assert spec.fractions == (0.5, 0.25, 0.25)
+
+
 def test_lambda_alias_accepted():
     doc = tiny_spec().to_dict()
     doc["train"]["lambda"] = doc["train"].pop("lam")
     spec = ExperimentSpec.from_dict(doc)
     assert spec.train.lam == 0.1
+
+
+def test_turning_point_mask_needs_1d_generator():
+    spec = tiny_spec(generator="surface2d",
+                     mask={"kind": "intervals", "half_width": 0.1})
+    with pytest.raises(ValidationError, match="1-D"):
+        validate_spec(spec)
 
 
 def test_build_dataset_split_sizes():
@@ -155,6 +202,22 @@ def test_run_experiment_masked_emits_signed_errors(tmp_path):
         assert x0 * x0 + x1 * x1 <= 0.09 + 1e-12
 
 
+def test_run_experiment_predicts_each_split_once(tmp_path, monkeypatch):
+    calls = []
+    original = mdl.predict
+
+    def counted(model, X):
+        calls.append(len(X))
+        return original(model, X)
+
+    monkeypatch.setattr(mdl, "predict", counted)
+    spec = get_preset("exp2-disk")
+    spec.n_samples, spec.model.h, spec.train.epochs = 400, 8, 3
+    run_experiment(spec, tmp_path)
+    # one validation pass per epoch, then one pass per split feeds every artifact
+    assert len(calls) == 3 + 3
+
+
 def test_predictions_header_1d_and_2d(tmp_path):
     run_experiment(tiny_spec(), tmp_path / "one")
     head1 = (tmp_path / "one" / "predictions.csv").read_text().splitlines()[0]
@@ -216,12 +279,20 @@ def test_sensitivity_grid_failed_cell_is_nan_row():
     assert len(failed) == 1 and failed[0][5].startswith("failed")
 
 
-def test_sensitivity_grid_threads_match_serial(tmp_path):
-    spec = tiny_spec(n_samples=80)
-    serial = run_sensitivity_grid(spec, [8, 16], [40], [0.01], [0.0])
-    threaded = run_sensitivity_grid(spec, [8, 16], [40], [0.01], [0.0],
-                                    threads=2)
-    assert serial == threaded
+@pytest.mark.parametrize("failures,expected", [
+    ((ValueError("bad cell"), ValueError("bad cell")), ValidationError),
+    ((ValueError("bad cell"), NonFiniteError("diverged")), NonFiniteError),
+])
+def test_sensitivity_grid_every_cell_failed(monkeypatch, failures, expected):
+    pending = list(failures)
+
+    def fail(*args):
+        raise pending.pop(0)
+
+    monkeypatch.setattr(xp, "_sweep_cell", fail)
+    with pytest.raises(expected):
+        run_sensitivity_grid(tiny_spec(), hidden=[8, 16], data_sizes=[60],
+                             lrs=[0.01], wds=[0.0])
 
 
 def test_kernel_demo_square(tmp_path):
@@ -425,3 +496,36 @@ def test_cli_sweep_axes(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "exp1" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 5
+
+
+def _bad_checkpoint_args(tmp_path):
+    path = tmp_path / "ckpt.json"
+    mdl.save_checkpoint(mdl.init_xavier_complex(8, 1, Rng(1)),
+                        ScalerState(0.0, 1.0, 0.0, 1.0), path)
+    doc = json.loads(path.read_text())
+    doc["C_im"] = [0.5]
+    path.write_text(json.dumps(doc))
+    return ["evaluate", "--preset", "exp1", "--checkpoint", str(path)]
+
+
+def _unknown_train_key_args(tmp_path):
+    cfg = tiny_spec().to_dict()
+    cfg["train"]["bogus"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["train", "--config", str(path)]
+
+
+@pytest.mark.parametrize("make_args,code", [
+    (_bad_checkpoint_args, 4),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", 'model.h="abc"'], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "train.epochs=1.5"], 2),
+    (_unknown_train_key_args, 2),
+    (lambda tmp: ["sweep", "--preset", "exp5-grid", "--hidden", "8", "--sizes", "2",
+                  "--lrs", "0.01", "--wds", "0"], 2),
+], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
+        "sweep-all-cells-invalid"])
+def test_cli_exit_codes(tmp_path, capsys, make_args, code):
+    argv = make_args(tmp_path) + ["--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == code
+    assert "error:" in capsys.readouterr().err

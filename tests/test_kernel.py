@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from cauchynet.errors import PoleEncountered, SchemaError, SingularSystem
-from cauchynet.kernel import (KernelExpansion, cauchy_kernel, ellipse_mesh,
-                              evaluate_expansion, evaluate_expansion_grid,
+from cauchynet.kernel import (BoundaryMesh, KernelExpansion, cauchy_kernel,
+                              ellipse_mesh, evaluate_expansion,
+                              evaluate_expansion_grid,
                               fit_expansion_least_squares, load_expansion,
-                              product_mesh, quadrature_expansion,
-                              save_expansion)
+                              quadrature_expansion, save_expansion)
 
 
 def test_kernel_trivial_values():
@@ -111,7 +111,7 @@ def test_two_dimensional_product_quadrature():
     # f(z1, z2) = z1 * z2 is holomorphic; reconstruct at an interior point
     m1 = ellipse_mesh(2.0, 1.0, nodes=64)
     m2 = ellipse_mesh(2.0, 1.0, nodes=64)
-    mesh = product_mesh(m1, m2)
+    mesh = BoundaryMesh(m1.nodes + m2.nodes, m1.increments + m2.increments)
     exp = quadrature_expansion(lambda z: z[0] * z[1], mesh)
     val = evaluate_expansion(exp, [0.5, -0.3])
     assert abs(val - (0.5 * -0.3)) < 1e-8
