@@ -7,7 +7,6 @@ hidden width, same optimizer budget, standard backprop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,44 +15,44 @@ from .complex_linalg import Rng
 from .data import ScalerState
 from .errors import NonFiniteError, SchemaError
 from .grad import LossValue
-from .optim import Trainable
+from .optim import ParameterView, Trainable
 
 MLP_CHECKPOINT_VERSION = 1
 
 
-@dataclass
 class MlpModel:
-    W1: np.ndarray   # (h, m)
-    b1: np.ndarray   # (h,)
-    W2: np.ndarray   # (h,)
-    b2: float
+    """ReLU network y = W2 . relu(W1 x + b1) + b2.
 
-    def __post_init__(self):
-        self.W1 = np.asarray(self.W1, dtype=float)
-        self.b1 = np.asarray(self.b1, dtype=float)
-        self.W2 = np.asarray(self.W2, dtype=float)
-        h, m = self.W1.shape
-        if self.b1.shape != (h,) or self.W2.shape != (h,):
-            raise ValueError("inconsistent MLP shapes")
+    W1 (h, m), b1 (h,) and W2 (h,) are views of one flat float64 buffer,
+    `params` = [W1 row-major, b1, W2, b2], which the optimizer updates in
+    place; assigning a weight copies into the buffer.
+    """
+
+    W1 = ParameterView()
+    b1 = ParameterView()
+    W2 = ParameterView()
+
+    def __init__(self, W1, b1, W2, b2: float):
+        W1 = np.asarray(W1, dtype=float)
+        if W1.ndim != 2:
+            raise ValueError("W1 must be a matrix")
+        self.h, self.m = W1.shape
+        self.params = np.zeros(self.h * (self.m + 2) + 1)
+        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
+
+    def parameter_views(self) -> dict:
+        hm, h = self.h * self.m, self.h
+        p = self.params
+        return {"W1": p[:hm].reshape(h, self.m), "b1": p[hm:hm + h],
+                "W2": p[hm + h:hm + 2 * h]}
 
     @property
-    def h(self) -> int:
-        return self.W1.shape[0]
+    def b2(self) -> float:
+        return float(self.params[-1])
 
-    @property
-    def m(self) -> int:
-        return self.W1.shape[1]
-
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([self.W1.ravel(), self.b1, self.W2, [self.b2]])
-
-    def set_parameter_vector(self, v: np.ndarray) -> None:
-        h, m = self.h, self.m
-        v = np.asarray(v, dtype=float)
-        self.W1 = v[:h * m].reshape(h, m)
-        self.b1 = v[h * m:h * m + h]
-        self.W2 = v[h * m + h:h * m + 2 * h]
-        self.b2 = float(v[-1])
+    @b2.setter
+    def b2(self, value: float) -> None:
+        self.params[-1] = value
 
 
 def init_mlp(h: int, m: int, rng: Rng) -> MlpModel:
@@ -115,13 +114,14 @@ def mlp_batch_gradient(model: MlpModel, X, y_true, lam: float = 0.0):
         X = X[:, None]
     y_true = np.asarray(y_true, dtype=float)
     n = len(X)
+    W2 = model.W2
     pre = X @ model.W1.T + model.b1
     z = np.maximum(pre, 0.0)
-    y = z @ model.W2 + model.b2
+    y = z @ W2 + model.b2
     r = 2.0 * (y - y_true) / n
     dW2 = r @ z
     db2 = float(r.sum())
-    dpre = r[:, None] * model.W2[None, :] * (pre > 0)
+    dpre = r[:, None] * W2[None, :] * (pre > 0)
     dW1 = dpre.T @ X
     db1 = dpre.sum(axis=0)
     g = np.concatenate([dW1.ravel(), db1, dW2, [db2]])

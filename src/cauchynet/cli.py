@@ -78,7 +78,11 @@ def load_spec(args) -> xp.ExperimentSpec:
     spec = xp.ExperimentSpec.from_dict(doc)
     env_seed = os.environ.get("CAUCHYNET_SEED")
     if env_seed is not None:
-        spec.train.seed = int(env_seed)
+        try:
+            spec.train.seed = int(env_seed)
+        except ValueError:
+            raise ValidationError(
+                [f"CAUCHYNET_SEED must be an integer, got {env_seed!r}"]) from None
     if getattr(args, "seed", None) is not None:
         spec.train.seed = args.seed
     return spec

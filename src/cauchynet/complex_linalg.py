@@ -22,8 +22,11 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output scrambler."""
+def _mix64(z):
+    """splitmix64 output scrambler, for an int or a uint64 array.
+
+    The mask is a no-op on uint64 arrays, whose products already wrap.
+    """
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
@@ -92,8 +95,18 @@ class Rng:
             seq[i], seq[j] = seq[j], seq[i]
 
     def permutation(self, n: int) -> np.ndarray:
+        """shuffle(list(range(n))) as an int64 array, leaving the same state.
+
+        The n - 1 draws are computed at once in wrapping uint64 arithmetic;
+        only the swaps run in Python.
+        """
         idx = list(range(n))
-        self.shuffle(idx)
+        if n > 1:
+            states = np.uint64(self.state) + np.arange(1, n, dtype=np.uint64) * np.uint64(_GOLDEN)
+            self.state = int(states[-1])
+            draws = (_mix64(states) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+            for i, j in zip(range(n - 1, 0, -1), draws):
+                idx[i], idx[j] = idx[j], idx[i]
         return np.asarray(idx, dtype=np.int64)
 
 

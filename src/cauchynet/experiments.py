@@ -173,9 +173,58 @@ def _check_fields(cls, doc: dict, where: str = "") -> list[str]:
     return problems
 
 
+_NUMBER = (int, float)
+# Element types of the tuple fields (their type hints say only `tuple`) and
+# the fields of each mask kind.
+_TUPLE_ELEMENTS = {"fractions": _NUMBER, "masked_fractions": _NUMBER,
+                   "scaler_range": _NUMBER, "lambdas": _NUMBER,
+                   "grid_lrs": _NUMBER, "grid_wds": _NUMBER,
+                   "grid_hidden": (int,), "grid_sizes": (int,)}
+_MASK_FIELDS = {"intervals": {"kind", "half_width", "centers"},
+                "disk": {"kind", "center", "radius"}}
+
+
+def _numbers(values) -> bool:
+    return isinstance(values, (list, tuple)) and all(type(v) in _NUMBER for v in values)
+
+
+def _type_problems(spec: ExperimentSpec) -> list[str]:
+    """Mistyped elements of the tuple fields and mistyped mask values."""
+    problems = [f"{name} must hold {'integers' if kinds == (int,) else 'numbers'}, "
+                f"got {list(getattr(spec, name))!r}"
+                for name, kinds in _TUPLE_ELEMENTS.items()
+                if not all(type(v) in kinds for v in getattr(spec, name))]
+    mask = spec.mask
+    if mask is None:
+        return problems
+    kind = mask.get("kind")
+    if not isinstance(kind, str) or kind not in _MASK_FIELDS:
+        return problems + [f"unknown mask kind {kind!r}"]
+    unknown = sorted(set(mask) - _MASK_FIELDS[kind])
+    if unknown:
+        problems.append(f"unknown {kind} mask fields: {unknown}")
+    for key in ("half_width", "radius"):
+        if key in mask and type(mask[key]) not in _NUMBER:
+            problems.append(f"mask.{key} must be a number, got {mask[key]!r}")
+    centers = mask.get("centers", "turning-points")
+    if centers != "turning-points" and not _numbers(centers):
+        problems.append(f"mask.centers must be 'turning-points' or a list of numbers, "
+                        f"got {centers!r}")
+    center = mask.get("center", (0.0, 0.0))
+    if not (_numbers(center) and len(center) == 2):
+        problems.append(f"mask.center must be two numbers, got {center!r}")
+    return problems
+
+
 def validate_spec(spec: ExperimentSpec) -> None:
-    """Collect every precondition violation; raise before any compute."""
-    problems = []
+    """Collect every precondition violation; raise before any compute.
+
+    Mistyped tuple elements and mask values are reported on their own,
+    before the checks that compare those values.
+    """
+    problems = _type_problems(spec)
+    if problems:
+        raise ValidationError(problems)
     if spec.generator not in GENERATORS:
         problems.append(f"unknown generator {spec.generator!r}; "
                         f"known: {sorted(GENERATORS)}")
@@ -193,11 +242,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
                     and spec.generator in GENERATORS
                     and GENERATORS[spec.generator][0] is not _even_1d):
                 problems.append("turning-point mask centers need a 1-D synthetic generator")
-        elif kind == "disk":
-            if spec.mask.get("radius", 0) <= 0:
-                problems.append("disk mask needs radius > 0")
-        else:
-            problems.append(f"unknown mask kind {kind!r}")
+        elif spec.mask.get("radius", 0) <= 0:
+            problems.append("disk mask needs radius > 0")
         mf = spec.masked_fractions
         if len(mf) != 2 or any(f <= 0 for f in mf) or not 0.999 <= sum(mf) <= 1.0001:
             problems.append("masked_fractions must be two positive values summing to 1")

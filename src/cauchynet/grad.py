@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteError
-from .model import CauchyNetModel, ForwardOutput, forward_batch
+from .model import CauchyNetModel, ForwardOutput, forward_batch, split_parameters
 
 
 @dataclass
@@ -36,16 +36,12 @@ class GradientSet:
     dC: np.ndarray  # complex (h,)
 
     def to_vector(self) -> np.ndarray:
-        """Flat real gradient matching CauchyNetModel.parameter_vector order."""
-        return np.concatenate([self.dB.real.ravel(), self.dB.imag.ravel(),
-                               self.dC.real.ravel(), self.dC.imag.ravel()])
+        """Flat real gradient in the CauchyNetModel.params layout."""
+        return np.concatenate([np.ravel(self.dB).view(float), np.ravel(self.dC).view(float)])
 
     @classmethod
     def from_vector(cls, v: np.ndarray, h: int, m: int) -> "GradientSet":
-        hm = h * m
-        dB = (v[:hm] + 1j * v[hm:2 * hm]).reshape(h, m)
-        dC = v[2 * hm:2 * hm + h] + 1j * v[2 * hm + h:]
-        return cls(dB, dC)
+        return cls(*split_parameters(np.ascontiguousarray(v, dtype=float), h, m))
 
 
 def loss(y: float, e: float, y_true: float, lam: float) -> LossValue:
@@ -60,8 +56,9 @@ def loss(y: float, e: float, y_true: float, lam: float) -> LossValue:
 def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
     """Mean loss and mean gradients over an (n, m) batch.
 
-    The mean over the sample axis is taken in fixed index order, so the
-    result is deterministic for a given batch.
+    Reuses the forward pass's shifted columns: do/dB_ki = -C_k hidden_k /
+    shifted_ki.  The mean over the sample axis is taken in fixed index
+    order, so the result is deterministic for a given batch.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -79,8 +76,16 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
         go = dLdy + 1j * dLde                                # (n,)
 
         dC = (go[:, None] * np.conj(hidden)).mean(axis=0)
-        dodB = -model.C[None, :, None] * hidden[:, :, None] / shifted  # (n,h,m)
-        dB = (go[:, None, None] * np.conj(dodB)).mean(axis=0)
+        if model.h > 1:
+            ch = -model.C * hidden                           # (n, h)
+            dB = np.stack([(go[:, None] * np.conj(ch / s)).mean(axis=0)
+                           for s in shifted], axis=1)
+        else:
+            # (n, 1) columns would round differently: numpy sums a lone
+            # column pairwise and runs a broadcast one-element product
+            # through its scalar loop.  The (n, 1, m) arrays are small.
+            dodB = -model.C[None, :, None] * hidden[:, :, None] / np.stack(shifted, axis=2)
+            dB = (go[:, None, None] * np.conj(dodB)).mean(axis=0)
 
         fit = float(((y - y_true) ** 2).mean())
         pen = float(lam * (e * e).mean())
@@ -92,23 +97,14 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
 
 def backward(model: CauchyNetModel, fo: ForwardOutput, x, y_true: float,
              lam: float) -> GradientSet:
-    """Per-sample gradients of the loss at the forward output fo.
+    """Per-sample gradients of the loss at input x.
 
-    fo must come from `forward` on the same model and input; the shifted
-    denominators are recomputed from (model, x), the cached activations are
-    reused.
+    The batch gradient of the one-row batch (a mean over one sample is
+    exact).  fo, the forward output at x, is not needed: the batch path
+    recomputes it.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    shifted = x[None, :] + model.B + model.epsilon
-    with np.errstate(over="ignore", invalid="ignore"):
-        go = 2.0 * (fo.y - y_true) + 2j * lam * fo.e
-        dC = go * np.conj(fo.hidden)
-        dodB = -model.C[:, None] * fo.hidden[:, None] / shifted
-        dB = go * np.conj(dodB)
-    grads = GradientSet(dB, dC)
-    if not (np.all(np.isfinite(grads.dB)) and np.all(np.isfinite(grads.dC))):
-        raise NonFiniteError("gradient overflowed")
-    return grads
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return batch_gradient(model, x, [y_true], lam)[1]
 
 
 def cauchynet_trainable(model: CauchyNetModel):
@@ -135,20 +131,20 @@ def finite_difference_gradients(model: CauchyNetModel, x, y_true: float,
     if x.ndim == 1:
         x = x[None, :]
 
-    def total_loss(vec):
-        probe = CauchyNetModel(model.h, model.m, model.epsilon,
-                               model.B.copy(), model.C.copy())
-        probe.set_parameter_vector(vec)
+    probe = CauchyNetModel(model.h, model.m, model.epsilon, model.B, model.C)
+    p = probe.params
+
+    def total_loss():
         o, _, _ = forward_batch(probe, x)
         return float((o.real[0] - y_true) ** 2 + lam * o.imag[0] ** 2)
 
-    p0 = model.parameter_vector()
-    g = np.empty_like(p0)
-    for j in range(len(p0)):
-        p = p0.copy()
+    g = np.empty_like(p)
+    for j in range(len(p)):
+        p0 = p[j]
         p[j] += step
-        up = total_loss(p)
+        up = total_loss()
         p[j] -= 2 * step
-        down = total_loss(p)
+        down = total_loss()
+        p[j] = p0
         g[j] = (up - down) / (2 * step)
     return GradientSet.from_vector(g, model.h, model.m)

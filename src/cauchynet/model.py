@@ -24,46 +24,46 @@ from .activation import DEFAULT_EPSILON
 from .complex_linalg import Rng, normal_complex, require_finite
 from .errors import NonFiniteError, PoleEncountered, SchemaError
 from .data import ScalerState
+from .optim import ParameterView
 
 CHECKPOINT_VERSION = 1
 _GOLD = 0.6180339887498949
+# Rows per forward pass in `predict`: a block's (rows, h) complex arrays
+# stay inside a 2 MiB L2 cache at the preset widths.
+PREDICT_BLOCK = 64
 
 
-@dataclass
 class CauchyNetModel:
-    h: int
-    m: int
-    epsilon: float
-    B: np.ndarray   # complex128, shape (h, m)
-    C: np.ndarray   # complex128, shape (h,)
+    """Biases B (complex, h x m) and coefficients C (complex, h).
 
-    def __post_init__(self):
-        if self.h < 1 or self.m < 1:
+    Both are views of one flat float64 buffer, `params`: B row-major, then
+    C, each entry as its real part followed by its imaginary part.  The
+    optimizer updates `params` in place; assigning B or C copies into it.
+    """
+
+    B = ParameterView()
+    C = ParameterView()
+
+    def __init__(self, h: int, m: int, epsilon: float, B, C):
+        if h < 1 or m < 1:
             raise ValueError("h and m must be at least 1")
-        if self.epsilon < 0:
+        if epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        self.B = np.asarray(self.B, dtype=complex)
-        self.C = np.asarray(self.C, dtype=complex)
-        if self.B.shape != (self.h, self.m):
-            raise ValueError(f"B must have shape ({self.h}, {self.m})")
-        if self.C.shape != (self.h,):
-            raise ValueError(f"C must have shape ({self.h},)")
+        self.h, self.m, self.epsilon = h, m, epsilon
+        self.params = np.zeros(2 * h * (m + 1))
+        self.B, self.C = B, C
         require_finite(self.B, "B")
         require_finite(self.C, "C")
 
-    # Trainable-model surface shared with the baseline (see optim.train).
-    def parameter_vector(self) -> np.ndarray:
-        """Real parameters in the fixed order [Re B, Im B, Re C, Im C]."""
-        return np.concatenate([self.B.real.ravel(), self.B.imag.ravel(),
-                               self.C.real.ravel(), self.C.imag.ravel()])
+    def parameter_views(self) -> dict:
+        B, C = split_parameters(self.params, self.h, self.m)
+        return {"B": B, "C": C}
 
-    def set_parameter_vector(self, v: np.ndarray) -> None:
-        hm = self.h * self.m
-        v = np.asarray(v, dtype=float)
-        if v.shape != (2 * hm + 2 * self.h,):
-            raise ValueError("parameter vector has wrong length")
-        self.B = (v[:hm] + 1j * v[hm:2 * hm]).reshape(self.h, self.m)
-        self.C = v[2 * hm:2 * hm + self.h] + 1j * v[2 * hm + self.h:]
+
+def split_parameters(vec: np.ndarray, h: int, m: int):
+    """Complex (h, m) and (h,) views of a flat real vector in `params` layout."""
+    cplx = vec.view(complex)
+    return cplx[:h * m].reshape(h, m), cplx[h * m:]
 
 
 @dataclass
@@ -140,40 +140,64 @@ def forward(model: CauchyNetModel, x) -> ForwardOutput:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (model.m,):
         raise ValueError(f"input must have length {model.m}")
-    shifted = x[None, :] + model.B + model.epsilon
-    if np.any(shifted == 0):
-        raise PoleEncountered("input hits a hidden-unit pole")
-    hidden = np.prod(1.0 / shifted, axis=1)
-    o = complex(np.dot(model.C, hidden))
-    if not (math.isfinite(o.real) and math.isfinite(o.imag)):
-        raise NonFiniteError("forward pass overflowed")
-    return ForwardOutput(y=o.real, e=o.imag, o=o, hidden=hidden)
+    o, hidden, _ = forward_batch(model, x[None, :])
+    o = complex(o[0])
+    return ForwardOutput(y=o.real, e=o.imag, o=o, hidden=hidden[0])
 
 
 def forward_batch(model: CauchyNetModel, X):
     """Vectorized forward over an (n, m) batch.
 
-    Returns (o, hidden, shifted) with shapes (n,), (n, h), (n, h, m).
-    Same arithmetic as `forward`, evaluated per sample.
+    Returns (o, hidden, shifted): o has shape (n,), hidden (n, h), and
+    shifted is the list of the m columns x_i + B_:i + epsilon, each (n, h).
+    The reciprocals of the columns are multiplied left to right in real
+    arithmetic, which rounds like numpy's product reduction; numpy's
+    vectorized complex `*` does not.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    shifted = X[:, None, :] + model.B[None, :, :] + model.epsilon
-    if np.any(shifted == 0):
-        raise PoleEncountered("input hits a hidden-unit pole")
-    with np.errstate(over="ignore", invalid="ignore"):
-        hidden = np.prod(1.0 / shifted, axis=2)
+    if X.shape[1] != model.m:
+        raise ValueError(f"inputs must have {model.m} columns")
+    B = model.B
+    shifted = [X[:, i, None] + B[None, :, i] + model.epsilon for i in range(model.m)]
+    # a pole or an overflow surfaces through the finiteness check of o
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hidden = 1.0 / shifted[0]
+        for s in shifted[1:]:
+            r = 1.0 / s
+            prod = np.empty_like(hidden)
+            prod.real = hidden.real * r.real - hidden.imag * r.imag
+            prod.imag = hidden.real * r.imag + hidden.imag * r.real
+            hidden = prod
         o = hidden @ model.C
     if not np.all(np.isfinite(o)):
+        if any(np.any(s == 0) for s in shifted):
+            raise PoleEncountered("input hits a hidden-unit pole")
         raise NonFiniteError("forward pass overflowed")
     return o, hidden, shifted
 
 
 def predict(model: CauchyNetModel, X):
-    """Batch prediction returning (y, e) arrays."""
-    o, _, _ = forward_batch(model, X)
-    return o.real.copy(), o.imag.copy()
+    """Batch prediction returning (y, e) arrays.
+
+    Runs `forward_batch` over blocks of at most PREDICT_BLOCK rows; each
+    row's output does not depend on the rows next to it, so the blocks give
+    the same values as one pass over every row.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    n = len(X)
+    y, e = np.empty(n), np.empty(n)
+    # Blocks of near-equal size: none holds a lone row unless n == 1, since
+    # numpy's product of a one-row matrix rounds unlike the multi-row one.
+    blocks = max(1, -(-n // PREDICT_BLOCK))
+    bounds = [n * b // blocks for b in range(blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        o, _, _ = forward_batch(model, X[lo:hi])
+        y[lo:hi], e[lo:hi] = o.real, o.imag
+    return y, e
 
 
 def parameter_count(model: CauchyNetModel):

@@ -1,9 +1,12 @@
-"""Adam over flat real parameter vectors, the LR schedule, and the trainer.
+"""Adam over flat real parameter buffers, the LR schedule, and the trainer.
 
 Both network types train through the same loop; a `Trainable` bundles the
-model with its batch-gradient and prediction callables, and the optimizer
-only ever sees flat float64 vectors.  All shuffling derives from the config
-seed, so a run is reproducible end to end.
+model with its batch-gradient and prediction callables.  A trainable model
+keeps every parameter in one flat float64 buffer, `model.params`, and
+exposes its weight arrays as views of it (`ParameterView`), so the
+optimizer updates the buffer in place and never copies parameters out or
+back.  All shuffling derives from the config seed, so a run is
+reproducible end to end.
 """
 
 from __future__ import annotations
@@ -19,6 +22,28 @@ from .errors import NonFiniteError
 from .fileio import write_csv
 
 _SHUFFLE_STREAM = 0x5A
+
+
+class ParameterView:
+    """A model's weight array, stored as a view of its flat `params` buffer.
+
+    The owner's `parameter_views()` maps each name to its view.  Reading
+    returns the view, so in-place updates (`model.B += d`) reach the buffer;
+    assigning copies the value into the buffer after a shape check.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        return self if obj is None else obj.parameter_views()[self.name]
+
+    def __set__(self, obj, value):
+        view = obj.parameter_views()[self.name]
+        value = np.asarray(value, dtype=view.dtype)
+        if value.shape != view.shape:
+            raise ValueError(f"{self.name} must have shape {view.shape}")
+        view[...] = value
 
 
 @dataclass
@@ -113,26 +138,35 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 def adam_step(model, grad_vec: np.ndarray, state: AdamState, lr: float,
               weight_decay: float = 0.0) -> None:
-    """One Adam update with bias correction, mutating model and state.
+    """One Adam update with bias correction of `model.params`, in place.
 
     Weight decay couples as classic L2: it is added to the raw gradient
-    before the moment updates.
+    before the moment updates.  A non-finite update raises NonFiniteError
+    and leaves the parameters as they were.
     """
-    p = model.parameter_vector()
+    p = model.params
     g = np.asarray(grad_vec, dtype=float)
     if g.shape != p.shape:
         raise ValueError("gradient and parameter vectors differ in shape")
     if weight_decay:
         g = g + weight_decay * p
     state.t += 1
-    state.m1 = state.beta1 * state.m1 + (1 - state.beta1) * g
-    state.m2 = state.beta2 * state.m2 + (1 - state.beta2) * g * g
+    # Same elementwise operations in the same order as the textbook update,
+    # so the trajectory does not depend on the buffers being reused.
+    state.m1 *= state.beta1
+    state.m1 += (1 - state.beta1) * g
+    state.m2 *= state.beta2
+    state.m2 += (1 - state.beta2) * g * g
     m_hat = state.m1 / (1 - state.beta1 ** state.t)
-    v_hat = state.m2 / (1 - state.beta2 ** state.t)
-    p = p - lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
-    if not np.all(np.isfinite(p)):
+    denom = state.m2 / (1 - state.beta2 ** state.t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps_adam
+    update = lr * m_hat
+    update /= denom
+    new = np.subtract(p, update, out=update)
+    if not np.all(np.isfinite(new)):
         raise NonFiniteError("parameter update is non-finite")
-    model.set_parameter_vector(p)
+    p[...] = new
 
 
 def train(trainable: Trainable, dataset, config: TrainConfig,
@@ -152,7 +186,7 @@ def train(trainable: Trainable, dataset, config: TrainConfig,
         raise ValueError("train and val splits must be nonempty")
 
     model = trainable.model
-    state = AdamState.for_size(len(model.parameter_vector()))
+    state = AdamState.for_size(len(model.params))
     log = TrainLog()
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

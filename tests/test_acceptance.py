@@ -15,6 +15,7 @@ import pytest
 
 from cauchynet.activation import cauchy_activation, cauchy_activation_derivative
 from cauchynet.complex_linalg import Rng, derive_seed
+from cauchynet.errors import NonFiniteError, PoleEncountered
 from cauchynet.data import (SplitDataset, find_turning_points, scaler_apply,
                             scaler_fit, seasonal_decompose_multiplicative,
                             target_exp2_gap)
@@ -115,7 +116,7 @@ def test_criterion_04_intro_comparison():
             cn_scores.append(_final_val_mse(cauchynet_trainable(net),
                                             lambda X: predict(net, X),
                                             scaled, spec.train))
-        except Exception:
+        except (NonFiniteError, PoleEncountered):
             cn_scores.append(float("inf"))
         mlp = init_mlp(spec.model.h, ds.m, Rng(derive_seed(seed, 14)))
         bcfg = spec.train
@@ -123,7 +124,7 @@ def test_criterion_04_intro_comparison():
             mlp_scores.append(_final_val_mse(mlp_trainable(mlp),
                                              lambda X: mlp_predict(mlp, X),
                                              scaled, bcfg))
-        except Exception:
+        except (NonFiniteError, PoleEncountered):
             mlp_scores.append(float("inf"))
     elapsed = time.perf_counter() - t0
     med_cn, med_mlp = float(np.median(cn_scores)), float(np.median(mlp_scores))

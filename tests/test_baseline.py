@@ -24,7 +24,7 @@ def test_forward_relu_clamps():
 def test_parameter_count():
     model = init_mlp(128, 1, Rng(0))
     assert mlp_parameter_count(model) == 128 * 3 + 1
-    assert mlp_parameter_count(model) == len(model.parameter_vector())
+    assert mlp_parameter_count(model) == len(model.params)
 
 
 def test_backward_zero_residual():
@@ -55,21 +55,21 @@ def test_backward_matches_finite_differences():
         x = np.array([rng.uniform_in(-1, 1) for _ in range(m)])
         y_true = rng.uniform_in(-2, 2)
         _, g = mlp_batch_gradient(model, x[None, :], np.array([y_true]))
-        p0 = model.parameter_vector()
+        p0 = model.params.copy()
         step = 1e-6
         fd = np.empty_like(p0)
         for j in range(len(p0)):
             for sgn, slot in ((1, 0), (-1, 1)):
                 p = p0.copy()
                 p[j] += sgn * step
-                model.set_parameter_vector(p)
+                model.params[:] = p
                 yv, _ = mlp_predict(model, x[None, :])
                 val = (yv[0] - y_true) ** 2
                 if slot == 0:
                     up = val
                 else:
                     fd[j] = (up - val) / (2 * step)
-        model.set_parameter_vector(p0)
+        model.params[:] = p0
         rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-4)
         assert rel.max() < 1e-5
 

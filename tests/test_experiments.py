@@ -523,9 +523,38 @@ def _unknown_train_key_args(tmp_path):
     (_unknown_train_key_args, 2),
     (lambda tmp: ["sweep", "--preset", "exp5-grid", "--hidden", "8", "--sizes", "2",
                   "--lrs", "0.01", "--wds", "0"], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", 'fractions=["a",0.25,0.25]'], 2),
+    (lambda tmp: ["impute", "--preset", "exp2-disk", "--set", 'mask.radius="x"'], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
-        "sweep-all-cells-invalid"])
+        "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "runs")]
     assert cli.main(argv) == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CAUCHYNET_SEED", "abc")
+    argv = ["train", "--preset", "exp1", "--out", str(tmp_path / "runs")]
+    assert cli.main(argv) == 2
+    assert "CAUCHYNET_SEED must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("fractions", (0.5, "a", 0.25), "fractions must hold numbers"),
+    ("lambdas", (0.1, None), "lambdas must hold numbers"),
+    ("grid_hidden", (32, 64.0), "grid_hidden must hold integers"),
+    ("grid_sizes", (True,), "grid_sizes must hold integers"),
+    ("mask", {"kind": "disk", "radius": "x"}, "mask.radius must be a number"),
+    ("mask", {"kind": "disk", "radius": 0.3, "center": [0.0]}, "mask.center must be two numbers"),
+    ("mask", {"kind": "intervals", "half_width": [0.1]}, "mask.half_width must be a number"),
+    ("mask", {"kind": "intervals", "half_width": 0.1, "centers": ["a"]}, "mask.centers must be"),
+    ("mask", {"kind": "intervals", "half_width": 0.1, "radius": 1.0},
+     "unknown intervals mask fields: ['radius']"),
+    ("mask", {"kind": ["disk"]}, "unknown mask kind"),
+])
+def test_spec_rejects_mistyped_elements(field, value, message):
+    spec = tiny_spec(**{field: value})
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_spec(spec)

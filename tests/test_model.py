@@ -81,7 +81,7 @@ def test_parameter_count_matches_stored_scalars():
     model = init_xavier_complex(7, 3, Rng(1))
     cplx, real = parameter_count(model)
     assert cplx == model.B.size + model.C.size
-    assert real == len(model.parameter_vector())
+    assert real == len(model.params)
 
 
 def test_xavier_init_variance():
@@ -91,7 +91,7 @@ def test_xavier_init_variance():
     comps = []
     for _ in range(200):
         mdl = init_xavier_complex(h, m, rng)
-        comps.append(mdl.parameter_vector())
+        comps.append(mdl.params.copy())
     v = np.var(np.concatenate(comps))
     target = 2.0 / (m + h)
     assert abs(v - target) / target < 0.05
@@ -100,7 +100,7 @@ def test_xavier_init_variance():
 def test_xavier_trivial_variance_case():
     # h = m = 1 has variance 1; sanity check the scale on a big sample
     rng = Rng(9)
-    vals = np.concatenate([init_xavier_complex(1, 1, rng).parameter_vector()
+    vals = np.concatenate([init_xavier_complex(1, 1, rng).params
                            for _ in range(20000)])
     assert abs(np.var(vals) - 1.0) < 0.05
 
@@ -115,9 +115,9 @@ def test_elliptical_init_places_poles_on_ellipse():
 
 def test_parameter_vector_round_trip():
     model = init_xavier_complex(5, 2, Rng(8))
-    v = model.parameter_vector()
+    v = model.params.copy()
     clone = init_xavier_complex(5, 2, Rng(99))
-    clone.set_parameter_vector(v)
+    clone.params[:] = v
     np.testing.assert_array_equal(clone.B, model.B)
     np.testing.assert_array_equal(clone.C, model.C)
 

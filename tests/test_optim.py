@@ -13,13 +13,11 @@ class ScalarModel:
     """One-parameter quadratic test problem for the optimizer."""
 
     def __init__(self, theta=0.0):
-        self.theta = theta
+        self.params = np.array([theta])
 
-    def parameter_vector(self):
-        return np.array([self.theta])
-
-    def set_parameter_vector(self, v):
-        self.theta = float(v[0])
+    @property
+    def theta(self):
+        return float(self.params[0])
 
 
 def test_lr_at_schedule():
@@ -60,6 +58,15 @@ def test_adam_scalar_convergence():
         g = np.array([2.0 * (m.theta - 3.0)])
         adam_step(m, g, st, lr=0.05)
     assert abs(m.theta - 3.0) < 1e-2
+
+
+def test_adam_non_finite_update_leaves_parameters():
+    from cauchynet.errors import NonFiniteError
+    m = ScalarModel(1.5)
+    st = AdamState.for_size(1)
+    with pytest.raises(NonFiniteError):
+        adam_step(m, np.array([np.nan]), st, lr=0.1)
+    assert m.theta == 1.5
 
 
 def test_adam_weight_decay_pulls_toward_zero():
