@@ -21,8 +21,8 @@ from .experiments import (ExperimentSpec, MetricsReport, ModelSpec, PRESETS,
                           get_preset, metric_mae, metric_mse,
                           run_experiment, run_kernel_demo,
                           run_lambda_ablation, run_sensitivity_grid)
-from .grad import (GradientSet, LossValue, backward, batch_gradient,
-                   cauchynet_trainable, finite_difference_gradients, loss)
+from .grad import (LossValue, backward, batch_gradient, cauchynet_trainable,
+                   finite_difference_gradients, loss)
 from .kernel import (BoundaryMesh, KernelExpansion, cauchy_kernel,
                      ellipse_mesh, evaluate_expansion, evaluate_expansion_grid,
                      fit_expansion_least_squares, quadrature_expansion)

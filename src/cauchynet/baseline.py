@@ -11,11 +11,11 @@ import math
 import numpy as np
 
 from . import fileio
-from .complex_linalg import Rng
+from .complex_linalg import Rng, copy_into
 from .data import ScalerState
 from .errors import NonFiniteError, SchemaError
 from .grad import LossValue
-from .optim import ParameterView, Trainable
+from .optim import Trainable
 
 MLP_CHECKPOINT_VERSION = 1
 
@@ -24,13 +24,9 @@ class MlpModel:
     """ReLU network y = W2 . relu(W1 x + b1) + b2.
 
     W1 (h, m), b1 (h,) and W2 (h,) are views of one flat float64 buffer,
-    `params` = [W1 row-major, b1, W2, b2], which the optimizer updates in
-    place; assigning a weight copies into the buffer.
+    `params` = [W1 row-major, b1, W2, b2], bound once here; the optimizer
+    updates the buffer in place, so write into the views, not over them.
     """
-
-    W1 = ParameterView()
-    b1 = ParameterView()
-    W2 = ParameterView()
 
     def __init__(self, W1, b1, W2, b2: float):
         W1 = np.asarray(W1, dtype=float)
@@ -38,13 +34,11 @@ class MlpModel:
             raise ValueError("W1 must be a matrix")
         self.h, self.m = W1.shape
         self.params = np.zeros(self.h * (self.m + 2) + 1)
-        self.W1, self.b1, self.W2, self.b2 = W1, b1, W2, b2
-
-    def parameter_views(self) -> dict:
-        hm, h = self.h * self.m, self.h
-        p = self.params
-        return {"W1": p[:hm].reshape(h, self.m), "b1": p[hm:hm + h],
-                "W2": p[hm + h:hm + 2 * h]}
+        self.W1, self.b1, self.W2 = split_mlp_parameters(self.params, self.h, self.m)
+        copy_into(self.W1, W1, "W1")
+        copy_into(self.b1, b1, "b1")
+        copy_into(self.W2, W2, "W2")
+        self.b2 = b2
 
     @property
     def b2(self) -> float:
@@ -53,6 +47,12 @@ class MlpModel:
     @b2.setter
     def b2(self, value: float) -> None:
         self.params[-1] = value
+
+
+def split_mlp_parameters(vec: np.ndarray, h: int, m: int):
+    """(h, m), (h,) and (h,) views W1, b1, W2 of a flat vector in `params` layout."""
+    hm = h * m
+    return vec[:hm].reshape(h, m), vec[hm:hm + h], vec[hm + h:hm + 2 * h]
 
 
 def init_mlp(h: int, m: int, rng: Rng) -> MlpModel:
@@ -65,7 +65,7 @@ def init_mlp(h: int, m: int, rng: Rng) -> MlpModel:
 
 
 def mlp_parameter_count(model: MlpModel) -> int:
-    return model.h * (model.m + 2) + 1
+    return model.params.size
 
 
 def mlp_forward(model: MlpModel, x) -> float:
@@ -119,12 +119,13 @@ def mlp_batch_gradient(model: MlpModel, X, y_true, lam: float = 0.0):
     z = np.maximum(pre, 0.0)
     y = z @ W2 + model.b2
     r = 2.0 * (y - y_true) / n
-    dW2 = r @ z
-    db2 = float(r.sum())
+    g = np.empty_like(model.params)
+    dW1, db1, dW2 = split_mlp_parameters(g, model.h, model.m)
+    dW2[...] = r @ z
+    g[-1] = r.sum()
     dpre = r[:, None] * W2[None, :] * (pre > 0)
-    dW1 = dpre.T @ X
-    db1 = dpre.sum(axis=0)
-    g = np.concatenate([dW1.ravel(), db1, dW2, [db2]])
+    dW1[...] = dpre.T @ X
+    db1[...] = dpre.sum(axis=0)
     if not np.all(np.isfinite(g)):
         raise NonFiniteError("baseline gradient overflowed")
     fit = float(((y - y_true) ** 2).mean())

@@ -143,17 +143,24 @@ def cmd_impute(args):
     return EXIT_OK
 
 
+def _axis(arg, cast):
+    """A comma-separated list of `cast` values, or None for an empty argument."""
+    if not arg:
+        return None
+    try:
+        return [cast(v) for v in arg.split(",")]
+    except ValueError:
+        raise ValidationError(
+            [f"expected comma-separated {cast.__name__} values, got {arg!r}"]) from None
+
+
 def cmd_ablate_lambda(args):
     spec = load_spec(args)
-    lambdas = [float(v) for v in args.lambdas.split(",")] if args.lambdas else None
+    lambdas = _axis(args.lambdas, float)
     rows, summary = xp.run_lambda_ablation(spec, lambdas, _outdir(args, spec))
     print(summary)
     print(f"{len(rows)} rows in {_outdir(args, spec) / 'lambda_ablation.csv'}")
     return EXIT_OK
-
-
-def _axis(arg, cast):
-    return [cast(v) for v in arg.split(",")] if arg else None
 
 
 def cmd_sweep(args):
@@ -184,7 +191,7 @@ def cmd_sweep(args):
 
 
 def cmd_kernel_demo(args):
-    nodes = [int(v) for v in args.nodes.split(",")]
+    nodes = _axis(args.nodes, int)
     outdir = Path(args.out) / "kernel-demo"
     rows = xp.run_kernel_demo(target=args.target, a=args.a, b=args.b,
                               center=complex(args.center_re, args.center_im),

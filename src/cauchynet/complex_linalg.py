@@ -2,8 +2,8 @@
 
 Complex vectors and matrices throughout the library are plain numpy
 ``complex128`` arrays (row-major); this module provides the complex
-normal draw, the finiteness check, and the seeded generator everything
-else draws from.
+normal draw, the finiteness check, the shape-checked copy into a weight
+view, and the seeded generator everything else draws from.
 
 The generator is splitmix64 with Box-Muller normals.  The algorithm is
 spelled out in full (no hidden library state) so that a seed produces the
@@ -129,3 +129,11 @@ def require_finite(arr, what: str):
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"non-finite values in {what}")
     return a
+
+
+def copy_into(view: np.ndarray, value, what: str) -> None:
+    """Copy value into the weight view `view`; a shape mismatch is a ValueError."""
+    value = np.asarray(value, dtype=view.dtype)
+    if value.shape != view.shape:
+        raise ValueError(f"{what} must have shape {view.shape}")
+    view[...] = value

@@ -661,6 +661,10 @@ def run_kernel_demo(target: str = "square", a: float = 2.0, b: float = 1.0,
     if target not in KERNEL_DEMOS:
         raise ValidationError([f"unknown kernel demo target {target!r}; "
                                f"known: {sorted(KERNEL_DEMOS)}"])
+    if not node_counts or min(node_counts) < 4:
+        raise ValidationError([f"node counts must be at least 4, got {node_counts}"])
+    if grid < 1:
+        raise ValidationError([f"grid must be at least 1, got {grid}"])
     f, f_real = KERNEL_DEMOS[target]
     xs = np.linspace(eval_lo, eval_hi, grid)
     rows = []

@@ -5,8 +5,10 @@ The training loss for one sample is
     L = (y - y_true)^2 + lam * e^2.
 
 Gradients are reported as the true partial derivatives with respect to the
-real and imaginary parts of every parameter, packed as complex numbers:
-entry (k, i) of dB holds dL/d(Re B_ki) + i dL/d(Im B_ki), and dC likewise.
+real and imaginary parts of every parameter, in one flat float64 vector
+shaped like `model.params`.  Its `split_parameters` views pack them as
+complex numbers: entry (k, i) of dB holds dL/d(Re B_ki) + i dL/d(Im B_ki),
+and dC likewise.
 
 Because the network output o is holomorphic in each parameter, those packed
 partials equal (dL/dy + i dL/de) * conj(do/dtheta); the conjugation is what
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteError
-from .model import CauchyNetModel, ForwardOutput, forward_batch, split_parameters
+from .model import CauchyNetModel, forward_batch, split_parameters
+from .optim import Trainable
 
 
 @dataclass
@@ -28,20 +31,6 @@ class LossValue:
     total: float
     fit: float
     imag_penalty: float
-
-
-@dataclass
-class GradientSet:
-    dB: np.ndarray  # complex (h, m): dL/dReB + i dL/dImB
-    dC: np.ndarray  # complex (h,)
-
-    def to_vector(self) -> np.ndarray:
-        """Flat real gradient in the CauchyNetModel.params layout."""
-        return np.concatenate([np.ravel(self.dB).view(float), np.ravel(self.dC).view(float)])
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray, h: int, m: int) -> "GradientSet":
-        return cls(*split_parameters(np.ascontiguousarray(v, dtype=float), h, m))
 
 
 def loss(y: float, e: float, y_true: float, lam: float) -> LossValue:
@@ -54,7 +43,7 @@ def loss(y: float, e: float, y_true: float, lam: float) -> LossValue:
 
 
 def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
-    """Mean loss and mean gradients over an (n, m) batch.
+    """Mean loss and the mean gradient vector over an (n, m) batch.
 
     Reuses the forward pass's shifted columns: do/dB_ki = -C_k hidden_k /
     shifted_ki.  The mean over the sample axis is taken in fixed index
@@ -68,6 +57,8 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
         raise LengthMismatch("X and y_true differ in length")
     o, hidden, shifted = forward_batch(model, X)
     y, e = o.real, o.imag
+    g = np.empty_like(model.params)
+    dB, dC = split_parameters(g, model.h, model.m)
 
     # overflow surfaces as an explicit NonFiniteError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -75,33 +66,30 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
         dLde = 2.0 * lam * e
         go = dLdy + 1j * dLde                                # (n,)
 
-        dC = (go[:, None] * np.conj(hidden)).mean(axis=0)
+        dC[...] = (go[:, None] * np.conj(hidden)).mean(axis=0)
         if model.h > 1:
             ch = -model.C * hidden                           # (n, h)
-            dB = np.stack([(go[:, None] * np.conj(ch / s)).mean(axis=0)
-                           for s in shifted], axis=1)
+            for i, s in enumerate(shifted):
+                dB[:, i] = (go[:, None] * np.conj(ch / s)).mean(axis=0)
         else:
             # (n, 1) columns would round differently: numpy sums a lone
             # column pairwise and runs a broadcast one-element product
             # through its scalar loop.  The (n, 1, m) arrays are small.
             dodB = -model.C[None, :, None] * hidden[:, :, None] / np.stack(shifted, axis=2)
-            dB = (go[:, None, None] * np.conj(dodB)).mean(axis=0)
+            dB[...] = (go[:, None, None] * np.conj(dodB)).mean(axis=0)
 
         fit = float(((y - y_true) ** 2).mean())
         pen = float(lam * (e * e).mean())
-    grads = GradientSet(dB, dC)
-    if not (np.all(np.isfinite(grads.dB)) and np.all(np.isfinite(grads.dC))):
+    if not np.all(np.isfinite(g)):
         raise NonFiniteError("gradient overflowed")
-    return LossValue(fit + pen, fit, pen), grads
+    return LossValue(fit + pen, fit, pen), g
 
 
-def backward(model: CauchyNetModel, fo: ForwardOutput, x, y_true: float,
-             lam: float) -> GradientSet:
-    """Per-sample gradients of the loss at input x.
+def backward(model: CauchyNetModel, x, y_true: float, lam: float) -> np.ndarray:
+    """Per-sample gradient vector of the loss at input x.
 
     The batch gradient of the one-row batch (a mean over one sample is
-    exact).  fo, the forward output at x, is not needed: the batch path
-    recomputes it.
+    exact).
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     return batch_gradient(model, x, [y_true], lam)[1]
@@ -109,19 +97,13 @@ def backward(model: CauchyNetModel, fo: ForwardOutput, x, y_true: float,
 
 def cauchynet_trainable(model: CauchyNetModel):
     """Bundle a model with its gradient/prediction callables for the trainer."""
-    from .model import predict
-    from .optim import Trainable
-
-    def _grad(m, X, y, lam):
-        lv, gs = batch_gradient(m, X, y, lam)
-        return lv, gs.to_vector()
-
-    return Trainable(model=model, batch_gradient=_grad, predict=predict)
+    from .model import predict  # read at call time, so a replaced model.predict is used
+    return Trainable(model, batch_gradient, predict)
 
 
 def finite_difference_gradients(model: CauchyNetModel, x, y_true: float,
-                                lam: float, step: float = 1e-6) -> GradientSet:
-    """Central-difference partials of the total loss, one parameter at a time.
+                                lam: float, step: float = 1e-6) -> np.ndarray:
+    """Central-difference partials of the total loss, one entry of `params` at a time.
 
     Independent of the analytic path: it only calls the forward pass.
     """
@@ -147,4 +129,4 @@ def finite_difference_gradients(model: CauchyNetModel, x, y_true: float,
         down = total_loss()
         p[j] = p0
         g[j] = (up - down) / (2 * step)
-    return GradientSet.from_vector(g, model.h, model.m)
+    return g

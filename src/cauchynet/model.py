@@ -21,10 +21,9 @@ import numpy as np
 
 from . import fileio
 from .activation import DEFAULT_EPSILON
-from .complex_linalg import Rng, normal_complex, require_finite
+from .complex_linalg import Rng, copy_into, normal_complex, require_finite
 from .errors import NonFiniteError, PoleEncountered, SchemaError
 from .data import ScalerState
-from .optim import ParameterView
 
 CHECKPOINT_VERSION = 1
 _GOLD = 0.6180339887498949
@@ -38,11 +37,10 @@ class CauchyNetModel:
 
     Both are views of one flat float64 buffer, `params`: B row-major, then
     C, each entry as its real part followed by its imaginary part.  The
-    optimizer updates `params` in place; assigning B or C copies into it.
+    views are bound once here and the optimizer updates `params` in place,
+    so write into them (`model.B[...] = X`): rebinding `model.B` would
+    detach it from `params`.
     """
-
-    B = ParameterView()
-    C = ParameterView()
 
     def __init__(self, h: int, m: int, epsilon: float, B, C):
         if h < 1 or m < 1:
@@ -51,13 +49,11 @@ class CauchyNetModel:
             raise ValueError("epsilon must be nonnegative")
         self.h, self.m, self.epsilon = h, m, epsilon
         self.params = np.zeros(2 * h * (m + 1))
-        self.B, self.C = B, C
+        self.B, self.C = split_parameters(self.params, h, m)
+        copy_into(self.B, B, "B")
+        copy_into(self.C, C, "C")
         require_finite(self.B, "B")
         require_finite(self.C, "C")
-
-    def parameter_views(self) -> dict:
-        B, C = split_parameters(self.params, self.h, self.m)
-        return {"B": B, "C": C}
 
 
 def split_parameters(vec: np.ndarray, h: int, m: int):
@@ -202,8 +198,7 @@ def predict(model: CauchyNetModel, X):
 
 def parameter_count(model: CauchyNetModel):
     """(complex_params, real_params) = (h(m+1), 2h(m+1))."""
-    cplx = model.h * (model.m + 1)
-    return cplx, 2 * cplx
+    return model.params.size // 2, model.params.size
 
 
 # ---------------------------------------------------------------------------

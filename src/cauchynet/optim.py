@@ -3,9 +3,9 @@
 Both network types train through the same loop; a `Trainable` bundles the
 model with its batch-gradient and prediction callables.  A trainable model
 keeps every parameter in one flat float64 buffer, `model.params`, and
-exposes its weight arrays as views of it (`ParameterView`), so the
-optimizer updates the buffer in place and never copies parameters out or
-back.  All shuffling derives from the config seed, so a run is
+binds its weight arrays once as views of it, so the optimizer updates the
+buffer in place and never copies parameters out or back; gradients come
+back as vectors of the same layout.  All shuffling derives from the config seed, so a run is
 reproducible end to end.
 """
 
@@ -22,28 +22,6 @@ from .errors import NonFiniteError
 from .fileio import write_csv
 
 _SHUFFLE_STREAM = 0x5A
-
-
-class ParameterView:
-    """A model's weight array, stored as a view of its flat `params` buffer.
-
-    The owner's `parameter_views()` maps each name to its view.  Reading
-    returns the view, so in-place updates (`model.B += d`) reach the buffer;
-    assigning copies the value into the buffer after a shape check.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        return self if obj is None else obj.parameter_views()[self.name]
-
-    def __set__(self, obj, value):
-        view = obj.parameter_views()[self.name]
-        value = np.asarray(value, dtype=view.dtype)
-        if value.shape != view.shape:
-            raise ValueError(f"{self.name} must have shape {view.shape}")
-        view[...] = value
 
 
 @dataclass

@@ -24,7 +24,7 @@ from cauchynet.experiments import (build_dataset, get_preset,
                                    run_experiment, run_lambda_ablation)
 from cauchynet.grad import backward, cauchynet_trainable, finite_difference_gradients
 from cauchynet.kernel import ellipse_mesh, evaluate_expansion_grid, quadrature_expansion
-from cauchynet.model import (forward, init_elliptical, parameter_count, predict)
+from cauchynet.model import (init_elliptical, parameter_count, predict)
 from cauchynet.optim import train
 
 from test_grad import max_rel_err, offpole_model
@@ -47,8 +47,7 @@ def test_criterion_01_gradient_correctness():
         model = offpole_model(h, m, rng)
         x = np.array([rng.uniform_in(-1, 1) for _ in range(m)])
         y_true = rng.uniform_in(-2, 2)
-        fo = forward(model, x)
-        an = backward(model, fo, x, y_true, lam)
+        an = backward(model, x, y_true, lam)
         fd = finite_difference_gradients(model, x, y_true, lam, step=1e-6)
         worst = max(worst, max_rel_err(an, fd))
     elapsed = time.perf_counter() - t0

@@ -50,7 +50,7 @@ def test_backward_matches_finite_differences():
         h = 1 + rng.randint(6)
         m = 1 + rng.randint(3)
         model = init_mlp(h, m, rng)
-        model.b1 = np.array([rng.normal(0.5) for _ in range(h)])
+        model.b1[:] = np.array([rng.normal(0.5) for _ in range(h)])
         model.b2 = rng.normal(0.5)
         x = np.array([rng.uniform_in(-1, 1) for _ in range(m)])
         y_true = rng.uniform_in(-2, 2)

@@ -525,8 +525,14 @@ def _unknown_train_key_args(tmp_path):
                   "--lrs", "0.01", "--wds", "0"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", 'fractions=["a",0.25,0.25]'], 2),
     (lambda tmp: ["impute", "--preset", "exp2-disk", "--set", 'mask.radius="x"'], 2),
+    (lambda tmp: ["ablate-lambda", "--preset", "exp5-lambda", "--lambdas", "a,b"], 2),
+    (lambda tmp: ["sweep", "--preset", "exp5-grid", "--hidden", "x"], 2),
+    (lambda tmp: ["kernel-demo", "--nodes", "x"], 2),
+    (lambda tmp: ["kernel-demo", "--nodes", "2"], 2),
+    (lambda tmp: ["kernel-demo", "--grid", "0"], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
-        "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string"])
+        "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
+        "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "runs")]
     assert cli.main(argv) == code

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
+                                save_mlp_checkpoint)
 from cauchynet.complex_linalg import Rng
-from cauchynet.data import SplitDataset, scaler_apply, scaler_fit, target_intro_spike
+from cauchynet.data import (ScalerState, SplitDataset, scaler_apply, scaler_fit,
+                            target_intro_spike)
 from cauchynet.grad import cauchynet_trainable
-from cauchynet.model import init_elliptical
+from cauchynet.model import (CauchyNetModel, init_elliptical, load_checkpoint,
+                             save_checkpoint)
 from cauchynet.optim import (AdamState, TrainConfig, Trainable, adam_step,
                              lr_at, train)
 
@@ -74,6 +78,43 @@ def test_adam_weight_decay_pulls_toward_zero():
     st = AdamState.for_size(1)
     adam_step(m, np.zeros(1), st, lr=0.1, weight_decay=0.01)
     assert 0.0 < m.theta < 2.0
+
+
+MODEL_KINDS = {
+    "cauchynet": (lambda: init_elliptical(6, 2, Rng(4), 1.05, 0.1), ("B", "C"),
+                  save_checkpoint, load_checkpoint),
+    "mlp": (lambda: init_mlp(6, 2, Rng(4)), ("W1", "b1", "W2"),
+            save_mlp_checkpoint, load_mlp_checkpoint),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+@pytest.mark.parametrize("stage", ["constructed", "loaded", "adam_step"])
+def test_weight_views_share_memory_with_params(tmp_path, kind, stage):
+    make, names, save, load = MODEL_KINDS[kind]
+    model = make()
+    if stage == "loaded":
+        save(model, ScalerState(0.0, 1.0, 0.0, 1.0), tmp_path / "ckpt.json")
+        model, _ = load(tmp_path / "ckpt.json")
+    elif stage == "adam_step":
+        before = {name: getattr(model, name).copy() for name in names}
+        adam_step(model, np.ones_like(model.params), AdamState.for_size(model.params.size),
+                  lr=0.1)
+        for name in names:
+            assert not np.array_equal(getattr(model, name), before[name])
+    for name in names:
+        assert np.shares_memory(getattr(model, name), model.params), name
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: CauchyNetModel(2, 1, 0.0, np.zeros((2, 2), complex), np.ones(2, complex)), "B"),
+    (lambda: CauchyNetModel(2, 1, 0.0, np.zeros((2, 1), complex), np.ones(3, complex)), "C"),
+    (lambda: MlpModel(np.zeros((2, 1)), np.zeros(3), np.zeros(2), 0.0), "b1"),
+    (lambda: MlpModel(np.zeros((2, 1)), np.zeros(2), np.zeros((2, 1)), 0.0), "W2"),
+], ids=["B", "C", "b1", "W2"])
+def test_constructors_reject_wrong_weight_shape(make, name):
+    with pytest.raises(ValueError, match=f"{name} must have shape"):
+        make()
 
 
 def spike_dataset(n=120, seed=3):
