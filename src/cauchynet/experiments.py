@@ -665,6 +665,8 @@ def run_kernel_demo(target: str = "square", a: float = 2.0, b: float = 1.0,
         raise ValidationError([f"node counts must be at least 4, got {node_counts}"])
     if grid < 1:
         raise ValidationError([f"grid must be at least 1, got {grid}"])
+    if not (a > 0 and b > 0):
+        raise ValidationError([f"semi-axes must be positive, got a={a}, b={b}"])
     f, f_real = KERNEL_DEMOS[target]
     xs = np.linspace(eval_lo, eval_hi, grid)
     rows = []

@@ -10,6 +10,10 @@ quadrature.  On parametrized ellipses the integrand is periodic and
 analytic, so the error decays geometrically in the node count; this makes
 the expansion an independent, training-free reference for approximation
 tests.
+
+Every kernel evaluation goes through one helper that builds the kernel
+matrix for at most EVAL_BLOCK points at a time from N 2-D difference
+columns, so no (n, k, N) array is ever formed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from . import fileio
 from .errors import PoleEncountered, SingularSystem
 
 DEFAULT_RIDGE = 1e-15
+# Points per kernel block: a (64, k) complex block is ~2.4 MB at the 2304
+# centres of a 48x48 two-dimensional quadrature, about one L2 cache.
+EVAL_BLOCK = 64
 
 
 @dataclass
@@ -55,14 +62,34 @@ class KernelExpansion:
             raise ValueError("points and weights differ in length")
 
 
+def _kernel_block(xi, X, out=None) -> np.ndarray:
+    """The (rows, k) kernel matrix prod_i 1/(xi_ki - X_ji).
+
+    xi is a complex (k, N) array of centres and X a real (rows, N) block of
+    points.  The N differences are formed as (rows, k) columns, the layout
+    `model.forward_batch` uses, multiplied in place into `out` (allocated
+    when None) and inverted once.  A zero difference leaves the block
+    non-finite; only then are the columns scanned for an exact hit, which
+    raises PoleEncountered.
+    """
+    if X.shape[1] != xi.shape[1]:
+        raise ValueError(f"points must have {xi.shape[1]} coordinates, got {X.shape[1]}")
+    K = np.subtract(xi[:, 0], X[:, 0, None], out=out)
+    for i in range(1, X.shape[1]):
+        K *= xi[:, i] - X[:, i, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.reciprocal(K, out=K)
+    if not np.all(np.isfinite(K)) and any(
+            np.any(xi[:, i] == X[:, i, None]) for i in range(X.shape[1])):
+        raise PoleEncountered("evaluation point coincides with a kernel centre")
+    return K
+
+
 def cauchy_kernel(xi, x) -> complex:
     """prod_i 1/(xi_i - x_i); raises PoleEncountered on a zero factor."""
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = xi - x
-    if np.any(d == 0):
-        raise PoleEncountered("kernel evaluated at one of its poles")
-    return complex(np.prod(1.0 / d))
+    return complex(_kernel_block(xi[None, :], x[None, :])[0, 0])
 
 
 def ellipse_mesh(a: float, b: float, center: complex = 0j,
@@ -102,30 +129,36 @@ def evaluate_expansion(exp: KernelExpansion, x) -> complex:
     if len(exp.theta) == 0:
         return 0j
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = exp.xi - x[None, :]
-    if np.any(d == 0):
-        raise PoleEncountered("evaluation point coincides with a boundary point")
-    return complex(np.sum(exp.theta * np.prod(1.0 / d, axis=1)))
+    return complex((_kernel_block(exp.xi, x[None, :]) @ exp.theta)[0])
 
 
 def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
-    """Vectorized evaluate_expansion over an (n,) or (n, N) array of points."""
+    """evaluate_expansion over an (n,) or (n, N) array of points.
+
+    Fills the result EVAL_BLOCK points at a time with `block @ theta`, so
+    the working set is one (EVAL_BLOCK, k) kernel block whatever n is.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
-    d = exp.xi[None, :, :] - xs[:, None, :]
-    if np.any(d == 0):
-        raise PoleEncountered("evaluation point coincides with a boundary point")
-    return (exp.theta[None, :] * np.prod(1.0 / d, axis=2)).sum(axis=1)
+    out = np.empty(len(xs), dtype=complex)
+    for r in range(0, len(xs), EVAL_BLOCK):
+        out[r:r + EVAL_BLOCK] = _kernel_block(exp.xi, xs[r:r + EVAL_BLOCK]) @ exp.theta
+    return out
 
 
 def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
                                 ) -> KernelExpansion:
     """Weights minimizing sum_j |sum_k theta_k K(xi_k, x_j) - f_j|^2 + ridge*|theta|^2.
 
-    Solved through the SVD of the design matrix (filter factors
-    s/(s^2 + ridge)); Cauchy-kernel design matrices are too ill-conditioned
-    for explicit normal equations.  samples is a sequence of (x, f(x)).
+    The design matrix A is built in EVAL_BLOCK-row blocks into one (n, k+1)
+    buffer whose last column is f.  R = qr([A | f], mode="r") reduces the
+    problem to R[:k, :k] theta ~ R[:k, k] (fewer than k rows when n < k),
+    solved through its SVD with the filter factors s/(s^2 + ridge): in
+    exact arithmetic the same weights as that filter on the SVD of A,
+    without forming Q or A's (n, k) left singular vectors.  Cauchy-kernel
+    design matrices are too ill-conditioned for explicit normal equations.
+    samples is a sequence of (x, f(x)).
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
@@ -138,20 +171,21 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
         raise ValueError("ridge must be nonnegative")
 
     xs = np.array([np.atleast_1d(np.asarray(s[0], dtype=float)) for s in samples])
-    fs = np.array([complex(s[1]) for s in samples])
-    d = points[None, :, :] - xs[:, None, :]
-    if np.any(d == 0):
-        raise PoleEncountered("a sample coincides with a boundary point")
-    A = np.prod(1.0 / d, axis=2)
+    k = len(points)
+    Af = np.empty((len(xs), k + 1), dtype=complex)
+    Af[:, k] = [complex(s[1]) for s in samples]
+    for r in range(0, len(xs), EVAL_BLOCK):
+        _kernel_block(points, xs[r:r + EVAL_BLOCK], out=Af[r:r + EVAL_BLOCK, :k])
 
+    R = np.linalg.qr(Af, mode="r")
     try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+        U, s, Vh = np.linalg.svd(R[:k, :k], full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"SVD failed: {exc}") from None
     if ridge == 0 and np.any(s == 0):
         raise SingularSystem("design matrix is exactly rank-deficient with ridge 0")
     filt = s / (s * s + ridge)
-    theta = Vh.conj().T @ (filt * (U.conj().T @ fs))
+    theta = Vh.conj().T @ (filt * (U.conj().T @ R[:k, k]))
     if not np.all(np.isfinite(theta)):
         raise SingularSystem("regularized solve produced non-finite weights")
     return KernelExpansion(points, theta)

@@ -530,9 +530,12 @@ def _unknown_train_key_args(tmp_path):
     (lambda tmp: ["kernel-demo", "--nodes", "x"], 2),
     (lambda tmp: ["kernel-demo", "--nodes", "2"], 2),
     (lambda tmp: ["kernel-demo", "--grid", "0"], 2),
+    (lambda tmp: ["kernel-demo", "--a", "0"], 2),
+    (lambda tmp: ["kernel-demo", "--a", "-1", "--b", "1"], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
         "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
-        "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero"])
+        "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero",
+        "semi-axis-zero", "semi-axis-negative"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "runs")]
     assert cli.main(argv) == code

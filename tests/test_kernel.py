@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cauchynet.errors import PoleEncountered, SchemaError, SingularSystem
-from cauchynet.kernel import (BoundaryMesh, KernelExpansion, cauchy_kernel,
-                              ellipse_mesh, evaluate_expansion,
+from cauchynet.kernel import (EVAL_BLOCK, BoundaryMesh, KernelExpansion,
+                              cauchy_kernel, ellipse_mesh, evaluate_expansion,
                               evaluate_expansion_grid,
                               fit_expansion_least_squares, load_expansion,
                               quadrature_expansion, save_expansion)
@@ -175,3 +177,109 @@ def test_expansion_load_rejects_missing_field(tmp_path):
                                 "theta_re": [1.0]}))
     with pytest.raises(SchemaError):
         load_expansion(path)
+
+
+# Reference implementations: the direct formula over the full (n, k, N)
+# difference array, and the fit through the SVD of the whole design matrix.
+def _reference_design(points, xs):
+    d = points[None, :, :] - xs[:, None, :]
+    if np.any(d == 0):
+        raise PoleEncountered("reference hit a pole")
+    return np.prod(1.0 / d, axis=2)
+
+
+def _reference_fit(points, xs, fs, ridge):
+    U, s, Vh = np.linalg.svd(_reference_design(points, xs), full_matrices=False)
+    return Vh.conj().T @ (s / (s * s + ridge) * (U.conj().T @ fs))
+
+
+def _product_mesh(ndim, nodes):
+    m = ellipse_mesh(2.0, 1.0, nodes=nodes)
+    return BoundaryMesh(m.nodes * ndim, m.increments * ndim)
+
+
+@pytest.mark.parametrize("ndim,nodes", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("n", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 1681])
+def test_grid_matches_reference_across_block_edges(n, ndim, nodes):
+    exp = quadrature_expansion(lambda z: np.exp(np.sum(z)), _product_mesh(ndim, nodes))
+    xs = np.random.default_rng(n).uniform(-0.9, 0.9, size=(n, ndim))
+    ref = _reference_design(exp.xi, xs) @ exp.theta
+    vals = evaluate_expansion_grid(exp, xs)
+    assert vals.shape == (n,)
+    assert np.abs(vals - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_one_point_calls_match_grid():
+    exp = quadrature_expansion(lambda z: z[0] * z[1], _product_mesh(2, 16))
+    x = [0.3, -0.2]
+    grid = evaluate_expansion_grid(exp, [x])[0]
+    assert abs(evaluate_expansion(exp, x) - grid) <= 1e-14 * abs(grid)
+    k = _reference_design(exp.xi[:1], np.array([x]))[0, 0]
+    assert abs(cauchy_kernel(exp.xi[0], x) - k) <= 1e-15 * abs(k)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_pole_in_later_block_raises(ndim):
+    # the t = 0 ellipse node is the real point 2 + 0j
+    mesh = _product_mesh(ndim, 16)
+    exp = quadrature_expansion(lambda z: 1.0, mesh)
+    xs = np.zeros((3 * EVAL_BLOCK, ndim))
+    xs[2 * EVAL_BLOCK + 5, 0] = 2.0
+    with pytest.raises(PoleEncountered):
+        evaluate_expansion_grid(exp, xs)
+    samples = [(x, 1.0) for x in xs]
+    with pytest.raises(PoleEncountered):
+        fit_expansion_least_squares(samples, exp.xi)
+
+
+def test_kernel_rejects_mismatched_dimension():
+    exp = quadrature_expansion(lambda z: 1.0, _product_mesh(2, 8))
+    with pytest.raises(ValueError):
+        evaluate_expansion_grid(exp, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("n,k,ndim", [(150, 32, 1), (32, 32, 1), (20, 32, 1),
+                                      (200, 64, 2), (30, 64, 2)],
+                         ids=["over", "square", "under", "over-2d", "under-2d"])
+def test_fit_matches_full_svd_reference(n, k, ndim):
+    rng = np.random.default_rng(k + n)
+    t = 2 * np.pi * np.arange(k) / k
+    points = (3 * np.cos(t) + 1.5j * np.sin(t))[:, None]
+    if ndim == 2:
+        points = np.hstack([points, points[::-1]])
+    xs = rng.uniform(-1, 1, size=(n, ndim))
+    fs = np.cos(xs.sum(axis=1)) + 0j
+    held = rng.uniform(-1, 1, size=(50, ndim))
+    exp = fit_expansion_least_squares(list(zip(xs, fs)), points)
+    theta = _reference_fit(points, xs, fs, 1e-15)
+    for where in (xs, held):
+        ref = _reference_design(points, where) @ theta
+        assert np.abs(evaluate_expansion_grid(exp, where) - ref).max() < 1e-8
+
+
+@pytest.mark.parametrize("centres,n", [(2, 2), (2, 4), (3, 2), (3, 3)],
+                         ids=["square", "over", "under", "square-3"])
+def test_fit_rank_deficient_ridge_zero_raises(centres, n):
+    # identical centres give identical columns, so the design is exactly singular
+    points = np.full((centres, 1), 2.0 + 0j)
+    samples = [([x], 1.0) for x in np.linspace(0.0, 0.75, n)]
+    with pytest.raises(SingularSystem):
+        fit_expansion_least_squares(samples, points, ridge=0.0)
+
+
+def test_grid_memory_is_one_block():
+    # oracle shape: 1681 points, 48 x 48 = 2304 centres, N = 2; the direct
+    # (n, k, N) formula needs ~300 MB here
+    z = ellipse_mesh(2.0, 1.0, nodes=48).nodes[0]
+    xi = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+    exp = KernelExpansion(xi, np.ones(len(xi), complex))
+    axis = np.linspace(-1.0, 1.0, 41)
+    xs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_expansion_grid(exp, xs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
