@@ -9,10 +9,10 @@ reproducible experiment harness.
 from .activation import (DEFAULT_EPSILON, cauchy_activation,
                          cauchy_activation_derivative,
                          cauchy_activation_partials)
-from .baseline import MlpModel, init_mlp, mlp_backward, mlp_forward, mlp_trainable
+from .baseline import MlpModel, init_mlp, mlp_trainable
 from .complex_linalg import Rng, derive_seed, normal_complex
-from .data import (Decomposition, MissingMask, ScalerState, SplitDataset,
-                   apply_mask, find_turning_points, load_series_csv,
+from .data import (Decomposition, DiskMask, IntervalMask, ScalerState,
+                   SplitDataset, apply_mask, find_turning_points, load_series_csv,
                    make_split, scaler_apply, scaler_fit, scaler_invert,
                    seasonal_decompose_multiplicative, target_2d_missing_disk,
                    target_2d_surface, target_exp1, target_exp2_gap,
@@ -26,9 +26,9 @@ from .grad import (LossValue, backward, batch_gradient, cauchynet_trainable,
 from .kernel import (BoundaryMesh, KernelExpansion, cauchy_kernel,
                      ellipse_mesh, evaluate_expansion, evaluate_expansion_grid,
                      fit_expansion_least_squares, quadrature_expansion)
-from .model import (CauchyNetModel, ForwardOutput, forward, forward_batch,
-                    init_elliptical, init_xavier_complex, load_checkpoint,
-                    parameter_count, predict, save_checkpoint)
+from .model import (CauchyNetModel, forward_batch, init_elliptical,
+                    init_xavier_complex, load_checkpoint, parameter_count,
+                    predict, save_checkpoint)
 from .optim import (AdamState, TrainConfig, TrainLog, Trainable, adam_step,
                     lr_at, train)
 

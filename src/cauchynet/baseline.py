@@ -68,13 +68,6 @@ def mlp_parameter_count(model: MlpModel) -> int:
     return model.params.size
 
 
-def mlp_forward(model: MlpModel, x) -> float:
-    """W2 . relu(W1 x + b1) + b2 for a single input vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pre = model.W1 @ x + model.b1
-    return float(model.W2 @ np.maximum(pre, 0.0) + model.b2)
-
-
 def mlp_predict(model: MlpModel, X):
     """Batch prediction; the imaginary channel is identically zero."""
     X = np.asarray(X, dtype=float)
@@ -83,24 +76,6 @@ def mlp_predict(model: MlpModel, X):
     pre = X @ model.W1.T + model.b1
     y = np.maximum(pre, 0.0) @ model.W2 + model.b2
     return y, np.zeros_like(y)
-
-
-def mlp_backward(model: MlpModel, x, y_true: float):
-    """Exact partials of (y - y_true)^2; ReLU subgradient at 0 is 0.
-
-    Returns (dW1, db1, dW2, db2) matching the model arrays.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pre = model.W1 @ x + model.b1
-    z = np.maximum(pre, 0.0)
-    y = float(model.W2 @ z + model.b2)
-    r = 2.0 * (y - y_true)
-    dW2 = r * z
-    db2 = r
-    dpre = r * model.W2 * (pre > 0)
-    dW1 = np.outer(dpre, x)
-    db1 = dpre
-    return dW1, db1, dW2, db2
 
 
 def mlp_batch_gradient(model: MlpModel, X, y_true, lam: float = 0.0):

@@ -53,12 +53,7 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
             if p not in node or not isinstance(node[p], dict):
                 raise ValidationError([f"--set {key}: no such config section {p!r}"])
             node = node[p]
-        leaf = parts[-1]
-        if leaf == "lambda" and "lam" in node:
-            leaf = "lam"
-        if leaf not in node:
-            raise ValidationError([f"--set {key}: unknown field {leaf!r}"])
-        node[leaf] = val
+        node[parts[-1]] = val     # ExperimentSpec.from_dict checks the field and its value
     return doc
 
 
@@ -117,8 +112,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    spec = load_spec(args)
-    xp.validate_spec(spec)
+    spec = xp.validate_spec(load_spec(args))
     model, scaler = mdl.load_checkpoint(args.checkpoint)
     ds = xp.build_dataset(spec)
     if model.m != ds.m:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,31 +149,40 @@ def make_split(X, y, fractions=(0.5, 0.25, 0.25), rng: Rng | None = None,
 
 
 @dataclass
-class MissingMask:
-    """Region withheld from training: interval gaps (1D) or a disk (2D)."""
-    kind: str                      # "intervals" or "disk"
-    centers: list = field(default_factory=list)   # interval centers (1D)
-    half_width: float = 0.0
-    center: tuple = (0.0, 0.0)     # disk center (2D)
-    radius: float = 0.0
+class IntervalMask:
+    """1-D gaps of half_width around each center, withheld from training.
+
+    centers is a tuple of abscissae or "turning-points", which the
+    experiment harness replaces by the turning points of its target.
+    """
+    half_width: float
+    centers: str | tuple[float, ...] = "turning-points"
+    kind: str = "intervals"
+
+    def contains(self, x) -> np.ndarray:
+        """Boolean membership for an (n, m) array of inputs."""
+        xs = _as_inputs(x)[:, 0]
+        hit = np.zeros(len(xs), dtype=bool)
+        for c in self.centers:
+            hit |= np.abs(xs - c) <= self.half_width
+        return hit
+
+
+@dataclass
+class DiskMask:
+    """2-D disk of radius around center, withheld from training."""
+    radius: float
+    center: tuple[float, float] = (0.0, 0.0)
+    kind: str = "disk"
 
     def contains(self, x) -> np.ndarray:
         """Boolean membership for an (n, m) array of inputs."""
         x = _as_inputs(x)
-        if self.kind == "intervals":
-            xs = x[:, 0]
-            hit = np.zeros(len(xs), dtype=bool)
-            for c in self.centers:
-                hit |= np.abs(xs - c) <= self.half_width
-            return hit
-        if self.kind == "disk":
-            d2 = ((x[:, 0] - self.center[0]) ** 2
-                  + (x[:, 1] - self.center[1]) ** 2)
-            return d2 <= self.radius ** 2
-        raise ValueError(f"unknown mask kind {self.kind!r}")
+        d2 = (x[:, 0] - self.center[0]) ** 2 + (x[:, 1] - self.center[1]) ** 2
+        return d2 <= self.radius ** 2
 
 
-def apply_mask(X, y, mask: MissingMask):
+def apply_mask(X, y, mask: IntervalMask | DiskMask):
     """Split samples into (visible, hidden) by geometric mask membership."""
     X = _as_inputs(X)
     y = np.asarray(y, dtype=float)

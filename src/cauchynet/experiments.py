@@ -16,6 +16,7 @@ import csv
 import hashlib
 import itertools
 import math
+import sys
 import time
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -27,6 +28,7 @@ from . import baseline as bl
 from . import data as dt
 from . import grad, kernel, model as mdl
 from .complex_linalg import Rng, derive_seed
+from .data import DiskMask, IntervalMask
 from .errors import CauchyNetError, LengthMismatch, NonFiniteError, ValidationError
 from .fileio import write_csv, write_json
 from .optim import TrainConfig, train
@@ -94,22 +96,22 @@ class ExperimentSpec:
     name: str
     generator: str
     n_samples: int = 300
-    fractions: tuple = (0.5, 0.25, 0.25)
-    mask: dict | None = None               # {"kind": "intervals"|"disk", ...}
-    masked_fractions: tuple = (0.75, 0.25)  # train/val share of visible points
+    fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
+    mask: IntervalMask | DiskMask | None = None
+    masked_fractions: tuple[float, float] = (0.75, 0.25)  # train/val share of visible points
     model: ModelSpec = field(default_factory=ModelSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
-    scaler_range: tuple = (0.0, 1.0)
+    scaler_range: tuple[float, float] = (0.0, 1.0)
     baseline: bool = False                 # also train the ReLU MLP
     baseline_lr: float | None = None
     data_path: str | None = None           # csv-trend generator only
     data_column: str = "y"
     period: int = 12
-    lambdas: tuple = (0.1, 0.3, 0.5, 1.0, 1.5)
-    grid_hidden: tuple = (32, 64, 128, 256, 612, 1224)
-    grid_sizes: tuple = (100, 300, 600, 1200)
-    grid_lrs: tuple = (0.001, 0.01, 0.1)
-    grid_wds: tuple = (0.0, 1e-5, 1e-4)
+    lambdas: tuple[float, ...] = (0.1, 0.3, 0.5, 1.0, 1.5)
+    grid_hidden: tuple[int, ...] = (32, 64, 128, 256, 612, 1224)
+    grid_sizes: tuple[int, ...] = (100, 300, 600, 1200)
+    grid_lrs: tuple[float, ...] = (0.001, 0.01, 0.1)
+    grid_wds: tuple[float, ...] = (0.0, 1e-5, 1e-4)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -132,120 +134,118 @@ class ExperimentSpec:
         tr = doc.get("train")
         if isinstance(tr, dict) and "lambda" in tr:     # accepted alias for lam
             tr["lam"] = tr.pop("lambda")
-        problems = _check_fields(cls, doc)
-        if problems:
-            raise ValidationError(problems)
-        return cls(**doc)
+        return _check(cls, doc, "")
 
 
-def _check_fields(cls, doc: dict, where: str = "") -> list[str]:
-    """Check doc, in place, as the keyword arguments of dataclass cls.
+def _name(hint) -> str:
+    """A type hint as messages spell it: float, tuple[float, float], str | None."""
+    if isinstance(hint, type):
+        return "None" if hint is type(None) else hint.__name__
+    if typing.get_origin(hint) is tuple:
+        return str(hint)
+    return " | ".join(map(_name, typing.get_args(hint)))
 
-    Returns every unknown, missing or mistyped field.  An int field rejects
-    floats, bools and strings; a float field takes an int (stored as a
-    float) and a tuple field a list; a nested dataclass field takes a dict,
-    checked the same way and then constructed.
+
+def _check(hint, value, path: str):
+    """Return value as the type hint names it, or raise ValidationError.
+
+    An int rejects floats, bools and strings; a float takes an int within
+    float range (stored as a float); a tuple takes a list and checks its
+    length and each element; a dict becomes the dataclass its hint names.
+    A union of dataclasses picks the class whose default `kind` the dict
+    names; any other union takes its first member that fits.  Messages read
+    "<path> must be <type>, got <value>".
     """
+    args = typing.get_args(hint)
+    if is_dataclass(hint):
+        if type(value) is dict:
+            return _check_fields(hint, value, path)
+    elif typing.get_origin(hint) is tuple:
+        if type(value) in (list, tuple):
+            elements = args[:1] * len(value) if args[-1] is ... else args
+            if len(value) == len(elements):
+                return tuple(_check(a, v, f"{path}[{i}]")
+                             for i, (a, v) in enumerate(zip(elements, value)))
+    elif args:
+        members = [a for a in args if a is not type(None)]
+        if value is None and len(members) < len(args):
+            return None
+        if type(value) is dict and all(is_dataclass(a) for a in members):
+            kinds = [a.kind for a in members]
+            if value.get("kind") not in kinds:
+                raise ValidationError([f"{path}.kind must be {' | '.join(map(repr, kinds))}, "
+                                       f"got {value.get('kind')!r}"])
+            return _check_fields(members[kinds.index(value["kind"])], value, path)
+        for member in members:
+            try:
+                return _check(member, value, path)
+            except ValidationError:
+                pass
+    elif hint is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    elif type(value) is hint:
+        return value
+    raise ValidationError([f"{path} must be {_name(hint)}, got {value!r}"])
+
+
+def _check_fields(cls, doc: dict, path: str):
+    """Build dataclass cls from doc, reporting every unknown, missing or
+    mistyped field in one ValidationError."""
+    where = f"{path}." if path else ""
     hints = typing.get_type_hints(cls)
     problems = []
-    unknown = [where + k for k in doc if k not in hints]
+    unknown = [f"{where}{k}" for k in doc if k not in hints]
     if unknown:
         problems.append(f"unknown config fields: {unknown}")
     missing = [where + f.name for f in fields(cls) if f.name not in doc
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         problems.append(f"missing config fields: {missing}")
+    checked = {}
     for key in [k for k in doc if k in hints]:
-        kind, *rest = typing.get_args(hints[key]) or (hints[key],)
-        val = doc[key]
-        if kind is float and type(val) is int:
-            doc[key] = val = float(val)
-        elif kind is tuple and type(val) is list:
-            doc[key] = val = tuple(val)
-        elif is_dataclass(kind) and type(val) is dict:
-            nested = _check_fields(kind, val, f"{where}{key}.")
-            if nested:
-                problems += nested
-                continue
-            doc[key] = val = kind(**val)
-        if type(val) is not kind and not (val is None and type(None) in rest):
-            problems.append(f"{where}{key} must be {kind.__name__}, got {val!r}")
-    return problems
-
-
-_NUMBER = (int, float)
-# Element types of the tuple fields (their type hints say only `tuple`) and
-# the fields of each mask kind.
-_TUPLE_ELEMENTS = {"fractions": _NUMBER, "masked_fractions": _NUMBER,
-                   "scaler_range": _NUMBER, "lambdas": _NUMBER,
-                   "grid_lrs": _NUMBER, "grid_wds": _NUMBER,
-                   "grid_hidden": (int,), "grid_sizes": (int,)}
-_MASK_FIELDS = {"intervals": {"kind", "half_width", "centers"},
-                "disk": {"kind", "center", "radius"}}
-
-
-def _numbers(values) -> bool:
-    return isinstance(values, (list, tuple)) and all(type(v) in _NUMBER for v in values)
-
-
-def _type_problems(spec: ExperimentSpec) -> list[str]:
-    """Mistyped elements of the tuple fields and mistyped mask values."""
-    problems = [f"{name} must hold {'integers' if kinds == (int,) else 'numbers'}, "
-                f"got {list(getattr(spec, name))!r}"
-                for name, kinds in _TUPLE_ELEMENTS.items()
-                if not all(type(v) in kinds for v in getattr(spec, name))]
-    mask = spec.mask
-    if mask is None:
-        return problems
-    kind = mask.get("kind")
-    if not isinstance(kind, str) or kind not in _MASK_FIELDS:
-        return problems + [f"unknown mask kind {kind!r}"]
-    unknown = sorted(set(mask) - _MASK_FIELDS[kind])
-    if unknown:
-        problems.append(f"unknown {kind} mask fields: {unknown}")
-    for key in ("half_width", "radius"):
-        if key in mask and type(mask[key]) not in _NUMBER:
-            problems.append(f"mask.{key} must be a number, got {mask[key]!r}")
-    centers = mask.get("centers", "turning-points")
-    if centers != "turning-points" and not _numbers(centers):
-        problems.append(f"mask.centers must be 'turning-points' or a list of numbers, "
-                        f"got {centers!r}")
-    center = mask.get("center", (0.0, 0.0))
-    if not (_numbers(center) and len(center) == 2):
-        problems.append(f"mask.center must be two numbers, got {center!r}")
-    return problems
-
-
-def validate_spec(spec: ExperimentSpec) -> None:
-    """Collect every precondition violation; raise before any compute.
-
-    Mistyped tuple elements and mask values are reported on their own,
-    before the checks that compare those values.
-    """
-    problems = _type_problems(spec)
+        try:
+            checked[key] = _check(hints[key], doc[key], where + key)
+        except ValidationError as exc:
+            problems += exc.problems
     if problems:
         raise ValidationError(problems)
+    return cls(**checked)
+
+
+def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
+    """Collect every precondition violation; raise before any compute.
+
+    The spec's fields are first checked against their type hints, as a
+    config file's are, and mistyped values are reported on their own,
+    before the checks that compare values.  Returns the spec rebuilt from
+    the checked fields (a mask dict becomes its mask class, a list a tuple).
+    """
+    spec = _check(ExperimentSpec, asdict(spec), "")
+    problems = []
     if spec.generator not in GENERATORS:
         problems.append(f"unknown generator {spec.generator!r}; "
                         f"known: {sorted(GENERATORS)}")
     if spec.n_samples < 10:
         problems.append("n_samples must be at least 10")
     fr = spec.fractions
-    if len(fr) != 3 or any(f < 0 for f in fr) or not 0.999 <= sum(fr) <= 1.0001:
+    if any(f < 0 for f in fr) or not 0.999 <= sum(fr) <= 1.0001:
         problems.append("fractions must be three nonnegative values summing to 1")
-    if spec.mask is not None:
-        kind = spec.mask.get("kind")
-        if kind == "intervals":
-            if spec.mask.get("half_width", 0) <= 0:
-                problems.append("interval mask needs half_width > 0")
-            if (spec.mask.get("centers", "turning-points") == "turning-points"
-                    and spec.generator in GENERATORS
+    mask = spec.mask
+    if isinstance(mask, IntervalMask):
+        if mask.half_width <= 0:
+            problems.append("interval mask needs half_width > 0")
+        if mask.centers == "turning-points":
+            if (spec.generator in GENERATORS
                     and GENERATORS[spec.generator][0] is not _even_1d):
                 problems.append("turning-point mask centers need a 1-D synthetic generator")
-        elif spec.mask.get("radius", 0) <= 0:
-            problems.append("disk mask needs radius > 0")
+        elif isinstance(mask.centers, str):
+            problems.append(f"mask.centers must be 'turning-points' or a tuple of "
+                            f"floats, got {mask.centers!r}")
+    elif isinstance(mask, DiskMask) and mask.radius <= 0:
+        problems.append("disk mask needs radius > 0")
+    if mask is not None:
         mf = spec.masked_fractions
-        if len(mf) != 2 or any(f <= 0 for f in mf) or not 0.999 <= sum(mf) <= 1.0001:
+        if any(f <= 0 for f in mf) or not 0.999 <= sum(mf) <= 1.0001:
             problems.append("masked_fractions must be two positive values summing to 1")
     if spec.model.h < 1:
         problems.append("model.h must be at least 1")
@@ -266,6 +266,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
             problems.append("period must be at least 2")
     if problems:
         raise ValidationError(problems)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +303,14 @@ GENERATORS = {
 }
 
 
-def resolve_mask(spec: ExperimentSpec) -> dt.MissingMask | None:
-    """Materialize the experiment's mask; interval centers may be computed
-    from the generator's turning points."""
-    if spec.mask is None:
-        return None
-    kind = spec.mask["kind"]
-    if kind == "intervals":
-        centers = spec.mask.get("centers", "turning-points")
-        if centers == "turning-points":
-            _, (lo, hi), target = GENERATORS[spec.generator]
-            centers = dt.find_turning_points(target, lo, hi)
-        return dt.MissingMask(kind="intervals", centers=list(centers),
-                              half_width=spec.mask["half_width"])
-    return dt.MissingMask(kind="disk",
-                          center=tuple(spec.mask.get("center", (0.0, 0.0))),
-                          radius=spec.mask["radius"])
+def resolve_mask(spec: ExperimentSpec) -> IntervalMask | DiskMask | None:
+    """The experiment's mask, with "turning-points" interval centers replaced
+    by the turning points of the generator's target."""
+    mask = spec.mask
+    if isinstance(mask, IntervalMask) and mask.centers == "turning-points":
+        _, (lo, hi), target = GENERATORS[spec.generator]
+        return replace(mask, centers=tuple(dt.find_turning_points(target, lo, hi)))
+    return mask
 
 
 def build_dataset(spec: ExperimentSpec) -> dt.SplitDataset:
@@ -398,7 +391,7 @@ def _write_run(outdir: Path, prefix: str, log, ds, scaler, predict_fn) -> dict:
     target units; e_pred stays in scaled output units (the imaginary
     channel has no unscaled counterpart).
     """
-    log.write_csv(outdir / f"{prefix}trainlog.csv", include_wall=False)
+    log.write_csv(outdir / f"{prefix}trainlog.csv")
     preds = {}
     for name in ("train", "val", "test"):
         X, y = getattr(ds, f"{name}_x"), getattr(ds, f"{name}_y")
@@ -463,20 +456,45 @@ def render_plots(outdir: Path) -> list[str]:
 
 
 def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
-    """Build, train, evaluate, and emit one experiment's artifacts."""
-    validate_spec(spec)
+    """Build, train, evaluate, and emit one experiment's artifacts.
+
+    If a model diverges, its partial trainlog and a manifest with status
+    "diverged" are written before the NonFiniteError propagates.
+    """
+    spec = validate_spec(spec)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     ds, scaled, scaler = prepare(spec)
     seed = spec.train.seed
+    files = []
+
+    def write_manifest(status):
+        write_json(outdir / "manifest.json", {
+            "name": spec.name,
+            "spec": spec.to_dict(),
+            "status": status,
+            "files": {f: _sha256(outdir / f) for f in files},
+            "nondeterministic_files": ["metrics.csv", "manifest.json"],
+            "notes": _RUN_NOTES,
+            "wall_ms_total": (time.perf_counter() - t_start) * 1e3,
+        })
+
+    def fit(prefix, trainable, config):
+        try:
+            return train(trainable, scaled, config)
+        except NonFiniteError as exc:      # train() attaches the epochs it finished
+            exc.partial_log.write_csv(outdir / f"{prefix}trainlog.csv")
+            files.append(f"{prefix}trainlog.csv")
+            write_manifest("diverged")
+            raise
 
     net = _init_model(spec, ds.m, _STREAM_INIT)
-    log = train(grad.cauchynet_trainable(net), scaled, spec.train)
+    log = fit("", grad.cauchynet_trainable(net), spec.train)
     cplx, real = mdl.parameter_count(net)
     preds = _write_run(outdir, "", log, ds, scaler, lambda X: mdl.predict(net, X))
     mdl.save_checkpoint(net, scaler, outdir / "checkpoint.json", seed=seed)
-    files = ["trainlog.csv", "predictions.csv", "checkpoint.json"]
+    files += ["trainlog.csv", "predictions.csv", "checkpoint.json"]
     # model name -> (per-split predictions, complex params, real params, log)
     runs = {"cauchynet": (preds, cplx, real, log)}
 
@@ -486,7 +504,7 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
         bcfg = copy.deepcopy(spec.train)
         if spec.baseline_lr is not None:
             bcfg.lr0 = spec.baseline_lr
-        blog = train(bl.mlp_trainable(mlp), scaled, bcfg)
+        blog = fit("baseline_", bl.mlp_trainable(mlp), bcfg)
         bpreds = _write_run(outdir, "baseline_", blog, ds, scaler,
                             lambda X: bl.mlp_predict(mlp, X))
         bl.save_mlp_checkpoint(mlp, scaler, outdir / "baseline_checkpoint.json",
@@ -511,16 +529,7 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
                for name, (by_split, pc, pr, run_log) in runs.items()
                for split, (_, y, yp, _) in by_split.items()))
     files.append("metrics.csv")
-
-    write_json(outdir / "manifest.json", {
-        "name": spec.name,
-        "spec": spec.to_dict(),
-        "status": "ok",
-        "files": {f: _sha256(outdir / f) for f in files},
-        "nondeterministic_files": ["metrics.csv", "manifest.json"],
-        "notes": _RUN_NOTES,
-        "wall_ms_total": (time.perf_counter() - t_start) * 1e3,
-    })
+    write_manifest("ok")
 
     return MetricsReport(
         mse=metric_mse(test_yp, test_y),
@@ -543,12 +552,12 @@ def run_lambda_ablation(spec: ExperimentSpec, lambdas=None, outdir=None):
     in unscaled units snapshotted after every epoch, and writes them to
     lambda_ablation.csv when outdir is given.
     """
+    spec = validate_spec(spec)
     lambdas = list(spec.lambdas if lambdas is None else lambdas)
     if not lambdas:
         raise ValidationError(["lambda list must be nonempty"])
     if any(l < 0 for l in lambdas):
         raise ValidationError(["lambda values must be nonnegative"])
-    validate_spec(spec)
     ds, scaled, scaler = prepare(spec)
 
     rows = []
@@ -605,13 +614,13 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
     NonFiniteError when some cell diverged, ValidationError otherwise.
     Rows are (h, n, lr, wd, test_mse, note) in deterministic axis order.
     """
+    spec = validate_spec(spec)
     hidden = list(spec.grid_hidden if hidden is None else hidden)
     data_sizes = list(spec.grid_sizes if data_sizes is None else data_sizes)
     lrs = list(spec.grid_lrs if lrs is None else lrs)
     wds = list(spec.grid_wds if wds is None else wds)
     if not (hidden and data_sizes and lrs and wds):
         raise ValidationError(["every sweep axis must be nonempty"])
-    validate_spec(spec)
 
     rows, diverged = [], False
     for h, n, lr, wd in itertools.product(hidden, data_sizes, lrs, wds):
@@ -706,7 +715,7 @@ def _preset_exp1():
 def _preset_exp2_gap():
     return ExperimentSpec(
         name="exp2-gap", generator="exp2-gap", n_samples=360,
-        mask={"kind": "intervals", "half_width": 0.15, "centers": "turning-points"},
+        mask=IntervalMask(half_width=0.15, centers="turning-points"),
         masked_fractions=(0.75, 0.25),
         model=ModelSpec(h=128, init="elliptical", init_major=2.1, init_minor=0.4),
         train=TrainConfig(epochs=500, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10))
@@ -715,7 +724,7 @@ def _preset_exp2_gap():
 def _preset_exp2_disk():
     return ExperimentSpec(
         name="exp2-disk", generator="disk2d", n_samples=3000,
-        mask={"kind": "disk", "center": (0.0, 0.0), "radius": 0.3},
+        mask=DiskMask(radius=0.3, center=(0.0, 0.0)),
         masked_fractions=(0.6, 0.4),
         model=ModelSpec(h=128, init="elliptical", init_major=0.9, init_minor=0.3),
         train=TrainConfig(epochs=200, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10))

@@ -182,8 +182,9 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
         U, s, Vh = np.linalg.svd(R[:k, :k], full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"SVD failed: {exc}") from None
-    if ridge == 0 and np.any(s == 0):
-        raise SingularSystem("design matrix is exactly rank-deficient with ridge 0")
+    # numpy's matrix_rank tolerance: rounding leaves a repeated column's s near 0, not at 0
+    if ridge == 0 and s.min() <= s.max() * max(R[:k, :k].shape) * np.finfo(float).eps:
+        raise SingularSystem("design matrix is rank-deficient with ridge 0")
     filt = s / (s * s + ridge)
     theta = Vh.conj().T @ (filt * (U.conj().T @ R[:k, k]))
     if not np.all(np.isfinite(theta)):

@@ -15,7 +15,6 @@ the training penalty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +59,6 @@ def split_parameters(vec: np.ndarray, h: int, m: int):
     """Complex (h, m) and (h,) views of a flat real vector in `params` layout."""
     cplx = vec.view(complex)
     return cplx[:h * m].reshape(h, m), cplx[h * m:]
-
-
-@dataclass
-class ForwardOutput:
-    y: float
-    e: float
-    o: complex
-    hidden: np.ndarray  # complex128, shape (h,)
 
 
 def init_xavier_complex(h: int, m: int, rng: Rng,
@@ -129,16 +120,6 @@ def init_elliptical(h: int, m: int, rng: Rng,
         B[:, i] = -poles - epsilon
     C = np.array([normal_complex(rng, sigma) for _ in range(h)])
     return CauchyNetModel(h, m, epsilon, B, C)
-
-
-def forward(model: CauchyNetModel, x) -> ForwardOutput:
-    """Single-sample forward pass; x is a real vector of length m."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (model.m,):
-        raise ValueError(f"input must have length {model.m}")
-    o, hidden, _ = forward_batch(model, x[None, :])
-    o = complex(o[0])
-    return ForwardOutput(y=o.real, e=o.imag, o=o, hidden=hidden[0])
 
 
 def forward_batch(model: CauchyNetModel, X):

@@ -81,18 +81,15 @@ class TrainLogEntry:
 class TrainLog:
     entries: list[TrainLogEntry] = field(default_factory=list)
 
-    def write_csv(self, path, include_wall: bool = True) -> None:
-        """epoch,lr,train_loss,val_loss[,wall_ms] rows.
+    def write_csv(self, path) -> None:
+        """epoch,lr,train_loss,val_loss rows.
 
-        wall_ms is the only nondeterministic column; callers that need
-        byte-reproducible files pass include_wall=False.
+        wall_ms, the only nondeterministic field, stays out, so the file is
+        byte-reproducible.
         """
-        cols = ["lr", "train_loss", "val_loss"] + (["wall_ms"] if include_wall else [])
+        cols = ["lr", "train_loss", "val_loss"]
         write_csv(path, ["epoch"] + cols,
                   ([r.epoch] + [repr(getattr(r, c)) for c in cols] for r in self.entries))
-
-    def final(self) -> TrainLogEntry:
-        return self.entries[-1]
 
 
 @dataclass

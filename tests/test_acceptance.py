@@ -155,7 +155,7 @@ def test_criterion_06_gap_filling(tmp_path):
     spec = get_preset("exp2-gap")
     centers = find_turning_points(target_exp2_gap, -2.0, 2.0)
     ds = build_dataset(spec)
-    clean = all(np.all(np.abs(ds.train_x[:, 0] - c) > spec.mask["half_width"])
+    clean = all(np.all(np.abs(ds.train_x[:, 0] - c) > spec.mask.half_width)
                 for c in centers)
     report_obj = run_experiment(spec, tmp_path)
     const_mae = float(np.abs(ds.test_y - ds.train_y.mean()).mean())

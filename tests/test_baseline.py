@@ -3,22 +3,28 @@ import pytest
 
 from cauchynet.complex_linalg import Rng
 from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
-                                mlp_backward, mlp_batch_gradient, mlp_forward,
-                                mlp_parameter_count, mlp_predict,
-                                save_mlp_checkpoint)
+                                mlp_batch_gradient, mlp_parameter_count,
+                                mlp_predict, save_mlp_checkpoint,
+                                split_mlp_parameters)
 from cauchynet.data import ScalerState
 from cauchynet.errors import SchemaError
 
 
+def predict_one(model, x):
+    """The prediction of a one-row batch."""
+    y, _ = mlp_predict(model, np.asarray(x, dtype=float)[None, :])
+    return y[0]
+
+
 def test_forward_zero_weights():
     model = MlpModel(np.zeros((4, 2)), np.zeros(4), np.zeros(4), 0.0)
-    assert mlp_forward(model, [1.0, -2.0]) == 0.0
+    assert predict_one(model, [1.0, -2.0]) == 0.0
 
 
 def test_forward_relu_clamps():
     model = MlpModel(np.array([[1.0]]), np.zeros(1), np.array([1.0]), 0.0)
-    assert mlp_forward(model, [-3.0]) == 0.0
-    assert mlp_forward(model, [2.0]) == 2.0
+    assert predict_one(model, [-3.0]) == 0.0
+    assert predict_one(model, [2.0]) == 2.0
 
 
 def test_parameter_count():
@@ -30,16 +36,15 @@ def test_parameter_count():
 def test_backward_zero_residual():
     model = init_mlp(5, 2, Rng(3))
     x = np.array([0.4, -0.7])
-    y = mlp_forward(model, x)
-    dW1, db1, dW2, db2 = mlp_backward(model, x, y)
-    assert np.all(dW1 == 0) and np.all(db1 == 0)
-    assert np.all(dW2 == 0) and db2 == 0
+    _, g = mlp_batch_gradient(model, x[None, :], [predict_one(model, x)])
+    assert np.all(g == 0)
 
 
 def test_backward_inactive_unit_gets_zero_gradient():
     model = MlpModel(np.array([[1.0], [1.0]]), np.array([0.0, -10.0]),
                      np.array([1.0, 1.0]), 0.0)
-    dW1, db1, _, _ = mlp_backward(model, [2.0], 0.0)
+    _, g = mlp_batch_gradient(model, [[2.0]], [0.0])
+    dW1, db1, _ = split_mlp_parameters(g, model.h, model.m)
     assert dW1[1, 0] == 0.0 and db1[1] == 0.0
     assert dW1[0, 0] != 0.0
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cauchynet.complex_linalg import Rng
-from cauchynet.data import (MissingMask, apply_mask, find_turning_points,
-                            load_series_csv, make_split, scaler_apply,
-                            scaler_fit, scaler_invert,
+from cauchynet.data import (DiskMask, IntervalMask, apply_mask,
+                            find_turning_points, load_series_csv, make_split,
+                            scaler_apply, scaler_fit, scaler_invert,
                             seasonal_decompose_multiplicative,
                             target_2d_missing_disk, target_2d_surface,
                             target_exp1, target_exp2_gap, target_intro_spike)
@@ -165,7 +165,7 @@ def test_disk_mask_geometry():
     pts = np.array([[rng.uniform_in(-0.8, 0.8), rng.uniform_in(-0.8, 0.8)]
                     for _ in range(2000)])
     vals = target_2d_missing_disk(pts[:, 0], pts[:, 1])
-    mask = MissingMask(kind="disk", center=(0.0, 0.0), radius=0.3)
+    mask = DiskMask(radius=0.3, center=(0.0, 0.0))
     (vis_x, _), (hid_x, _) = apply_mask(pts, vals, mask)
     assert len(vis_x) + len(hid_x) == 2000
     assert np.all(hid_x[:, 0] ** 2 + hid_x[:, 1] ** 2 <= 0.09 + 1e-15)
@@ -174,7 +174,7 @@ def test_disk_mask_geometry():
 
 def test_interval_mask_routes_all_gap_points():
     centers = find_turning_points(target_exp2_gap, -2.0, 2.0)
-    mask = MissingMask(kind="intervals", centers=centers, half_width=0.15)
+    mask = IntervalMask(half_width=0.15, centers=tuple(centers))
     xs = np.linspace(-2, 2, 500)
     (vis_x, _), (hid_x, _) = apply_mask(xs, target_exp2_gap(xs), mask)
     for c in centers:

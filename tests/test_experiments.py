@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchynet import cli
 from cauchynet import experiments as xp
@@ -78,11 +80,32 @@ def test_unknown_preset_rejected():
         get_preset("exp99")
 
 
-def test_spec_dict_round_trip():
-    spec = get_preset("exp2-gap")
-    doc = spec.to_dict()
-    back = ExperimentSpec.from_dict(doc)
-    assert back == spec
+@pytest.mark.parametrize("name", sorted(xp.PRESETS))
+def test_spec_dict_round_trip(name):
+    spec = get_preset(name)
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+# Any JSON value: what a config file or a --set flag can hold.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_raises_only_validation_error(data):
+    doc = get_preset(data.draw(st.sampled_from(sorted(xp.PRESETS)))).to_dict()
+    sections = [doc] + [doc[k] for k in ("model", "train", "mask") if doc[k] is not None]
+    node = data.draw(st.sampled_from(sections))
+    node[data.draw(st.sampled_from(sorted(node)))] = data.draw(_JSON_VALUES)
+    try:
+        validate_spec(ExperimentSpec.from_dict(doc))
+    except ValidationError:
+        pass
 
 
 def test_spec_rejects_unknown_fields():
@@ -216,6 +239,29 @@ def test_run_experiment_predicts_each_split_once(tmp_path, monkeypatch):
     run_experiment(spec, tmp_path)
     # one validation pass per epoch, then one pass per split feeds every artifact
     assert len(calls) == 3 + 3
+
+
+def test_divergence_leaves_partial_trainlog_and_manifest(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = mdl.predict
+
+    def diverges_on_third_call(model, X):
+        calls.append(len(X))
+        if len(calls) == 3:
+            raise NonFiniteError("injected overflow")
+        return original(model, X)
+
+    monkeypatch.setattr(mdl, "predict", diverges_on_third_call)
+    argv = ["train", "--preset", "exp1", "--out", str(tmp_path), "--set", "n_samples=60",
+            "--set", "model.h=8", "--set", "train.epochs=5", "--set", "baseline=false"]
+    assert cli.main(argv) == 3
+    run = tmp_path / "exp1"
+    # the validation passes of epochs 0 and 1 succeed; epoch 2's fails
+    assert len((run / "trainlog.csv").read_text().splitlines()) == 1 + 2
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["status"] == "diverged"
+    assert list(manifest["files"]) == ["trainlog.csv"]
+    assert not (run / "checkpoint.json").exists()
 
 
 def test_predictions_header_1d_and_2d(tmp_path):
@@ -525,6 +571,7 @@ def _unknown_train_key_args(tmp_path):
                   "--lrs", "0.01", "--wds", "0"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", 'fractions=["a",0.25,0.25]'], 2),
     (lambda tmp: ["impute", "--preset", "exp2-disk", "--set", 'mask.radius="x"'], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0.5]"], 2),
     (lambda tmp: ["ablate-lambda", "--preset", "exp5-lambda", "--lambdas", "a,b"], 2),
     (lambda tmp: ["sweep", "--preset", "exp5-grid", "--hidden", "x"], 2),
     (lambda tmp: ["kernel-demo", "--nodes", "x"], 2),
@@ -534,6 +581,7 @@ def _unknown_train_key_args(tmp_path):
     (lambda tmp: ["kernel-demo", "--a", "-1", "--b", "1"], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
         "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
+        "set-scaler-range-short",
         "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero",
         "semi-axis-zero", "semi-axis-negative"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
@@ -550,18 +598,33 @@ def test_cli_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "runs").exists()
 
 
+# The ids name each case as the messages of the element checks that predate
+# the type-hint checker did; the messages are now "<path> must be <type>".
 @pytest.mark.parametrize("field,value,message", [
-    ("fractions", (0.5, "a", 0.25), "fractions must hold numbers"),
-    ("lambdas", (0.1, None), "lambdas must hold numbers"),
-    ("grid_hidden", (32, 64.0), "grid_hidden must hold integers"),
-    ("grid_sizes", (True,), "grid_sizes must hold integers"),
-    ("mask", {"kind": "disk", "radius": "x"}, "mask.radius must be a number"),
-    ("mask", {"kind": "disk", "radius": 0.3, "center": [0.0]}, "mask.center must be two numbers"),
-    ("mask", {"kind": "intervals", "half_width": [0.1]}, "mask.half_width must be a number"),
-    ("mask", {"kind": "intervals", "half_width": 0.1, "centers": ["a"]}, "mask.centers must be"),
-    ("mask", {"kind": "intervals", "half_width": 0.1, "radius": 1.0},
-     "unknown intervals mask fields: ['radius']"),
-    ("mask", {"kind": ["disk"]}, "unknown mask kind"),
+    pytest.param("fractions", (0.5, "a", 0.25), "fractions[1] must be float, got 'a'",
+                 id="fractions-value0-fractions must hold numbers"),
+    pytest.param("lambdas", (0.1, None), "lambdas[1] must be float, got None",
+                 id="lambdas-value1-lambdas must hold numbers"),
+    pytest.param("grid_hidden", (32, 64.0), "grid_hidden[1] must be int, got 64.0",
+                 id="grid_hidden-value2-grid_hidden must hold integers"),
+    pytest.param("grid_sizes", (True,), "grid_sizes[0] must be int, got True",
+                 id="grid_sizes-value3-grid_sizes must hold integers"),
+    pytest.param("mask", {"kind": "disk", "radius": "x"}, "mask.radius must be float, got 'x'",
+                 id="mask-value4-mask.radius must be a number"),
+    pytest.param("mask", {"kind": "disk", "radius": 0.3, "center": [0.0]},
+                 "mask.center must be tuple[float, float], got [0.0]",
+                 id="mask-value5-mask.center must be two numbers"),
+    pytest.param("mask", {"kind": "intervals", "half_width": [0.1]},
+                 "mask.half_width must be float, got [0.1]",
+                 id="mask-value6-mask.half_width must be a number"),
+    pytest.param("mask", {"kind": "intervals", "half_width": 0.1, "centers": ["a"]},
+                 "mask.centers must be str | tuple[float, ...], got ['a']",
+                 id="mask-value7-mask.centers must be"),
+    pytest.param("mask", {"kind": "intervals", "half_width": 0.1, "radius": 1.0},
+                 "unknown config fields: ['mask.radius']",
+                 id="mask-value8-unknown intervals mask fields: ['radius']"),
+    pytest.param("mask", {"kind": ["disk"]}, "mask.kind must be 'intervals' | 'disk', got ['disk']",
+                 id="mask-value9-unknown mask kind"),
 ])
 def test_spec_rejects_mistyped_elements(field, value, message):
     spec = tiny_spec(**{field: value})

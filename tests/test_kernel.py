@@ -257,11 +257,14 @@ def test_fit_matches_full_svd_reference(n, k, ndim):
         assert np.abs(evaluate_expansion_grid(exp, where) - ref).max() < 1e-8
 
 
-@pytest.mark.parametrize("centres,n", [(2, 2), (2, 4), (3, 2), (3, 3)],
-                         ids=["square", "over", "under", "square-3"])
+@pytest.mark.parametrize("centres,n", [
+    ((2, 2), 2), ((2, 2), 4), ((2, 2, 2), 2), ((2, 2, 2), 3),
+    ((2, 2), 3), ((2, 2), 7), ((2, 3, 2), 4),
+], ids=["square", "over", "under", "square-3", "over-3", "over-7", "repeat-among-3"])
 def test_fit_rank_deficient_ridge_zero_raises(centres, n):
-    # identical centres give identical columns, so the design is exactly singular
-    points = np.full((centres, 1), 2.0 + 0j)
+    # a repeated centre repeats a column, so the design is singular; rounding
+    # can leave its smallest singular value just above 0
+    points = np.array(centres, dtype=complex)[:, None]
     samples = [([x], 1.0) for x in np.linspace(0.0, 0.75, n)]
     with pytest.raises(SingularSystem):
         fit_expansion_least_squares(samples, points, ridge=0.0)

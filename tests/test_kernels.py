@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from cauchynet.complex_linalg import Rng
 from cauchynet.errors import NonFiniteError, PoleEncountered
 from cauchynet.grad import backward, batch_gradient
-from cauchynet.model import (PREDICT_BLOCK, CauchyNetModel, forward,
-                             forward_batch, init_elliptical, predict,
-                             split_parameters)
+from cauchynet.model import (PREDICT_BLOCK, CauchyNetModel, forward_batch,
+                             init_elliptical, predict, split_parameters)
 
 
 def reference_forward_batch(model, X):
@@ -112,8 +111,8 @@ def test_batch_and_single_sample_paths_agree(h, m, n, seed, lam):
     lv, grads = batch_gradient(model, X, y, lam)
     acc = np.zeros_like(grads)
     for i in range(n):
-        fo = forward(model, X[i])
-        np.testing.assert_allclose(fo.o, o[i], rtol=1e-13, atol=1e-300)
-        np.testing.assert_allclose(fo.hidden, hidden[i], rtol=1e-13, atol=1e-300)
+        o1, hidden1, _ = forward_batch(model, X[i:i + 1])
+        np.testing.assert_allclose(o1[0], o[i], rtol=1e-13, atol=1e-300)
+        np.testing.assert_allclose(hidden1[0], hidden[i], rtol=1e-13, atol=1e-300)
         acc += backward(model, X[i], y[i], lam)
     np.testing.assert_allclose(grads, acc / n, rtol=1e-10, atol=1e-12)

@@ -160,15 +160,11 @@ def test_trainlog_csv_round_trip(tmp_path):
     ds = spike_dataset()
     model = init_elliptical(8, 1, Rng(2), 1.05, 0.1)
     log = train(cauchynet_trainable(model), ds, TrainConfig(epochs=3, seed=2))
-    with_wall = tmp_path / "log_wall.csv"
-    without = tmp_path / "log.csv"
-    log.write_csv(with_wall, include_wall=True)
-    log.write_csv(without, include_wall=False)
-    head_wall = with_wall.read_text().splitlines()[0]
-    head = without.read_text().splitlines()[0]
-    assert head_wall == "epoch,lr,train_loss,val_loss,wall_ms"
-    assert head == "epoch,lr,train_loss,val_loss"
-    assert len(without.read_text().splitlines()) == 4
+    path = tmp_path / "log.csv"
+    log.write_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "epoch,lr,train_loss,val_loss"
+    assert len(lines) == 4
 
 
 def test_epoch_callback_sees_every_epoch():
