@@ -152,9 +152,9 @@ def _check(hint, value, path: str):
     An int rejects floats, bools and strings; a float takes an int within
     float range (stored as a float); a tuple takes a list and checks its
     length and each element; a dict becomes the dataclass its hint names.
-    A union of dataclasses picks the class whose default `kind` the dict
-    names; any other union takes its first member that fits.  Messages read
-    "<path> must be <type>, got <value>".
+    A float must be finite.  A union of dataclasses picks the class whose
+    default `kind` the dict names; any other union takes its first member
+    that fits.  Messages read "<path> must be <type>, got <value>".
     """
     args = typing.get_args(hint)
     if is_dataclass(hint):
@@ -183,6 +183,8 @@ def _check(hint, value, path: str):
                 pass
     elif hint is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
+    elif hint is float and type(value) is float and not math.isfinite(value):
+        raise ValidationError([f"{path} must be finite float, got {value!r}"])
     elif type(value) is hint:
         return value
     raise ValidationError([f"{path} must be {_name(hint)}, got {value!r}"])

@@ -67,16 +67,9 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
         go = dLdy + 1j * dLde                                # (n,)
 
         dC[...] = (go[:, None] * np.conj(hidden)).mean(axis=0)
-        if model.h > 1:
-            ch = -model.C * hidden                           # (n, h)
-            for i, s in enumerate(shifted):
-                dB[:, i] = (go[:, None] * np.conj(ch / s)).mean(axis=0)
-        else:
-            # (n, 1) columns would round differently: numpy sums a lone
-            # column pairwise and runs a broadcast one-element product
-            # through its scalar loop.  The (n, 1, m) arrays are small.
-            dodB = -model.C[None, :, None] * hidden[:, :, None] / np.stack(shifted, axis=2)
-            dB[...] = (go[:, None, None] * np.conj(dodB)).mean(axis=0)
+        ch = -model.C * hidden                               # (n, h)
+        for i, s in enumerate(shifted):
+            dB[:, i] = (go[:, None] * np.conj(ch / s)).mean(axis=0)
 
         fit = float(((y - y_true) ** 2).mean())
         pen = float(lam * (e * e).mean())

@@ -2,8 +2,9 @@
 
 A model holds a complex bias matrix B (h x m) and a complex coefficient
 vector C (length h).  A real input x is embedded as x + 0i, shifted by each
-bias row plus the real offset epsilon, inverted componentwise and
-multiplied into one hidden activation per row, and combined linearly:
+bias row plus the real offset epsilon, multiplied across the input
+dimensions and inverted into one hidden activation per row, and combined
+linearly:
 
     hidden_k = prod_i 1/(x_i + B_ki + epsilon)
     o        = sum_k C_k * hidden_k = y + i e
@@ -44,7 +45,7 @@ class CauchyNetModel:
     def __init__(self, h: int, m: int, epsilon: float, B, C):
         if h < 1 or m < 1:
             raise ValueError("h and m must be at least 1")
-        if epsilon < 0:
+        if not epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         self.h, self.m, self.epsilon = h, m, epsilon
         self.params = np.zeros(2 * h * (m + 1))
@@ -127,9 +128,7 @@ def forward_batch(model: CauchyNetModel, X):
 
     Returns (o, hidden, shifted): o has shape (n,), hidden (n, h), and
     shifted is the list of the m columns x_i + B_:i + epsilon, each (n, h).
-    The reciprocals of the columns are multiplied left to right in real
-    arithmetic, which rounds like numpy's product reduction; numpy's
-    vectorized complex `*` does not.
+    hidden is the left-to-right product of the columns, inverted once.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -140,13 +139,10 @@ def forward_batch(model: CauchyNetModel, X):
     shifted = [X[:, i, None] + B[None, :, i] + model.epsilon for i in range(model.m)]
     # a pole or an overflow surfaces through the finiteness check of o
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hidden = 1.0 / shifted[0]
+        prod = shifted[0]
         for s in shifted[1:]:
-            r = 1.0 / s
-            prod = np.empty_like(hidden)
-            prod.real = hidden.real * r.real - hidden.imag * r.imag
-            prod.imag = hidden.real * r.imag + hidden.imag * r.real
-            hidden = prod
+            prod = prod * s
+        hidden = 1.0 / prod
         o = hidden @ model.C
     if not np.all(np.isfinite(o)):
         if any(np.any(s == 0) for s in shifted):
@@ -158,22 +154,18 @@ def forward_batch(model: CauchyNetModel, X):
 def predict(model: CauchyNetModel, X):
     """Batch prediction returning (y, e) arrays.
 
-    Runs `forward_batch` over blocks of at most PREDICT_BLOCK rows; each
-    row's output does not depend on the rows next to it, so the blocks give
-    the same values as one pass over every row.
+    Runs `forward_batch` over blocks of PREDICT_BLOCK rows (the last may
+    be shorter).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     n = len(X)
     y, e = np.empty(n), np.empty(n)
-    # Blocks of near-equal size: none holds a lone row unless n == 1, since
-    # numpy's product of a one-row matrix rounds unlike the multi-row one.
-    blocks = max(1, -(-n // PREDICT_BLOCK))
-    bounds = [n * b // blocks for b in range(blocks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        o, _, _ = forward_batch(model, X[lo:hi])
-        y[lo:hi], e[lo:hi] = o.real, o.imag
+    for lo in range(0, n, PREDICT_BLOCK):
+        block = slice(lo, lo + PREDICT_BLOCK)
+        o, _, _ = forward_batch(model, X[block])
+        y[block], e[block] = o.real, o.imag
     return y, e
 
 

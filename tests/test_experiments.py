@@ -200,6 +200,16 @@ def test_run_experiment_deterministic_artifacts(tmp_path):
         assert ma[f] == mb[f]
 
 
+def test_two_input_reruns_are_byte_identical(tmp_path):
+    """An m = 2 run (exp3-surface, shortened) reruns byte for byte."""
+    spec = get_preset("exp3-surface")
+    spec.train.epochs = 20
+    run_experiment(spec, tmp_path / "a")
+    run_experiment(spec, tmp_path / "b")
+    for f in ("trainlog.csv", "predictions.csv", "checkpoint.json"):
+        assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes(), f
+
+
 def test_run_experiment_baseline_artifacts(tmp_path):
     spec = tiny_spec(baseline=True)
     run_experiment(spec, tmp_path)
@@ -579,11 +589,15 @@ def _unknown_train_key_args(tmp_path):
     (lambda tmp: ["kernel-demo", "--grid", "0"], 2),
     (lambda tmp: ["kernel-demo", "--a", "0"], 2),
     (lambda tmp: ["kernel-demo", "--a", "-1", "--b", "1"], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "train.lr0=NaN"], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "model.epsilon=NaN"], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0, Infinity]"], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
         "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
         "set-scaler-range-short",
         "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero",
-        "semi-axis-zero", "semi-axis-negative"])
+        "semi-axis-zero", "semi-axis-negative", "set-lr0-nan", "set-epsilon-nan",
+        "set-scaler-range-infinite"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "runs")]
     assert cli.main(argv) == code

@@ -124,6 +124,12 @@ def test_parameter_vector_round_trip():
     np.testing.assert_array_equal(clone.C, model.C)
 
 
+@pytest.mark.parametrize("eps", [-1e-8, float("nan")])
+def test_model_rejects_negative_or_nan_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        small_model(eps=eps)
+
+
 def test_predict_reconstructs_o():
     model = init_xavier_complex(4, 1, Rng(21))
     model.B += 0.4j
