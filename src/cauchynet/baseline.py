@@ -69,12 +69,18 @@ def mlp_parameter_count(model: MlpModel) -> int:
 
 
 def mlp_predict(model: MlpModel, X):
-    """Batch prediction; the imaginary channel is identically zero."""
+    """Batch prediction; the imaginary channel is identically zero.
+
+    An overflow raises NonFiniteError instead of returning inf or NaN.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    pre = X @ model.W1.T + model.b1
-    y = np.maximum(pre, 0.0) @ model.W2 + model.b2
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = X @ model.W1.T + model.b1
+        y = np.maximum(pre, 0.0) @ model.W2 + model.b2
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteError("baseline prediction overflowed")
     return y, np.zeros_like(y)
 
 
@@ -90,20 +96,22 @@ def mlp_batch_gradient(model: MlpModel, X, y_true, lam: float = 0.0):
     y_true = np.asarray(y_true, dtype=float)
     n = len(X)
     W2 = model.W2
-    pre = X @ model.W1.T + model.b1
-    z = np.maximum(pre, 0.0)
-    y = z @ W2 + model.b2
-    r = 2.0 * (y - y_true) / n
     g = np.empty_like(model.params)
     dW1, db1, dW2 = split_mlp_parameters(g, model.h, model.m)
-    dW2[...] = r @ z
-    g[-1] = r.sum()
-    dpre = r[:, None] * W2[None, :] * (pre > 0)
-    dW1[...] = dpre.T @ X
-    db1[...] = dpre.sum(axis=0)
+    # overflow surfaces as an explicit NonFiniteError below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = X @ model.W1.T + model.b1
+        z = np.maximum(pre, 0.0)
+        y = z @ W2 + model.b2
+        r = 2.0 * (y - y_true) / n
+        dW2[...] = r @ z
+        g[-1] = r.sum()
+        dpre = r[:, None] * W2[None, :] * (pre > 0)
+        dW1[...] = dpre.T @ X
+        db1[...] = dpre.sum(axis=0)
+        fit = float(((y - y_true) ** 2).mean())
     if not np.all(np.isfinite(g)):
         raise NonFiniteError("baseline gradient overflowed")
-    fit = float(((y - y_true) ** 2).mean())
     return LossValue(fit, fit, 0.0), g
 
 

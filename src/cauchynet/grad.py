@@ -13,11 +13,19 @@ and dC likewise.
 Because the network output o is holomorphic in each parameter, those packed
 partials equal (dL/dy + i dL/de) * conj(do/dtheta); the conjugation is what
 makes the packing agree with finite differences on the real components.
+
+Over a batch of n rows, with go = dL/dy + i dL/de per row, the mean
+packed partial is conj(cg @ do/dtheta) for the one complex weight vector
+cg = conj(go) / n = (2/n) ((y - y_true) - i lam e): a single
+matrix-vector product per parameter block and one conjugation of its
+(h,) result, instead of conjugating and averaging an (n, h) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -45,9 +53,10 @@ def loss(y: float, e: float, y_true: float, lam: float) -> LossValue:
 def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
     """Mean loss and the mean gradient vector over an (n, m) batch.
 
-    Reuses the forward pass's shifted columns: do/dB_ki = -C_k hidden_k /
-    shifted_ki.  The mean over the sample axis is taken in fixed index
-    order, so the result is deterministic for a given batch.
+    With cg as in the module docstring, each block is one matrix-vector
+    product: dC = conj(cg @ hidden) and dB[:, i] = -conj(C) * conj(cg @ P_i)
+    for P_i = hidden / shifted_i, formed without a division as hidden *
+    hidden times the other m - 1 forward-pass columns, left to right.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -55,6 +64,8 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
     y_true = np.asarray(y_true, dtype=float)
     if len(y_true) != len(X):
         raise LengthMismatch("X and y_true differ in length")
+    if len(X) == 0:
+        raise LengthMismatch("the batch is empty")
     o, hidden, shifted = forward_batch(model, X)
     y, e = o.real, o.imag
     g = np.empty_like(model.params)
@@ -62,16 +73,16 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
 
     # overflow surfaces as an explicit NonFiniteError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        dLdy = 2.0 * (y - y_true)
-        dLde = 2.0 * lam * e
-        go = dLdy + 1j * dLde                                # (n,)
+        r = y - y_true
+        cg = (2.0 / len(X)) * (r - 1j * lam * e)             # (n,)
+        dC[...] = np.conj(cg @ hidden)
+        hh = hidden * hidden
+        minus_conj_c = -np.conj(model.C)
+        for i in range(model.m):
+            others = (s for j, s in enumerate(shifted) if j != i)
+            dB[:, i] = minus_conj_c * np.conj(cg @ reduce(mul, others, hh))
 
-        dC[...] = (go[:, None] * np.conj(hidden)).mean(axis=0)
-        ch = -model.C * hidden                               # (n, h)
-        for i, s in enumerate(shifted):
-            dB[:, i] = (go[:, None] * np.conj(ch / s)).mean(axis=0)
-
-        fit = float(((y - y_true) ** 2).mean())
+        fit = float((r ** 2).mean())
         pen = float(lam * (e * e).mean())
     if not np.all(np.isfinite(g)):
         raise NonFiniteError("gradient overflowed")

@@ -135,8 +135,15 @@ def forward_batch(model: CauchyNetModel, X):
         X = X[:, None]
     if X.shape[1] != model.m:
         raise ValueError(f"inputs must have {model.m} columns")
-    B = model.B
-    shifted = [X[:, i, None] + B[None, :, i] + model.epsilon for i in range(model.m)]
+    # Each column is built from real arrays, bit for bit the complex sum
+    # x + B + epsilon: Im B + 0.0 turns -0.0 into +0.0 as that sum does.
+    shifted = []
+    for i in range(model.m):
+        s = np.empty((len(X), model.h), dtype=complex)
+        np.add(X[:, i, None], model.B.real[:, i], out=s.real)
+        s.real += model.epsilon
+        s.imag[...] = model.B.imag[:, i] + 0.0
+        shifted.append(s)
     # a pole or an overflow surfaces through the finiteness check of o
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prod = shifted[0]

@@ -7,7 +7,7 @@ from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
                                 mlp_predict, save_mlp_checkpoint,
                                 split_mlp_parameters)
 from cauchynet.data import ScalerState
-from cauchynet.errors import SchemaError
+from cauchynet.errors import NonFiniteError, SchemaError
 
 
 def predict_one(model, x):
@@ -117,3 +117,12 @@ def test_checkpoint_wrong_type_rejected(tmp_path):
     path.write_text(json.dumps({"version": 1, "model_type": "other"}))
     with pytest.raises(SchemaError):
         load_mlp_checkpoint(path)
+
+
+def test_overflow_raises_non_finite_without_a_warning():
+    model = MlpModel(np.full((3, 1), 1e200), np.zeros(3), np.full(3, 1e200), 0.0)
+    X = np.array([[1.0], [2.0]])
+    with pytest.raises(NonFiniteError):
+        mlp_predict(model, X)
+    with pytest.raises(NonFiniteError):
+        mlp_batch_gradient(model, X, [0.0, 0.0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cauchynet.complex_linalg import Rng, normal_complex
+from cauchynet.errors import LengthMismatch
 from cauchynet.grad import (backward, batch_gradient,
                             finite_difference_gradients, loss)
 from cauchynet.model import CauchyNetModel, forward_batch, split_parameters
@@ -118,6 +119,12 @@ def test_batch_gradient_is_mean_of_per_sample():
         tot += loss(o[0].real, o[0].imag, yt[i], lam).total
     np.testing.assert_allclose(gb, acc / 3, rtol=1e-12)
     assert lv.total == pytest.approx(tot / 3)
+
+
+def test_batch_gradient_rejects_an_empty_batch():
+    model = offpole_model(2, 1, Rng(5))
+    with pytest.raises(LengthMismatch):
+        batch_gradient(model, np.zeros((0, 1)), [], 0.1)
 
 
 def test_fd_oracle_rejects_zero_step():

@@ -1,11 +1,15 @@
 """The batch kernels against an extended-precision reference.
 
-The training kernels follow one rounding rule: `forward_batch` multiplies
+The training kernels each follow one rounding rule: `forward_batch` multiplies
 its m shifted (n, h) columns left to right with complex `*` and divides
 1.0 by the product once; `predict` runs it over PREDICT_BLOCK-row blocks.
-The byte test pins that rule, so a rewrite that rounds differently (and
-would change trained models) fails it.  The accuracy test compares every
-kernel output with the direct formula evaluated in np.clongdouble.
+`batch_gradient` divides nothing: with cg = (2/n) ((y - y_true) - i lam e)
+it takes dC = conj(cg @ hidden) and dB[:, i] = -conj(C) * conj(cg @ P_i),
+where P_i is hidden * hidden times the other shifted columns, left to
+right.  The byte test pins both rules, so a rewrite that rounds
+differently (and would change trained models) fails it.  The accuracy
+test compares every kernel output with the direct formula evaluated in
+np.clongdouble.
 """
 
 from functools import reduce
@@ -26,7 +30,7 @@ from cauchynet.model import (PREDICT_BLOCK, CauchyNetModel, forward_batch,
 EPS = np.finfo(float).eps
 # Every error below is scaled to eps and must stay within KERNEL_TOL.  The
 # worst values measured over 30 seeds of the grid were 3.0 (hidden), 2.5
-# (o, predict), 2.1 (dB, dC) and 4.6 (against the oracle).
+# (o, predict), 1.9 (dB), 1.5 (dC) and 4.6 (against the oracle).
 KERNEL_TOL = 8.0
 
 
@@ -88,6 +92,13 @@ def test_kernels_match_reference_bytes(h, m, n):
               for lo in range(0, n, PREDICT_BLOCK)]
     yp, ep = predict(model, X)
     assert (yp + 1j * ep).tobytes() == np.concatenate(blocks).tobytes()
+    lam = 0.1
+    dB, dC = split_parameters(batch_gradient(model, X, y, lam)[1], h, m)
+    cg = (2 / n) * ((o.real - y) - 1j * lam * o.imag)
+    assert dC.tobytes() == np.conj(cg @ hidden).tobytes()
+    for i in range(m):
+        P = reduce(mul, [s for j, s in enumerate(shifted) if j != i], hidden * hidden)
+        assert dB[:, i].tobytes() == (-np.conj(model.C) * np.conj(cg @ P)).tobytes()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
@@ -151,6 +162,22 @@ def test_forward_overflow_raises_non_finite():
     assert not isinstance(exc.value, PoleEncountered)
     with pytest.raises(NonFiniteError):
         predict(model, np.zeros((3, 2)))
+
+
+def test_gradient_overflow_near_a_pole_raises_non_finite():
+    """hidden = 1e160 stays finite, but hidden * hidden in dB overflows."""
+    model = CauchyNetModel(1, 1, 0.0, [[1e-160j]], [1e-200])
+    with pytest.raises(NonFiniteError) as exc:
+        batch_gradient(model, np.zeros((1, 1)), [1.0], 0.1)
+    assert not isinstance(exc.value, PoleEncountered)
+
+
+def test_pole_in_a_training_batch_raises_from_the_forward_pass():
+    model = CauchyNetModel(2, 1, 0.0, [[-0.5 + 0.0j], [0.3j]], [1.0, 2.0])
+    X = np.linspace(-1.0, 1.0, 32)[:, None]
+    X[7] = 0.5                            # x + B_00 == 0
+    with pytest.raises(PoleEncountered):
+        batch_gradient(model, X, np.zeros(32), 0.1)
 
 
 def test_forward_batch_rejects_wrong_input_width():
