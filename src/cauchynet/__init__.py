@@ -7,8 +7,7 @@ reproducible experiment harness.
 """
 
 from .activation import (DEFAULT_EPSILON, cauchy_activation,
-                         cauchy_activation_derivative,
-                         cauchy_activation_partials)
+                         cauchy_activation_derivative)
 from .baseline import MlpModel, init_mlp, mlp_trainable
 from .complex_linalg import Rng, derive_seed, normal_complex
 from .data import (Decomposition, DiskMask, IntervalMask, ScalerState,

@@ -1,25 +1,20 @@
 """The inversion activation: a product of shifted complex reciprocals.
 
 For a complex vector z and real offset epsilon the activation is
-``prod_i 1/(z_i + epsilon)``.  It is holomorphic wherever no shifted
-component vanishes, with componentwise partial ``-act(z) / (z_j + epsilon)``
-and, in the scalar case, derivative ``-1/(z + epsilon)^2 = -act(z)^2``.
+``prod_i 1/(z_i + epsilon)``: one row of the Cauchy kernel block of
+`kernel.cauchy_block`, taken at x = 0 with shifts z.  It is holomorphic
+wherever no shifted component vanishes, with, in the scalar case,
+derivative ``-1/(z + epsilon)^2 = -act(z)^2``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, PoleEncountered
+from .errors import PoleEncountered
+from .kernel import cauchy_block
 
 DEFAULT_EPSILON = 1e-8
-
-
-def _shift(z, epsilon: float) -> np.ndarray:
-    w = np.atleast_1d(np.asarray(z, dtype=complex)) + epsilon
-    if np.any(w == 0):
-        raise PoleEncountered("shifted component is exactly zero")
-    return w
 
 
 def cauchy_activation(z, epsilon: float = 0.0) -> complex:
@@ -28,40 +23,15 @@ def cauchy_activation(z, epsilon: float = 0.0) -> complex:
     Raises PoleEncountered when a shifted component is zero and
     NonFiniteError when the product overflows.
     """
-    w = _shift(z, epsilon)
-    out = complex(np.prod(1.0 / w))
-    if not (np.isfinite(out.real) and np.isfinite(out.imag)):
-        raise NonFiniteError("activation product overflowed")
-    return out
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return complex(cauchy_block(np.zeros((1, z.size)), z[None, :], epsilon, [1.0])[1][0, 0])
 
 
 def cauchy_activation_derivative(z: complex, epsilon: float = 0.0) -> complex:
     """Scalar derivative -1/(z + epsilon)^2."""
-    w = _shift(z, epsilon)
+    w = np.atleast_1d(np.asarray(z, dtype=complex)) + epsilon
     if w.size != 1:
         raise ValueError("scalar derivative expects a single complex input")
+    if w[0] == 0:
+        raise PoleEncountered("shifted input is exactly zero")
     return complex(-1.0 / (w[0] * w[0]))
-
-
-def cauchy_activation_partials(z, epsilon: float = 0.0) -> np.ndarray:
-    """Vector of partials -act(z)/(z_j + epsilon), one per component."""
-    w = _shift(z, epsilon)
-    act = cauchy_activation(z, epsilon)
-    return -act / w
-
-
-def wirtinger_conjugate_residual(z: complex, epsilon: float = 0.0,
-                                 step: float = 1e-6) -> float:
-    """|d(act)/d(conj z)| estimated by central differences on re/im.
-
-    The conjugate derivative of a holomorphic function vanishes; this
-    residual is a numerical holomorphicity check, meaningful only away from
-    the pole (the finite-difference stencil must not straddle it).
-    """
-    def f(x, y):
-        return cauchy_activation([complex(x, y)], epsilon)
-
-    x, y = z.real, z.imag
-    dfdx = (f(x + step, y) - f(x - step, y)) / (2 * step)
-    dfdy = (f(x, y + step) - f(x, y - step)) / (2 * step)
-    return abs(0.5 * (dfdx + 1j * dfdy))

@@ -72,14 +72,13 @@ def read_int(doc: dict, key: str, path) -> int:
 
 
 def read_array(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
-    """A finite float array; a None entry in `shape` accepts any length."""
+    """A finite float array of the given shape."""
     val = _field(doc, key, path)
     try:
         arr = np.asarray(val)
     except ValueError:                       # ragged nesting
         arr = np.asarray(None)
-    if (arr.dtype.kind not in "iuf" or arr.ndim != len(shape)
-            or any(s is not None and s != n for s, n in zip(shape, arr.shape))):
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
         raise SchemaError(f"{path}: {key!r} must be a numeric array of shape "
                           f"{shape}, got {val!r:.60}")
     arr = arr.astype(float)
@@ -89,13 +88,10 @@ def read_array(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
 
 
 def read_complex(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
-    """doc[key_re] + 1j*doc[key_im], each part checked before combining.
-
-    The real part fixes any free (None) lengths; the imaginary part must
-    then match it exactly, so a short part cannot broadcast.
-    """
+    """doc[key_re] + 1j*doc[key_im], each part checked for `shape` before
+    combining, so a short part cannot broadcast."""
     re = read_array(doc, f"{key}_re", shape, path)
-    im = read_array(doc, f"{key}_im", re.shape, path)
+    im = read_array(doc, f"{key}_im", shape, path)
     return re + 1j * im
 
 

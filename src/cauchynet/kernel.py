@@ -11,24 +11,28 @@ analytic, so the error decays geometrically in the node count; this makes
 the expansion an independent, training-free reference for approximation
 tests.
 
-Every kernel evaluation goes through one helper that builds the kernel
-matrix for at most EVAL_BLOCK points at a time from N 2-D difference
-columns, so no (n, k, N) array is ever formed.
+The network's hidden layer is the same kernel: hidden_k = prod_i
+1/(x_i + B_ki + eps) = (-1)^N K(xi_k, x) for centres xi = -(B + eps).
+`cauchy_block` computes it, and its weighted sum, for a block of rows;
+every caller goes through it: the network's forward pass and `predict`,
+the expansion's evaluation and least-squares fit, and the scalar
+activation.  `kernel_rows` walks an input EVAL_BLOCK rows at a time, so no
+(n, k, N) array is ever formed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from . import fileio
-from .errors import PoleEncountered, SingularSystem
+from .errors import NonFiniteError, PoleEncountered, SingularSystem
 
 DEFAULT_RIDGE = 1e-15
-# Points per kernel block: a (64, k) complex block is ~2.4 MB at the 2304
-# centres of a 48x48 two-dimensional quadrature, about one L2 cache.
+# Rows per kernel block: a (64, k) complex block is ~2.4 MB at the 2304
+# centres of a 48x48 two-dimensional quadrature, about one L2 cache, and
+# the network's (64, h) blocks fit it at every preset width.
 EVAL_BLOCK = 64
 
 
@@ -62,34 +66,56 @@ class KernelExpansion:
             raise ValueError("points and weights differ in length")
 
 
-def _kernel_block(xi, X, out=None) -> np.ndarray:
-    """The (rows, k) kernel matrix prod_i 1/(xi_ki - X_ji).
+def cauchy_block(X, shifts, eps, weights):
+    """(o, hidden, shifted) with hidden = 1 / prod_i (x_i + shifts_:i + eps)
+    and o = hidden @ weights.
 
-    xi is a complex (k, N) array of centres and X a real (rows, N) block of
-    points.  The N differences are formed as (rows, k) columns, the layout
-    `model.forward_batch` uses, multiplied in place into `out` (allocated
-    when None) and inverted once.  A zero difference leaves the block
-    non-finite; only then are the columns scanned for an exact hit, which
-    raises PoleEncountered.
+    X is a real (rows, m) block, shifts a complex (h, m) array, eps a real
+    offset and weights a complex (h,) vector.  shifted is the list of the m
+    (rows, h) columns X[:, i, None] + shifts[:, i] + eps; they are
+    multiplied left to right with complex `*` and 1.0 is divided by the
+    product once.  The one finiteness check is on o, h times smaller than
+    hidden: a non-finite hidden entry makes its row of o non-finite too
+    (inf * 0 is NaN), as does an overflowing sum.  Only when it fails are
+    the columns scanned for an exact zero: PoleEncountered for a hit,
+    NonFiniteError otherwise.
     """
-    if X.shape[1] != xi.shape[1]:
-        raise ValueError(f"points must have {xi.shape[1]} coordinates, got {X.shape[1]}")
-    K = np.subtract(xi[:, 0], X[:, 0, None], out=out)
-    for i in range(1, X.shape[1]):
-        K *= xi[:, i] - X[:, i, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.reciprocal(K, out=K)
-    if not np.all(np.isfinite(K)) and any(
-            np.any(xi[:, i] == X[:, i, None]) for i in range(X.shape[1])):
-        raise PoleEncountered("evaluation point coincides with a kernel centre")
-    return K
+    if X.shape[1] != shifts.shape[1]:
+        raise ValueError(f"inputs must have {shifts.shape[1]} columns, got {X.shape[1]}")
+    shifted = [X[:, i, None] + shifts[:, i] + eps for i in range(X.shape[1])]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prod = shifted[0]
+        for s in shifted[1:]:
+            prod = prod * s
+        hidden = 1.0 / prod
+        o = hidden @ weights
+    if not np.all(np.isfinite(o)):
+        if any(np.any(s == 0) for s in shifted):
+            raise PoleEncountered("input coincides with a kernel pole")
+        raise NonFiniteError("kernel block overflowed")
+    return o, hidden, shifted
+
+
+def kernel_rows(X, shifts, eps, weights):
+    """Yield (rows, o, hidden) of `cauchy_block` over consecutive
+    EVAL_BLOCK-row blocks of X."""
+    for lo in range(0, len(X), EVAL_BLOCK):
+        rows = slice(lo, lo + EVAL_BLOCK)
+        yield (rows, *cauchy_block(X[rows], shifts, eps, weights)[:2])
+
+
+def kernel_sum(X, shifts, eps, weights) -> np.ndarray:
+    """o = hidden @ weights over all rows of X, one block at a time."""
+    out = np.empty(len(X), dtype=complex)
+    for rows, o, _ in kernel_rows(X, shifts, eps, weights):
+        out[rows] = o
+    return out
 
 
 def cauchy_kernel(xi, x) -> complex:
     """prod_i 1/(xi_i - x_i); raises PoleEncountered on a zero factor."""
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return complex(_kernel_block(xi[None, :], x[None, :])[0, 0])
+    return evaluate_expansion(KernelExpansion(xi[None, :], [1.0]), x)
 
 
 def ellipse_mesh(a: float, b: float, center: complex = 0j,
@@ -108,52 +134,49 @@ def ellipse_mesh(a: float, b: float, center: complex = 0j,
 def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
     """Discretize the boundary integral of f against the Cauchy kernel.
 
-    For each tensor-product node zeta_k the weight is
-    f(zeta_k) * prod_i dzeta_k,i / (2 pi i)^N.  f_boundary receives a
-    complex scalar for N=1 and a complex vector for N>1.
+    The nodes zeta_k are the tensor product of the per-dimension contour
+    nodes, the last dimension varying fastest, and each weight is
+    f(zeta_k) * prod_i dzeta_k,i / (2 pi i)^N.  f_boundary is called once,
+    on the complex (N, k) array of all nodes with one row per dimension; it
+    returns the k values in any shape that broadcasts to (1, k), so a
+    constant such as `lambda z: 1.0` serves.  A non-finite value (f has a
+    pole on the contour) raises NonFiniteError.
     """
-    N = mesh.ndim
-    scale = (2j * np.pi) ** N
-    points, weights = [], []
-    for combo in itertools.product(*(range(len(nd)) for nd in mesh.nodes)):
-        zeta = np.array([mesh.nodes[i][j] for i, j in enumerate(combo)])
-        dz = np.prod([mesh.increments[i][j] for i, j in enumerate(combo)])
-        fval = f_boundary(zeta[0] if N == 1 else zeta)
-        points.append(zeta)
-        weights.append(complex(fval) * dz / scale)
-    return KernelExpansion(np.array(points), np.array(weights))
+    zeta = np.stack([g.ravel() for g in np.meshgrid(*mesh.nodes, indexing="ij")])
+    dz = reduce(np.multiply.outer, mesh.increments).ravel()
+    fval = np.broadcast_to(np.asarray(f_boundary(zeta), dtype=complex), (1, len(dz)))[0]
+    if not np.all(np.isfinite(fval)):
+        raise NonFiniteError("f_boundary is not finite at every contour node")
+    return KernelExpansion(zeta.T, fval * dz / (2j * np.pi) ** mesh.ndim)
 
 
 def evaluate_expansion(exp: KernelExpansion, x) -> complex:
-    """sum_k theta_k K(xi_k, x); an empty expansion evaluates to 0."""
-    if len(exp.theta) == 0:
-        return 0j
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return complex((_kernel_block(exp.xi, x[None, :]) @ exp.theta)[0])
+    """sum_k theta_k K(xi_k, x) at one point; an empty expansion evaluates to 0."""
+    return complex(evaluate_expansion_grid(exp, [np.atleast_1d(x)])[0])
 
 
 def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     """evaluate_expansion over an (n,) or (n, N) array of points.
 
-    Fills the result EVAL_BLOCK points at a time with `block @ theta`, so
-    the working set is one (EVAL_BLOCK, k) kernel block whatever n is.
+    theta_k K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is
+    the network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign
+    flips are exact): the same `kernel_sum` that `model.predict` runs.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
-    out = np.empty(len(xs), dtype=complex)
-    for r in range(0, len(xs), EVAL_BLOCK):
-        out[r:r + EVAL_BLOCK] = _kernel_block(exp.xi, xs[r:r + EVAL_BLOCK]) @ exp.theta
-    return out
+    return kernel_sum(xs, -exp.xi, 0.0, (-1) ** exp.xi.shape[1] * exp.theta)
 
 
 def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
                                 ) -> KernelExpansion:
     """Weights minimizing sum_j |sum_k theta_k K(xi_k, x_j) - f_j|^2 + ridge*|theta|^2.
 
-    The design matrix A is built in EVAL_BLOCK-row blocks into one (n, k+1)
-    buffer whose last column is f.  R = qr([A | f], mode="r") reduces the
-    problem to R[:k, :k] theta ~ R[:k, k] (fewer than k rows when n < k),
+    A = (-1)^N H for the kernel blocks H of `kernel_rows` (shifts -xi,
+    eps 0), so the fit solves for (-1)^N theta against H and flips the sign
+    at the end.  The blocks fill one (n, k+1) buffer whose last column is
+    f.  R = qr([H | f], mode="r") reduces the problem to
+    R[:k, :k] (-1)^N theta ~ R[:k, k] (fewer than k rows when n < k),
     solved through its SVD with the filter factors s/(s^2 + ridge): in
     exact arithmetic the same weights as that filter on the SVD of A,
     without forming Q or A's (n, k) left singular vectors.  Cauchy-kernel
@@ -174,8 +197,9 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     k = len(points)
     Af = np.empty((len(xs), k + 1), dtype=complex)
     Af[:, k] = [complex(s[1]) for s in samples]
-    for r in range(0, len(xs), EVAL_BLOCK):
-        _kernel_block(points, xs[r:r + EVAL_BLOCK], out=Af[r:r + EVAL_BLOCK, :k])
+    # the row sums of H carry the finiteness check of each block
+    for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
+        Af[rows, :k] = hidden
 
     R = np.linalg.qr(Af, mode="r")
     try:
@@ -189,21 +213,4 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     theta = Vh.conj().T @ (filt * (U.conj().T @ R[:k, k]))
     if not np.all(np.isfinite(theta)):
         raise SingularSystem("regularized solve produced non-finite weights")
-    return KernelExpansion(points, theta)
-
-
-def save_expansion(exp: KernelExpansion, path) -> None:
-    fileio.write_json(path, {
-        "version": 1,
-        "xi_re": exp.xi.real.tolist(),
-        "xi_im": exp.xi.imag.tolist(),
-        "theta_re": exp.theta.real.tolist(),
-        "theta_im": exp.theta.imag.tolist(),
-    })
-
-
-def load_expansion(path) -> KernelExpansion:
-    """Load an expansion; any malformed field raises SchemaError."""
-    doc = fileio.read_json(path, 1)
-    xi = fileio.read_complex(doc, "xi", (None, None), path)
-    return KernelExpansion(xi, fileio.read_complex(doc, "theta", (len(xi),), path))
+    return KernelExpansion(points, (-1) ** points.shape[1] * theta)

@@ -10,7 +10,8 @@ linearly:
     o        = sum_k C_k * hidden_k = y + i e
 
 y is the prediction; e is the imaginary error term driven toward zero by
-the training penalty.
+the training penalty.  The hidden layer is the Cauchy kernel of
+`kernel.cauchy_block` with shifts B and offset epsilon.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ import numpy as np
 from . import fileio
 from .activation import DEFAULT_EPSILON
 from .complex_linalg import Rng, copy_into, normal_complex, require_finite
-from .errors import NonFiniteError, PoleEncountered, SchemaError
+from .errors import SchemaError
 from .data import ScalerState
+from .kernel import cauchy_block, kernel_sum
 
 CHECKPOINT_VERSION = 1
 _GOLD = 0.6180339887498949
-# Rows per forward pass in `predict`: a block's (rows, h) complex arrays
-# stay inside a 2 MiB L2 cache at the preset widths.
-PREDICT_BLOCK = 64
 
 
 class CauchyNetModel:
@@ -127,53 +126,26 @@ def forward_batch(model: CauchyNetModel, X):
     """Vectorized forward over an (n, m) batch.
 
     Returns (o, hidden, shifted): o has shape (n,), hidden (n, h), and
-    shifted is the list of the m columns x_i + B_:i + epsilon, each (n, h).
-    hidden is the left-to-right product of the columns, inverted once.
+    shifted is the list of the m columns x_i + B_:i + epsilon, each (n, h),
+    as `kernel.cauchy_block` builds them.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if X.shape[1] != model.m:
-        raise ValueError(f"inputs must have {model.m} columns")
-    # Each column is built from real arrays, bit for bit the complex sum
-    # x + B + epsilon: Im B + 0.0 turns -0.0 into +0.0 as that sum does.
-    shifted = []
-    for i in range(model.m):
-        s = np.empty((len(X), model.h), dtype=complex)
-        np.add(X[:, i, None], model.B.real[:, i], out=s.real)
-        s.real += model.epsilon
-        s.imag[...] = model.B.imag[:, i] + 0.0
-        shifted.append(s)
-    # a pole or an overflow surfaces through the finiteness check of o
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prod = shifted[0]
-        for s in shifted[1:]:
-            prod = prod * s
-        hidden = 1.0 / prod
-        o = hidden @ model.C
-    if not np.all(np.isfinite(o)):
-        if any(np.any(s == 0) for s in shifted):
-            raise PoleEncountered("input hits a hidden-unit pole")
-        raise NonFiniteError("forward pass overflowed")
-    return o, hidden, shifted
+    return cauchy_block(X, model.B, model.epsilon, model.C)
 
 
 def predict(model: CauchyNetModel, X):
     """Batch prediction returning (y, e) arrays.
 
-    Runs `forward_batch` over blocks of PREDICT_BLOCK rows (the last may
-    be shorter).
+    The forward output, computed by `kernel.kernel_sum` one block of
+    kernel.EVAL_BLOCK rows at a time.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    n = len(X)
-    y, e = np.empty(n), np.empty(n)
-    for lo in range(0, n, PREDICT_BLOCK):
-        block = slice(lo, lo + PREDICT_BLOCK)
-        o, _, _ = forward_batch(model, X[block])
-        y[block], e[block] = o.real, o.imag
-    return y, e
+    o = kernel_sum(X, model.B, model.epsilon, model.C)
+    return o.real, o.imag
 
 
 def parameter_count(model: CauchyNetModel):

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from cauchynet.activation import (cauchy_activation,
-                                  cauchy_activation_derivative,
-                                  cauchy_activation_partials,
-                                  wirtinger_conjugate_residual)
+from cauchynet.activation import cauchy_activation, cauchy_activation_derivative
 from cauchynet.complex_linalg import Rng
 from cauchynet.errors import PoleEncountered
 
@@ -48,29 +45,6 @@ def test_derivative_equals_negative_square_of_activation():
         d = cauchy_activation_derivative(z)
         s = -cauchy_activation([z]) ** 2
         assert abs(d - s) <= 1e-12 * abs(d)
-
-
-def test_conjugate_wirtinger_residual_vanishes():
-    rng = Rng(2718)
-    for _ in range(200):
-        z = random_offaxis(rng, lo=0.1, hi=5.0)
-        assert wirtinger_conjugate_residual(z, step=1e-6) < 1e-6
-
-
-def test_vector_partials_match_finite_differences():
-    rng = Rng(161803)
-    for m in (1, 2, 3, 4):
-        for _ in range(20):
-            z = np.array([random_offaxis(rng, lo=0.3, hi=3.0) for _ in range(m)])
-            partials = cauchy_activation_partials(z)
-            for j in range(m):
-                step = 1e-6
-                zp = z.copy()
-                zp[j] += step
-                zm = z.copy()
-                zm[j] -= step
-                fd = (cauchy_activation(zp) - cauchy_activation(zm)) / (2 * step)
-                assert abs(partials[j] - fd) / abs(partials[j]) < 1e-6
 
 
 def test_epsilon_shifts_both_value_and_pole_check():

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from cauchynet.baseline import init_mlp, load_mlp_checkpoint, save_mlp_checkpoint
@@ -8,7 +7,6 @@ from cauchynet.complex_linalg import Rng
 from cauchynet.data import ScalerState
 from cauchynet.errors import SchemaError
 from cauchynet.fileio import write_csv
-from cauchynet.kernel import KernelExpansion, load_expansion, save_expansion
 from cauchynet.model import init_xavier_complex, load_checkpoint, save_checkpoint
 
 SCALER = ScalerState(-1.5, 2.0, 0.0, 1.0)
@@ -22,18 +20,10 @@ def _save_mlp(path):
     save_mlp_checkpoint(init_mlp(3, 2, Rng(1)), SCALER, path)
 
 
-def _save_expansion(path):
-    t = 2 * np.pi * np.arange(4) / 4
-    save_expansion(KernelExpansion(np.stack([2 * np.exp(1j * t), 3 * np.exp(1j * t)], 1),
-                                   np.exp(1j * t)), path)
-
-
-# format -> (save, load, a 1-D or 2-D array to shorten, a 2-D array to corrupt,
-#            has a scaler block)
+# format -> (save, load, a 1-D array to shorten, a 2-D array to corrupt)
 FORMATS = {
-    "model": (_save_model, load_checkpoint, "C_im", "B_re", True),
-    "mlp": (_save_mlp, load_mlp_checkpoint, "W2", "W1", True),
-    "expansion": (_save_expansion, load_expansion, "xi_im", "xi_re", False),
+    "model": (_save_model, load_checkpoint, "C_im", "B_re"),
+    "mlp": (_save_mlp, load_mlp_checkpoint, "W2", "W1"),
 }
 
 
@@ -77,10 +67,9 @@ DEFECTS = {"short-array": _shorten, "non-numeric": _non_numeric,
 
 
 @pytest.mark.parametrize("fmt,defect", [
-    (fmt, defect) for fmt in FORMATS for defect in DEFECTS
-    if FORMATS[fmt][4] or not defect.startswith("scaler")])
+    (fmt, defect) for fmt in FORMATS for defect in DEFECTS])
 def test_malformed_document_raises_schema_error(tmp_path, fmt, defect):
-    save, load, short, grid, _ = FORMATS[fmt]
+    save, load, short, grid = FORMATS[fmt]
     path = tmp_path / "doc.json"
     save(path)
     load(path)                           # the intact file loads

@@ -2,7 +2,7 @@
 
 The training kernels each follow one rounding rule: `forward_batch` multiplies
 its m shifted (n, h) columns left to right with complex `*` and divides
-1.0 by the product once; `predict` runs it over PREDICT_BLOCK-row blocks.
+1.0 by the product once; `predict` runs it over EVAL_BLOCK-row blocks.
 `batch_gradient` divides nothing: with cg = (2/n) ((y - y_true) - i lam e)
 it takes dC = conj(cg @ hidden) and dB[:, i] = -conj(C) * conj(cg @ P_i),
 where P_i is hidden * hidden times the other shifted columns, left to
@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 from cauchynet.complex_linalg import Rng
 from cauchynet.errors import NonFiniteError, PoleEncountered
 from cauchynet.grad import backward, batch_gradient
-from cauchynet.kernel import KernelExpansion, evaluate_expansion_grid
-from cauchynet.model import (PREDICT_BLOCK, CauchyNetModel, forward_batch,
-                             init_elliptical, predict, split_parameters)
+from cauchynet.kernel import EVAL_BLOCK, KernelExpansion, evaluate_expansion_grid
+from cauchynet.model import (CauchyNetModel, forward_batch, init_elliptical,
+                             predict, split_parameters)
 
 EPS = np.finfo(float).eps
 # Every error below is scaled to eps and must stay within KERNEL_TOL.  The
@@ -88,8 +88,8 @@ def test_kernels_match_reference_bytes(h, m, n):
     columns = [X[:, i, None] + model.B[:, i] + model.epsilon for i in range(m)]
     assert hidden.tobytes() == (1.0 / reduce(mul, columns)).tobytes()
     assert o.tobytes() == (hidden @ model.C).tobytes()
-    blocks = [forward_batch(model, X[lo:lo + PREDICT_BLOCK])[0]
-              for lo in range(0, n, PREDICT_BLOCK)]
+    blocks = [forward_batch(model, X[lo:lo + EVAL_BLOCK])[0]
+              for lo in range(0, n, EVAL_BLOCK)]
     yp, ep = predict(model, X)
     assert (yp + 1j * ep).tobytes() == np.concatenate(blocks).tobytes()
     lam = 0.1
@@ -131,6 +131,20 @@ def test_network_is_a_cauchy_kernel_expansion(h, m):
                   np.abs(model.C * hidden).sum(axis=1), "oracle")
 
 
+@pytest.mark.parametrize("n", [1, 64, 65, 1069])
+@pytest.mark.parametrize("h", [1, 37, 128])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_predict_and_oracle_share_one_kernel(h, m, n):
+    """With epsilon = 0 the expansion with centres -B and weights (-1)^m C
+    has the network's shifts and weights exactly, so its bytes are predict's."""
+    model, X, _ = random_case(h, m, n, seed=7 * h + m + n)
+    model = CauchyNetModel(h, m, 0.0, model.B, model.C)
+    yp, ep = predict(model, X)
+    vals = evaluate_expansion_grid(KernelExpansion(-model.B, (-1) ** m * model.C), X)
+    assert yp.tobytes() == vals.real.tobytes()
+    assert ep.tobytes() == vals.imag.tobytes()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 200, 1603])
 def test_permutation_equals_shuffle_of_range(n):
     for seed in (0, 7, 2 ** 64 - 1):
@@ -145,17 +159,28 @@ def test_permutation_equals_shuffle_of_range(n):
 def test_predict_raises_on_a_pole_in_a_later_block():
     model = CauchyNetModel(2, 1, 0.0, np.array([[-0.5 + 0.0j], [0.3j]]),
                            np.array([1.0 + 0j, 2.0 + 0j]))
-    X = np.linspace(-1.0, 1.0, 3 * PREDICT_BLOCK)[:, None]
-    X[PREDICT_BLOCK + 5] = 0.5            # x + B_00 == 0 in the second block
+    X = np.linspace(-1.0, 1.0, 3 * EVAL_BLOCK)[:, None]
+    X[EVAL_BLOCK + 5] = 0.5            # x + B_00 == 0 in the second block
     with pytest.raises(PoleEncountered):
         predict(model, X)
-    X[PREDICT_BLOCK + 5] = 0.25
+    X[EVAL_BLOCK + 5] = 0.25
     y, _ = predict(model, X)
     assert np.all(np.isfinite(y))
 
 
 def test_forward_overflow_raises_non_finite():
     model = CauchyNetModel(1, 2, 0.0, np.array([[1e-160j, 1e-160j]]),
+                           np.array([1e10 + 0j]))
+    with pytest.raises(NonFiniteError) as exc:
+        forward_batch(model, np.zeros((3, 2)))
+    assert not isinstance(exc.value, PoleEncountered)
+    with pytest.raises(NonFiniteError):
+        predict(model, np.zeros((3, 2)))
+
+
+def test_forward_sum_overflow_raises_non_finite():
+    """hidden = -1e300 is finite, but C * hidden overflows in o."""
+    model = CauchyNetModel(1, 2, 0.0, np.array([[1e-150j, 1e-150j]]),
                            np.array([1e10 + 0j]))
     with pytest.raises(NonFiniteError) as exc:
         forward_batch(model, np.zeros((3, 2)))
