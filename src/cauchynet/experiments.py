@@ -655,7 +655,7 @@ KERNEL_DEMOS = {
     "one": (lambda z: 1.0 + 0j, lambda x: np.ones_like(x)),
     "square": (lambda z: z * z, lambda x: x * x),
     "exp": (np.exp, np.exp),
-    "inverse-shift": (lambda z: 1.0 / (2.0 - z), lambda x: 1.0 / (2.0 - x)),
+    "inverse-shift": (lambda z: 1.0 / (3.0 - z), lambda x: 1.0 / (3.0 - x)),
 }
 
 

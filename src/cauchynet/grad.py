@@ -24,8 +24,6 @@ matrix-vector product per parameter block and one conjugation of its
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
 
 import numpy as np
 
@@ -76,11 +74,16 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
         r = y - y_true
         cg = (2.0 / len(X)) * (r - 1j * lam * e)             # (n,)
         dC[...] = np.conj(cg @ hidden)
-        hh = hidden * hidden
+        # hidden is this call's own forward buffer and is not read again;
+        # every P_i with m > 1 reuses one (n, h) array
+        hh = np.multiply(hidden, hidden, out=hidden)
+        buf = np.empty_like(hh) if model.m > 1 else None
         minus_conj_c = -np.conj(model.C)
         for i in range(model.m):
-            others = (s for j, s in enumerate(shifted) if j != i)
-            dB[:, i] = minus_conj_c * np.conj(cg @ reduce(mul, others, hh))
+            P = hh
+            for s in (s for j, s in enumerate(shifted) if j != i):
+                P = np.multiply(P, s, out=buf)
+            dB[:, i] = minus_conj_c * np.conj(cg @ P)
 
         fit = float((r ** 2).mean())
         pen = float(lam * (e * e).mean())

@@ -66,7 +66,7 @@ class KernelExpansion:
             raise ValueError("points and weights differ in length")
 
 
-def cauchy_block(X, shifts, eps, weights):
+def cauchy_block(X, shifts, eps, weights, work=None):
     """(o, hidden, shifted) with hidden = 1 / prod_i (x_i + shifts_:i + eps)
     and o = hidden @ weights.
 
@@ -74,20 +74,29 @@ def cauchy_block(X, shifts, eps, weights):
     offset and weights a complex (h,) vector.  shifted is the list of the m
     (rows, h) columns X[:, i, None] + shifts[:, i] + eps; they are
     multiplied left to right with complex `*` and 1.0 is divided by the
-    product once.  The one finiteness check is on o, h times smaller than
-    hidden: a non-finite hidden entry makes its row of o non-finite too
-    (inf * 0 is NaN), as does an overflowing sum.  Only when it fails are
-    the columns scanned for an exact zero: PoleEncountered for a hit,
-    NonFiniteError otherwise.
+    product once.  The columns and hidden are the m + 1 leading (rows, h)
+    slices of one complex (m + 1, >= rows, h) buffer, `work`, allocated
+    here when not given; every step writes into it in place, so a call
+    makes no other (rows, h) array.  o is always a fresh array.  The one
+    finiteness check is on o, h times smaller than hidden: a non-finite
+    hidden entry makes its row of o non-finite too (inf * 0 is NaN), as
+    does an overflowing sum.  Only when it fails are the columns scanned
+    for an exact zero: PoleEncountered for a hit, NonFiniteError otherwise.
     """
-    if X.shape[1] != shifts.shape[1]:
-        raise ValueError(f"inputs must have {shifts.shape[1]} columns, got {X.shape[1]}")
-    shifted = [X[:, i, None] + shifts[:, i] + eps for i in range(X.shape[1])]
+    rows, m = X.shape
+    if m != shifts.shape[1]:
+        raise ValueError(f"inputs must have {shifts.shape[1]} columns, got {m}")
+    if work is None:
+        work = np.empty((m + 1, rows, len(shifts)), dtype=complex)
+    shifted = [np.add(X[:, i, None], shifts[:, i], out=work[i, :rows]) for i in range(m)]
+    for s in shifted:
+        s += eps
+    hidden = work[m, :rows]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prod = shifted[0]
-        for s in shifted[1:]:
-            prod = prod * s
-        hidden = 1.0 / prod
+        prod = shifted[0] if m == 1 else np.multiply(shifted[0], shifted[1], out=hidden)
+        for s in shifted[2:]:
+            prod *= s
+        np.divide(1.0, prod, out=hidden)
         o = hidden @ weights
     if not np.all(np.isfinite(o)):
         if any(np.any(s == 0) for s in shifted):
@@ -98,10 +107,18 @@ def cauchy_block(X, shifts, eps, weights):
 
 def kernel_rows(X, shifts, eps, weights):
     """Yield (rows, o, hidden) of `cauchy_block` over consecutive
-    EVAL_BLOCK-row blocks of X."""
+    EVAL_BLOCK-row blocks of X.
+
+    Every block writes into one (m + 1, min(n, EVAL_BLOCK), h) buffer
+    allocated for this call (the last, shorter block uses its leading
+    rows), so each yielded hidden is overwritten by the next block; o is a
+    fresh array.
+    """
+    work = np.empty((shifts.shape[1] + 1, min(len(X), EVAL_BLOCK), len(shifts)),
+                    dtype=complex)
     for lo in range(0, len(X), EVAL_BLOCK):
         rows = slice(lo, lo + EVAL_BLOCK)
-        yield (rows, *cauchy_block(X[rows], shifts, eps, weights)[:2])
+        yield (rows, *cauchy_block(X[rows], shifts, eps, weights, work)[:2])
 
 
 def kernel_sum(X, shifts, eps, weights) -> np.ndarray:

@@ -127,7 +127,9 @@ def forward_batch(model: CauchyNetModel, X):
 
     Returns (o, hidden, shifted): o has shape (n,), hidden (n, h), and
     shifted is the list of the m columns x_i + B_:i + epsilon, each (n, h),
-    as `kernel.cauchy_block` builds them.
+    as `kernel.cauchy_block` builds them.  hidden and the columns are views
+    of one complex (m + 1, n, h) array made fresh for this call and shared
+    with no other; o is a separate fresh array.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:

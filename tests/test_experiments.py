@@ -513,6 +513,15 @@ def test_cli_kernel_demo(tmp_path, capsys):
     assert (tmp_path / "kernel-demo" / "kernel_demo.csv").exists()
 
 
+def test_cli_kernel_demo_inverse_shift_default_contour(tmp_path, capsys):
+    # the target's pole lies outside the default a=2, b=1 contour
+    rc = cli.main(["kernel-demo", "--target", "inverse-shift", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "kernel-demo" / "kernel_demo.csv").read_text().splitlines()
+    errors = [float(line.split(",")[1]) for line in lines[1:]]
+    assert len(errors) == 4 and errors[-1] < 1e-12
+
+
 def test_cli_decompose(tmp_path, capsys):
     src = tmp_path / "series.csv"
     n, period = 36, 6

@@ -12,6 +12,7 @@ test compares every kernel output with the direct formula evaluated in
 np.clongdouble.
 """
 
+import tracemalloc
 from functools import reduce
 from operator import mul
 
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 from cauchynet.complex_linalg import Rng
 from cauchynet.errors import NonFiniteError, PoleEncountered
 from cauchynet.grad import backward, batch_gradient
-from cauchynet.kernel import EVAL_BLOCK, KernelExpansion, evaluate_expansion_grid
+from cauchynet.kernel import (EVAL_BLOCK, KernelExpansion, evaluate_expansion_grid,
+                              kernel_sum)
 from cauchynet.model import (CauchyNetModel, forward_batch, init_elliptical,
                              predict, split_parameters)
 
@@ -99,6 +101,115 @@ def test_kernels_match_reference_bytes(h, m, n):
     for i in range(m):
         P = reduce(mul, [s for j, s in enumerate(shifted) if j != i], hidden * hidden)
         assert dB[:, i].tobytes() == (-np.conj(model.C) * np.conj(cg @ P)).tobytes()
+
+
+def fresh_array_kernels(model, X, y, lam):
+    """(o, hidden, shifted, g) by the fresh-array formulas: one new array per
+    column and per operation, 1.0 / prod, and reduce(mul, others, hidden *
+    hidden) for P_i.  The kernels write into one buffer per call instead
+    and must give these bytes."""
+    shifted = [X[:, i, None] + model.B[:, i] + model.epsilon for i in range(model.m)]
+    prod = shifted[0]
+    for s in shifted[1:]:
+        prod = prod * s
+    hidden = 1.0 / prod
+    o = hidden @ model.C
+    g = np.empty_like(model.params)
+    dB, dC = split_parameters(g, model.h, model.m)
+    cg = (2.0 / len(X)) * ((o.real - y) - 1j * lam * o.imag)
+    dC[...] = np.conj(cg @ hidden)
+    hh = hidden * hidden
+    for i in range(model.m):
+        others = (s for j, s in enumerate(shifted) if j != i)
+        dB[:, i] = -np.conj(model.C) * np.conj(cg @ reduce(mul, others, hh))
+    return o, hidden, shifted, g
+
+
+@pytest.mark.parametrize("n", [1, 22, 32])
+@pytest.mark.parametrize("h", [1, 37, 1224])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_per_call_buffer_matches_fresh_arrays(h, m, n):
+    model, X, y = random_case(h, m, n, seed=100 * h + 10 * m + n)
+    o_ref, hidden_ref, shifted_ref, g_ref = fresh_array_kernels(model, X, y, 0.1)
+    o, hidden, shifted = forward_batch(model, X)
+    assert o.tobytes() == o_ref.tobytes()
+    assert hidden.tobytes() == hidden_ref.tobytes()
+    assert all(s.tobytes() == r.tobytes() for s, r in zip(shifted, shifted_ref, strict=True))
+    assert batch_gradient(model, X, y, 0.1)[1].tobytes() == g_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 1069])
+@pytest.mark.parametrize("h", [37, 1224])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_predict_matches_fresh_array_blocks(h, m, n):
+    model, X, y = random_case(h, m, n, seed=100 * h + 10 * m + n)
+    o_ref = np.concatenate([fresh_array_kernels(model, X[lo:lo + EVAL_BLOCK],
+                                                y[lo:lo + EVAL_BLOCK], 0.0)[0]
+                            for lo in range(0, n, EVAL_BLOCK)])
+    yp, ep = predict(model, X)
+    assert yp.tobytes() == o_ref.real.tobytes()
+    assert ep.tobytes() == o_ref.imag.tobytes()
+
+
+def test_a_second_call_leaves_the_first_results_unchanged():
+    model, X, _ = random_case(37, 2, 2 * EVAL_BLOCK + 5, seed=11)
+    X2 = X[::-1] * 0.5
+    first = forward_batch(model, X)
+    kept = [a.copy() for a in (first[0], first[1], *first[2])]
+    forward_batch(model, X2)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip((first[0], first[1], *first[2]), kept, strict=True))
+    y1, e1 = predict(model, X)
+    kept = y1.copy(), e1.copy()
+    y2, e2 = predict(model, X2)
+    assert y1.tobytes() == kept[0].tobytes() and e1.tobytes() == kept[1].tobytes()
+    assert not any(np.shares_memory(a, b) for a in (y1, e1) for b in (y2, e2))
+    s1 = kernel_sum(X, model.B, model.epsilon, model.C)
+    kept = s1.copy()
+    kernel_sum(X2, model.B, model.epsilon, model.C)
+    assert s1.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("m,column", [(2, 0), (2, 1), (3, 1), (3, 2)])
+def test_exact_pole_in_any_column_raises_pole(m, column):
+    """The product accumulates in hidden's slot, so the columns stay intact
+    for the pole scan."""
+    B = np.full((2, m), 0.3j)
+    B[1, column] = -0.5
+    model = CauchyNetModel(2, m, 0.0, B, [1.0, 2.0])
+    X = np.linspace(-1.0, 1.0, 9)[:, None].repeat(m, axis=1)
+    X[4, column] = 0.5                    # x + B_1,column == 0
+    with pytest.raises(PoleEncountered):
+        forward_batch(model, X)
+    with pytest.raises(PoleEncountered):
+        predict(model, X)
+
+
+@pytest.mark.parametrize("m,shift", [(2, 1e-160j), (3, 1e-110j)])
+def test_vanishing_product_without_a_pole_raises_non_finite(m, shift):
+    """Every column is nonzero but their product underflows to 0 or below
+    the smallest normal, so 1.0 / prod overflows."""
+    model = CauchyNetModel(1, m, 0.0, np.full((1, m), shift), [1e10])
+    with pytest.raises(NonFiniteError) as exc:
+        forward_batch(model, np.zeros((3, m)))
+    assert not isinstance(exc.value, PoleEncountered)
+
+
+def test_batch_gradient_allocates_one_kernel_buffer():
+    """A warmed m = 1 call at the widest sweep shape allocates the forward
+    pass's (2, n, h) buffer and (h,)-sized vectors, no per-op (n, h)
+    temporary: the fresh-array kernels peaked at ~3.2 (n, h) arrays."""
+    n, h = 32, 1224
+    model, X, y = random_case(h, 1, n, seed=5)
+    batch_gradient(model, X, y, 0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batch_gradient(model, X, y, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * n * h * 16, f"peak {peak / (n * h * 16):.2f} (n, h) arrays"
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
