@@ -9,7 +9,7 @@ reproducible experiment harness.
 from .activation import (DEFAULT_EPSILON, cauchy_activation,
                          cauchy_activation_derivative)
 from .baseline import MlpModel, init_mlp, mlp_trainable
-from .complex_linalg import Rng, derive_seed, normal_complex
+from .complex_linalg import Rng, as_inputs, derive_seed, normal_complex
 from .data import (Decomposition, DiskMask, IntervalMask, ScalerState,
                    SplitDataset, apply_mask, find_turning_points, load_series_csv,
                    make_split, scaler_apply, scaler_fit, scaler_invert,
@@ -21,10 +21,10 @@ from .experiments import (ExperimentSpec, MetricsReport, ModelSpec, PRESETS,
                           run_experiment, run_kernel_demo,
                           run_lambda_ablation, run_sensitivity_grid)
 from .grad import (LossValue, backward, batch_gradient, cauchynet_trainable,
-                   finite_difference_gradients, loss)
-from .kernel import (BoundaryMesh, KernelExpansion, cauchy_kernel,
-                     ellipse_mesh, evaluate_expansion, evaluate_expansion_grid,
-                     fit_expansion_least_squares, quadrature_expansion)
+                   finite_difference_gradients)
+from .kernel import (BoundaryMesh, KernelExpansion, ellipse_mesh,
+                     evaluate_expansion_grid, fit_expansion_least_squares,
+                     quadrature_expansion)
 from .model import (CauchyNetModel, forward_batch, init_elliptical,
                     init_xavier_complex, load_checkpoint, parameter_count,
                     predict, save_checkpoint)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import fileio
-from .complex_linalg import Rng, copy_into
+from .complex_linalg import Rng, as_inputs, copy_into
 from .data import ScalerState
 from .errors import NonFiniteError, SchemaError
 from .grad import LossValue
@@ -73,9 +73,7 @@ def mlp_predict(model: MlpModel, X):
 
     An overflow raises NonFiniteError instead of returning inf or NaN.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_inputs(X)
     with np.errstate(over="ignore", invalid="ignore"):
         pre = X @ model.W1.T + model.b1
         y = np.maximum(pre, 0.0) @ model.W2 + model.b2
@@ -90,9 +88,7 @@ def mlp_batch_gradient(model: MlpModel, X, y_true, lam: float = 0.0):
     lam is accepted for trainer compatibility; the output has no imaginary
     part to penalize.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_inputs(X)
     y_true = np.asarray(y_true, dtype=float)
     n = len(X)
     W2 = model.W2

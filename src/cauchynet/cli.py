@@ -90,8 +90,6 @@ def _add_spec_args(p):
                    help="override a config field (dotted path, JSON value)")
     p.add_argument("--seed", type=int, help="override the training seed")
     p.add_argument("--out", default="runs", help="output directory root")
-    p.add_argument("--plot", action="store_true",
-                   help="also render PNGs when matplotlib is available")
 
 
 def _outdir(args, spec):
@@ -103,10 +101,6 @@ def cmd_train(args):
     report = xp.run_experiment(spec, _outdir(args, spec))
     print(f"{spec.name}: test mse={report.mse:.6g} mae={report.mae:.6g} "
           f"params={report.complex_params} complex / {report.real_params} real")
-    if args.plot:
-        rendered = xp.render_plots(_outdir(args, spec))
-        print("plots: " + (", ".join(rendered) if rendered
-                           else "matplotlib unavailable, CSV data only"))
     print(f"artifacts in {_outdir(args, spec)}")
     return EXIT_OK
 
@@ -131,8 +125,6 @@ def cmd_impute(args):
         raise ValidationError(["impute requires a preset/config with a mask"])
     report = xp.run_experiment(spec, _outdir(args, spec))
     print(f"{spec.name}: hidden-region mse={report.mse:.6g} mae={report.mae:.6g}")
-    if args.plot:
-        xp.render_plots(_outdir(args, spec))
     print(f"signed errors in {_outdir(args, spec) / 'imputation_errors.csv'}")
     return EXIT_OK
 

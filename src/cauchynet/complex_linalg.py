@@ -3,7 +3,8 @@
 Complex vectors and matrices throughout the library are plain numpy
 ``complex128`` arrays (row-major); this module provides the complex
 normal draw, the finiteness check, the shape-checked copy into a weight
-view, and the seeded generator everything else draws from.
+view, the coercion of real inputs to an (n, m) matrix, and the seeded
+generator everything else draws from.
 
 The generator is splitmix64 with Box-Muller normals.  The algorithm is
 spelled out in full (no hidden library state) so that a seed produces the
@@ -67,10 +68,6 @@ class Rng:
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
 
-    def randint(self, n: int) -> int:
-        """Integer in [0, n). Modulo bias is below 2^-60 for the sizes used here."""
-        return self.next_u64() % n
-
     def normal(self, sigma: float = 1.0) -> float:
         """N(0, sigma^2) via Box-Muller; the sine mate is cached for the next call."""
         if self._spare_normal is not None:
@@ -88,17 +85,12 @@ class Rng:
         r = math.sqrt(-2.0 * math.log(u1))
         return r, math.cos(2.0 * math.pi * u2), math.sin(2.0 * math.pi * u2)
 
-    def shuffle(self, seq) -> None:
-        """In-place Fisher-Yates on a mutable sequence."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-
     def permutation(self, n: int) -> np.ndarray:
-        """shuffle(list(range(n))) as an int64 array, leaving the same state.
+        """Fisher-Yates shuffle of range(n) as an int64 array.
 
-        The n - 1 draws are computed at once in wrapping uint64 arithmetic;
-        only the swaps run in Python.
+        For i = n - 1 down to 1, entry i swaps with entry next_u64() %
+        (i + 1).  The n - 1 draws are computed at once in wrapping uint64
+        arithmetic; only the swaps run in Python.
         """
         idx = list(range(n))
         if n > 1:
@@ -137,3 +129,11 @@ def copy_into(view: np.ndarray, value, what: str) -> None:
     if value.shape != view.shape:
         raise ValueError(f"{what} must have shape {view.shape}")
     view[...] = value
+
+
+def as_inputs(X) -> np.ndarray:
+    """Coerce inputs to an (n, m) float array; 1-D input becomes m=1."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    return X

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_linalg import Rng
+from .complex_linalg import Rng, as_inputs
 from .errors import (DegenerateRange, LengthMismatch, NonPositiveValue,
-                     ParseError)
+                     ParseError, ValidationError)
 
 # ---------------------------------------------------------------------------
 # Target functions
@@ -102,14 +102,6 @@ def find_turning_points(f, lo: float, hi: float, grid: int = 2000) -> list[float
 # Splits and masks
 
 
-def _as_inputs(X) -> np.ndarray:
-    """Coerce inputs to an (n, m) float array; 1-D input becomes m=1."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return X
-
-
 @dataclass
 class SplitDataset:
     """Train/val/test arrays with shared input dimension m."""
@@ -120,32 +112,26 @@ class SplitDataset:
     test_x: np.ndarray
     test_y: np.ndarray
     m: int
-    provenance: str = ""
-
-    def sizes(self):
-        return len(self.train_y), len(self.val_y), len(self.test_y)
 
 
-def make_split(X, y, fractions=(0.5, 0.25, 0.25), rng: Rng | None = None,
-               provenance: str = "") -> SplitDataset:
+def make_split(X, y, fractions, rng: Rng) -> SplitDataset:
     """Deterministic shuffled split by the given fractions.
 
     Counts are floor(f_train * n) and floor((f_train + f_val) * n) cut
     points, so (0.5, 0.25, 0.25) on 300 samples gives exactly 150/75/75.
     """
-    X = _as_inputs(X)
+    X = as_inputs(X)
     y = np.asarray(y, dtype=float)
     n = len(y)
     if X.shape[0] != n:
         raise LengthMismatch("X and y differ in length")
     if n < 3:
-        raise ValueError("need at least 3 samples for a 3-way split")
-    idx = rng.permutation(n) if rng is not None else np.arange(n)
+        raise ValidationError("need at least 3 samples for a 3-way split")
+    idx = rng.permutation(n)
     c1 = int(math.floor(fractions[0] * n))
     c2 = int(math.floor((fractions[0] + fractions[1]) * n))
     tr, va, te = idx[:c1], idx[c1:c2], idx[c2:]
-    return SplitDataset(X[tr], y[tr], X[va], y[va], X[te], y[te],
-                        m=X.shape[1], provenance=provenance)
+    return SplitDataset(X[tr], y[tr], X[va], y[va], X[te], y[te], m=X.shape[1])
 
 
 @dataclass
@@ -161,7 +147,7 @@ class IntervalMask:
 
     def contains(self, x) -> np.ndarray:
         """Boolean membership for an (n, m) array of inputs."""
-        xs = _as_inputs(x)[:, 0]
+        xs = as_inputs(x)[:, 0]
         hit = np.zeros(len(xs), dtype=bool)
         for c in self.centers:
             hit |= np.abs(xs - c) <= self.half_width
@@ -177,14 +163,14 @@ class DiskMask:
 
     def contains(self, x) -> np.ndarray:
         """Boolean membership for an (n, m) array of inputs."""
-        x = _as_inputs(x)
+        x = as_inputs(x)
         d2 = (x[:, 0] - self.center[0]) ** 2 + (x[:, 1] - self.center[1]) ** 2
         return d2 <= self.radius ** 2
 
 
 def apply_mask(X, y, mask: IntervalMask | DiskMask):
     """Split samples into (visible, hidden) by geometric mask membership."""
-    X = _as_inputs(X)
+    X = as_inputs(X)
     y = np.asarray(y, dtype=float)
     inside = mask.contains(X)
     return (X[~inside], y[~inside]), (X[inside], y[inside])
@@ -245,9 +231,9 @@ def seasonal_decompose_multiplicative(series, period: int) -> Decomposition:
     s = np.asarray(series, dtype=float)
     n = len(s)
     if period < 2:
-        raise ValueError("period must be at least 2")
+        raise ValidationError("period must be at least 2")
     if n < 2 * period:
-        raise ValueError("series must cover at least two periods")
+        raise ValidationError("series must cover at least two periods")
     if np.any(s <= 0):
         raise NonPositiveValue("multiplicative model requires positive values")
 

@@ -12,7 +12,6 @@ manifest, which the manifest marks as nondeterministic.
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import itertools
 import math
@@ -316,25 +315,31 @@ def resolve_mask(spec: ExperimentSpec) -> IntervalMask | DiskMask | None:
 
 
 def build_dataset(spec: ExperimentSpec) -> dt.SplitDataset:
-    """Sample the generator and split; masked regions become the test set."""
+    """Sample the generator and split; masked regions become the test set.
+
+    An empty split raises ValidationError: only here is the sample count
+    known (a csv-trend series sets its own) to meet the spec's fractions.
+    """
     sample, (lo, hi), target = GENERATORS[spec.generator]
     X, y = sample(spec, Rng(derive_seed(spec.train.seed, _STREAM_SAMPLES)), lo, hi, target)
     split_rng = Rng(derive_seed(spec.train.seed, _STREAM_SPLIT))
     mask = resolve_mask(spec)
     if mask is None:
-        return dt.make_split(X, y, spec.fractions, split_rng,
-                             provenance=spec.generator)
-    (vis_x, vis_y), (hid_x, hid_y) = dt.apply_mask(X, y, mask)
-    if len(hid_y) == 0:
-        raise ValidationError(["mask hides no samples"])
-    if len(vis_y) < 2:
-        raise ValidationError(["mask leaves too few visible samples"])
-    idx = split_rng.permutation(len(vis_y))
-    cut = int(math.floor(spec.masked_fractions[0] * len(vis_y)))
-    tr, va = idx[:cut], idx[cut:]
-    return dt.SplitDataset(vis_x[tr], vis_y[tr], vis_x[va], vis_y[va],
-                           hid_x, hid_y, m=X.shape[1],
-                           provenance=f"{spec.generator}+mask")
+        ds = dt.make_split(X, y, spec.fractions, split_rng)
+    else:
+        (vis_x, vis_y), (hid_x, hid_y) = dt.apply_mask(X, y, mask)
+        if len(hid_y) == 0:
+            raise ValidationError(["mask hides no samples"])
+        idx = split_rng.permutation(len(vis_y))
+        cut = int(math.floor(spec.masked_fractions[0] * len(vis_y)))
+        tr, va = idx[:cut], idx[cut:]
+        ds = dt.SplitDataset(vis_x[tr], vis_y[tr], vis_x[va], vis_y[va],
+                             hid_x, hid_y, m=X.shape[1])
+    empty = [name for name in ("train", "val", "test") if len(getattr(ds, f"{name}_y")) == 0]
+    if empty:
+        raise ValidationError([f"the {name} split is empty ({len(y)} samples)"
+                               for name in empty])
+    return ds
 
 
 def prepare(spec: ExperimentSpec):
@@ -351,8 +356,8 @@ def prepare(spec: ExperimentSpec):
     return ds, scaled, scaler
 
 
-def _init_model(spec: ExperimentSpec, m: int, seed_tag: int):
-    rng = Rng(derive_seed(spec.train.seed, seed_tag))
+def _init_model(spec: ExperimentSpec, m: int):
+    rng = Rng(derive_seed(spec.train.seed, _STREAM_INIT))
     ms = spec.model
     if ms.init == "elliptical":
         return mdl.init_elliptical(ms.h, m, rng, semi_major=ms.init_major,
@@ -408,55 +413,6 @@ def _write_run(outdir: Path, prefix: str, log, ds, scaler, predict_fn) -> dict:
     return preds
 
 
-def render_plots(outdir: Path) -> list[str]:
-    """Render loss-curve and prediction PNGs from a run's CSV artifacts.
-
-    Plot data is always the CSVs; rendering is best-effort and returns the
-    files written (empty when matplotlib is unavailable).
-    """
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return []
-    written = []
-    trainlog = outdir / "trainlog.csv"
-    if trainlog.exists():
-        with open(trainlog, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        fig, ax = plt.subplots(figsize=(6, 4))
-        ax.semilogy([int(r["epoch"]) for r in rows],
-                    [float(r["train_loss"]) for r in rows], label="train")
-        ax.semilogy([int(r["epoch"]) for r in rows],
-                    [float(r["val_loss"]) for r in rows], label="val")
-        ax.set_xlabel("epoch")
-        ax.set_ylabel("loss")
-        ax.legend()
-        fig.tight_layout()
-        fig.savefig(outdir / "loss_curves.png", dpi=120)
-        plt.close(fig)
-        written.append("loss_curves.png")
-    preds = outdir / "predictions.csv"
-    if preds.exists():
-        with open(preds, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        if rows and "x1" not in rows[0]:
-            pts = sorted((float(r["x0"]), float(r["y_true"]), float(r["y_pred"]))
-                         for r in rows)
-            xs = [p[0] for p in pts]
-            fig, ax = plt.subplots(figsize=(6, 4))
-            ax.plot(xs, [p[1] for p in pts], "k--", label="target")
-            ax.plot(xs, [p[2] for p in pts], label="prediction")
-            ax.set_xlabel("x")
-            ax.legend()
-            fig.tight_layout()
-            fig.savefig(outdir / "predictions.png", dpi=120)
-            plt.close(fig)
-            written.append("predictions.png")
-    return written
-
-
 def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
     """Build, train, evaluate, and emit one experiment's artifacts.
 
@@ -491,7 +447,7 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
             write_manifest("diverged")
             raise
 
-    net = _init_model(spec, ds.m, _STREAM_INIT)
+    net = _init_model(spec, ds.m)
     log = fit("", grad.cauchynet_trainable(net), spec.train)
     cplx, real = mdl.parameter_count(net)
     preds = _write_run(outdir, "", log, ds, scaler, lambda X: mdl.predict(net, X))
@@ -566,7 +522,7 @@ def run_lambda_ablation(spec: ExperimentSpec, lambdas=None, outdir=None):
     for lam in lambdas:
         sub = copy.deepcopy(spec)
         sub.train.lam = lam
-        net = _init_model(sub, ds.m, _STREAM_INIT)
+        net = _init_model(sub, ds.m)
 
         def snapshot(epoch, m, _lam=lam):
             yp_s, _ = mdl.predict(m, ds.test_x)
@@ -601,7 +557,7 @@ def _sweep_cell(spec: ExperimentSpec, h, n, lr, wd):
     sub.train.lr0 = float(lr)
     sub.train.weight_decay = float(wd)
     ds, scaled, scaler = prepare(sub)
-    net = _init_model(sub, ds.m, _STREAM_INIT)
+    net = _init_model(sub, ds.m)
     train(grad.cauchynet_trainable(net), scaled, sub.train)
     yp_s, _ = mdl.predict(net, ds.test_x)
     return metric_mse(dt.scaler_invert(yp_s, scaler), ds.test_y)

@@ -39,15 +39,6 @@ class LossValue:
     imag_penalty: float
 
 
-def loss(y: float, e: float, y_true: float, lam: float) -> LossValue:
-    """Squared fit error plus lam-weighted squared imaginary error."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    fit = (y - y_true) ** 2
-    pen = lam * e * e
-    return LossValue(total=fit + pen, fit=fit, imag_penalty=pen)
-
-
 def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
     """Mean loss and the mean gradient vector over an (n, m) batch.
 
@@ -56,9 +47,6 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
     for P_i = hidden / shifted_i, formed without a division as hidden *
     hidden times the other m - 1 forward-pass columns, left to right.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     y_true = np.asarray(y_true, dtype=float)
     if len(y_true) != len(X):
         raise LengthMismatch("X and y_true differ in length")

@@ -27,6 +27,7 @@ from functools import reduce
 
 import numpy as np
 
+from .complex_linalg import as_inputs
 from .errors import NonFiniteError, PoleEncountered, SingularSystem
 
 DEFAULT_RIDGE = 1e-15
@@ -129,12 +130,6 @@ def kernel_sum(X, shifts, eps, weights) -> np.ndarray:
     return out
 
 
-def cauchy_kernel(xi, x) -> complex:
-    """prod_i 1/(xi_i - x_i); raises PoleEncountered on a zero factor."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    return evaluate_expansion(KernelExpansion(xi[None, :], [1.0]), x)
-
-
 def ellipse_mesh(a: float, b: float, center: complex = 0j,
                  nodes: int = 64) -> BoundaryMesh:
     """Equal-parameter trapezoidal mesh of the ellipse a*cos t + i b*sin t."""
@@ -167,22 +162,14 @@ def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
     return KernelExpansion(zeta.T, fval * dz / (2j * np.pi) ** mesh.ndim)
 
 
-def evaluate_expansion(exp: KernelExpansion, x) -> complex:
-    """sum_k theta_k K(xi_k, x) at one point; an empty expansion evaluates to 0."""
-    return complex(evaluate_expansion_grid(exp, [np.atleast_1d(x)])[0])
-
-
 def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
-    """evaluate_expansion over an (n,) or (n, N) array of points.
+    """sum_k theta_k K(xi_k, x) at each of an (n,) or (n, N) array of points.
 
     theta_k K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is
     the network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign
     flips are exact): the same `kernel_sum` that `model.predict` runs.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    return kernel_sum(xs, -exp.xi, 0.0, (-1) ** exp.xi.shape[1] * exp.theta)
+    return kernel_sum(as_inputs(xs), -exp.xi, 0.0, (-1) ** exp.xi.shape[1] * exp.theta)
 
 
 def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fileio
 from .activation import DEFAULT_EPSILON
-from .complex_linalg import Rng, copy_into, normal_complex, require_finite
+from .complex_linalg import Rng, as_inputs, copy_into, normal_complex, require_finite
 from .errors import SchemaError
 from .data import ScalerState
 from .kernel import cauchy_block, kernel_sum
@@ -131,10 +131,7 @@ def forward_batch(model: CauchyNetModel, X):
     of one complex (m + 1, n, h) array made fresh for this call and shared
     with no other; o is a separate fresh array.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return cauchy_block(X, model.B, model.epsilon, model.C)
+    return cauchy_block(as_inputs(X), model.B, model.epsilon, model.C)
 
 
 def predict(model: CauchyNetModel, X):
@@ -143,10 +140,7 @@ def predict(model: CauchyNetModel, X):
     The forward output, computed by `kernel.kernel_sum` one block of
     kernel.EVAL_BLOCK rows at a time.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    o = kernel_sum(X, model.B, model.epsilon, model.C)
+    o = kernel_sum(as_inputs(X), model.B, model.epsilon, model.C)
     return o.real, o.imag
 
 

@@ -52,8 +52,8 @@ def test_backward_inactive_unit_gets_zero_gradient():
 def test_backward_matches_finite_differences():
     rng = Rng(77)
     for _ in range(100):
-        h = 1 + rng.randint(6)
-        m = 1 + rng.randint(3)
+        h = 1 + rng.next_u64() % 6
+        m = 1 + rng.next_u64() % 3
         model = init_mlp(h, m, rng)
         model.b1[:] = np.array([rng.normal(0.5) for _ in range(h)])
         model.b2 = rng.normal(0.5)

@@ -48,17 +48,6 @@ def test_scalar_normal_statistics():
     assert abs(xs.std() - 2.0) < 0.02
 
 
-def test_shuffle_is_a_permutation_and_deterministic():
-    r1, r2 = Rng(99), Rng(99)
-    a = list(range(50))
-    b = list(range(50))
-    r1.shuffle(a)
-    r2.shuffle(b)
-    assert a == b
-    assert sorted(a) == list(range(50))
-    assert a != list(range(50))
-
-
 def test_derive_seed_decorrelates_tags():
     seeds = {derive_seed(10, t) for t in range(100)}
     assert len(seeds) == 100

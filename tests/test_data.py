@@ -8,7 +8,8 @@ from cauchynet.data import (DiskMask, IntervalMask, apply_mask,
                             seasonal_decompose_multiplicative,
                             target_2d_missing_disk, target_2d_surface,
                             target_exp1, target_exp2_gap, target_intro_spike)
-from cauchynet.errors import (DegenerateRange, NonPositiveValue, ParseError)
+from cauchynet.errors import (DegenerateRange, NonPositiveValue, ParseError,
+                              ValidationError)
 
 # 40-digit evaluations rounded to 17 significant digits; regression anchors
 # for the synthetic targets at 11 fixed abscissae each.
@@ -141,13 +142,13 @@ def test_turning_points_rejects_coarse_grid():
 def test_split_sizes_300():
     xs = np.linspace(-1, 1, 300)
     ds = make_split(xs, target_exp1(xs), (0.5, 0.25, 0.25), Rng(10))
-    assert ds.sizes() == (150, 75, 75)
+    assert (len(ds.train_y), len(ds.val_y), len(ds.test_y)) == (150, 75, 75)
 
 
 def test_split_partitions_input():
     xs = np.linspace(0, 1, 101)
     ys = xs * 2
-    ds = make_split(xs, ys, rng=Rng(4))
+    ds = make_split(xs, ys, (0.5, 0.25, 0.25), Rng(4))
     together = np.concatenate([ds.train_x[:, 0], ds.val_x[:, 0], ds.test_x[:, 0]])
     np.testing.assert_array_equal(np.sort(together), xs)
     assert len(set(together)) == 101
@@ -155,8 +156,8 @@ def test_split_partitions_input():
 
 def test_split_deterministic():
     xs = np.linspace(0, 1, 60)
-    a = make_split(xs, xs, rng=Rng(9))
-    b = make_split(xs, xs, rng=Rng(9))
+    a = make_split(xs, xs, (0.5, 0.25, 0.25), Rng(9))
+    b = make_split(xs, xs, (0.5, 0.25, 0.25), Rng(9))
     np.testing.assert_array_equal(a.train_x, b.train_x)
 
 
@@ -262,7 +263,7 @@ def test_decompose_rejects_nonpositive():
 
 
 def test_decompose_rejects_short_series():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         seasonal_decompose_multiplicative(np.ones(7), 4)
 
 

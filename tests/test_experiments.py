@@ -159,14 +159,14 @@ def test_turning_point_mask_needs_1d_generator():
 
 def test_build_dataset_split_sizes():
     ds = build_dataset(tiny_spec(n_samples=300, fractions=(0.5, 0.25, 0.25)))
-    assert ds.sizes() == (150, 75, 75)
+    assert (len(ds.train_y), len(ds.val_y), len(ds.test_y)) == (150, 75, 75)
 
 
 def test_build_dataset_gap_mask():
     spec = get_preset("exp2-gap")
     spec.n_samples = 200
     ds = build_dataset(spec)
-    assert ds.sizes()[2] > 0
+    assert len(ds.test_y) > 0
     # no train point inside any masked zone
     from cauchynet.data import find_turning_points, target_exp2_gap
     centers = find_turning_points(target_exp2_gap, -2, 2)
@@ -495,17 +495,6 @@ def test_cli_divergence_exit_code(tmp_path, capsys, monkeypatch):
     assert "divergence" in capsys.readouterr().err
 
 
-def test_cli_train_plot_renders_pngs(tmp_path, capsys):
-    pytest.importorskip("matplotlib")
-    rc = cli.main(["train", "--preset", "exp1", "--out", str(tmp_path),
-                   "--set", "n_samples=60", "--set", "model.h=8",
-                   "--set", "train.epochs=2", "--set", "baseline=false",
-                   "--plot"])
-    assert rc == 0
-    assert (tmp_path / "exp1" / "loss_curves.png").exists()
-    assert (tmp_path / "exp1" / "predictions.png").exists()
-
-
 def test_cli_kernel_demo(tmp_path, capsys):
     rc = cli.main(["kernel-demo", "--target", "square", "--nodes", "16,32",
                    "--out", str(tmp_path)])
@@ -581,6 +570,12 @@ def _unknown_train_key_args(tmp_path):
     return ["train", "--config", str(path)]
 
 
+def _series_csv(tmp_path, n):
+    path = tmp_path / f"series{n}.csv"
+    path.write_text("t,y\n" + "".join(f"{i},{i + 1.0}\n" for i in range(n)))
+    return str(path)
+
+
 @pytest.mark.parametrize("make_args,code", [
     (_bad_checkpoint_args, 4),
     (lambda tmp: ["train", "--preset", "exp1", "--set", 'model.h="abc"'], 2),
@@ -601,16 +596,31 @@ def _unknown_train_key_args(tmp_path):
     (lambda tmp: ["train", "--preset", "exp1", "--set", "train.lr0=NaN"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "model.epsilon=NaN"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0, Infinity]"], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "fractions=[1.0,0.0,0.0]"], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "fractions=[0.0,0.5,0.5]"], 2),
+    (lambda tmp: ["impute", "--preset", "exp2-gap", "--set", "masked_fractions=[0.001,0.999]"], 2),
+    (lambda tmp: ["train", "--preset", "exp1", "--set", "n_samples=10",
+                  "--set", "fractions=[0.5,0.5,0.0]"], 2),
+    (lambda tmp: ["decompose", "--data", _series_csv(tmp, 3), "--period", "1"], 2),
+    (lambda tmp: ["decompose", "--data", _series_csv(tmp, 3), "--period", "12"], 2),
+    (lambda tmp: ["train", "--preset", "exp4-csv",
+                  "--set", f"data_path={json.dumps(_series_csv(tmp, 3))}"], 2),
+    (lambda tmp: ["train", "--preset", "exp4-csv", "--set", "period=2",
+                  "--set", f"data_path={json.dumps(_series_csv(tmp, 4))}"], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
         "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
         "set-scaler-range-short",
         "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero",
         "semi-axis-zero", "semi-axis-negative", "set-lr0-nan", "set-epsilon-nan",
-        "set-scaler-range-infinite"])
+        "set-scaler-range-infinite", "empty-val-and-test", "empty-train",
+        "empty-masked-train", "empty-test", "decompose-period-1",
+        "decompose-short-series", "csv-trend-short-series", "csv-trend-two-trend-points"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "runs")]
     assert cli.main(argv) == code
     assert "error:" in capsys.readouterr().err
+    # a refused command writes no artifact
+    assert [p for p in (tmp_path / "runs").rglob("*") if p.is_file()] == []
 
 
 def test_cli_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from cauchynet.complex_linalg import Rng, normal_complex
 from cauchynet.errors import LengthMismatch
 from cauchynet.grad import (backward, batch_gradient,
-                            finite_difference_gradients, loss)
+                            finite_difference_gradients)
 from cauchynet.model import CauchyNetModel, forward_batch, split_parameters
 
 
@@ -26,33 +26,6 @@ def offpole_model(h, m, rng, min_imag=0.2):
 
 def max_rel_err(va, vb, floor=1e-8):
     return np.max(np.abs(va - vb) / np.maximum(np.maximum(np.abs(va), np.abs(vb)), floor))
-
-
-def test_loss_arithmetic():
-    lv = loss(1.0, 2.0, 0.0, 0.1)
-    assert lv.total == pytest.approx(1.4)
-    assert lv.fit == pytest.approx(1.0)
-    assert lv.imag_penalty == pytest.approx(0.4)
-
-
-def test_loss_perfect_prediction():
-    assert loss(0.7, 0.0, 0.7, 1.0).total == 0.0
-
-
-def test_loss_lambda_zero_disables_penalty():
-    assert loss(2.0, 123.0, 1.0, 0.0).total == pytest.approx(1.0)
-
-
-def test_loss_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        loss(0.0, 0.0, 0.0, -0.1)
-
-
-def test_loss_nonnegative_random():
-    rng = Rng(4)
-    for _ in range(200):
-        lv = loss(rng.normal(), rng.normal(), rng.normal(), abs(rng.normal()))
-        assert lv.total >= 0.0
 
 
 def test_backward_hand_checked_case():
@@ -116,7 +89,7 @@ def test_batch_gradient_is_mean_of_per_sample():
     for i in range(3):
         o, _, _ = forward_batch(model, X[i:i + 1])
         acc += backward(model, X[i], yt[i], lam)
-        tot += loss(o[0].real, o[0].imag, yt[i], lam).total
+        tot += (o[0].real - yt[i]) ** 2 + lam * o[0].imag ** 2
     np.testing.assert_allclose(gb, acc / 3, rtol=1e-12)
     assert lv.total == pytest.approx(tot / 3)
 

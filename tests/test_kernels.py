@@ -256,13 +256,19 @@ def test_predict_and_oracle_share_one_kernel(h, m, n):
     assert ep.tobytes() == vals.imag.tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 200, 1603])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 200, 1603])
 def test_permutation_equals_shuffle_of_range(n):
-    for seed in (0, 7, 2 ** 64 - 1):
+    for seed in (0, 7, 99, 2 ** 64 - 1):
         a, b = Rng(seed), Rng(seed)
+        # reference Fisher-Yates over range(n), one draw per swap
         order = list(range(n))
-        a.shuffle(order)
-        assert b.permutation(n).tolist() == order
+        for i in range(n - 1, 0, -1):
+            j = a.next_u64() % (i + 1)
+            order[i], order[j] = order[j], order[i]
+        perm = b.permutation(n).tolist()
+        assert perm == order
+        assert sorted(perm) == list(range(n))
+        assert n < 50 or perm != list(range(n))
         assert b.state == a.state
         assert b.next_u64() == a.next_u64()
 

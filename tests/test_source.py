@@ -27,3 +27,48 @@ def test_library_never_calls_reciprocal():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call) and "reciprocal" in ast.unparse(node.func)]
     assert found == []
+
+
+# Public names kept without a caller in the library or the benchmark.
+UNCALLED_BY_DESIGN = {
+    "backward": "per-sample gradient oracle for the batch gradient",
+    "finite_difference_gradients": "forward-only gradient oracle for the analytic path",
+    "cauchy_activation": "scalar activation oracle for the kernel block",
+    "cauchy_activation_derivative": "closed-form derivative oracle for the activation",
+    "load_mlp_checkpoint": "reader for the baseline checkpoint a run writes",
+}
+
+
+def _public_definitions(tree):
+    """Public top-level functions and classes, and the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def _referenced_names(tree):
+    """Every name used as a variable or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_public_function_has_a_caller():
+    # API that only tests call is code the library carries for nothing: a
+    # public function, class or method needs a reference from the library
+    # (its __init__ re-exports do not count) or from the benchmark, or an
+    # entry above saying why it is kept.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    callers = [tree for path, tree in trees.items() if path.name != "__init__.py"]
+    callers += [ast.parse(path.read_text(encoding="utf-8"))
+                for path in sorted((SRC.parents[1] / "perfbench").glob("*.py"))]
+    referenced = {name for tree in callers for name in _referenced_names(tree)}
+    uncalled = sorted({name for tree in trees.values() for name in _public_definitions(tree)}
+                      - referenced - set(UNCALLED_BY_DESIGN))
+    assert uncalled == []
