@@ -3,7 +3,8 @@
 Subcommands: train, evaluate, impute, ablate-lambda, sweep, kernel-demo,
 decompose, list-experiments.  Recipes come from named presets or a JSON
 config file mirroring ExperimentSpec; individual fields are overridden with
-repeated --set key=value flags (dotted paths, JSON-parsed values).
+repeated --set key=value flags (dotted paths, JSON-parsed values), sweep
+axes and penalty weights too (--set grid_hidden=[8,16] --set lambdas=[0.1]).
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence,
 4 I/O error or malformed checkpoint.  The CAUCHYNET_SEED environment
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import data as dt
@@ -142,8 +144,7 @@ def _axis(arg, cast):
 
 def cmd_ablate_lambda(args):
     spec = load_spec(args)
-    lambdas = _axis(args.lambdas, float)
-    rows, summary = xp.run_lambda_ablation(spec, lambdas, _outdir(args, spec))
+    rows, summary = xp.run_lambda_ablation(spec, _outdir(args, spec))
     print(summary)
     print(f"{len(rows)} rows in {_outdir(args, spec) / 'lambda_ablation.csv'}")
     return EXIT_OK
@@ -151,25 +152,17 @@ def cmd_ablate_lambda(args):
 
 def cmd_sweep(args):
     spec = load_spec(args)
-    hidden = _axis(args.hidden, int)
-    sizes = _axis(args.sizes, int)
-    lrs = _axis(args.lrs, float)
-    wds = _axis(args.wds, float)
     if args.axes:
         keep = set(args.axes.split(","))
-        unknown = keep - {"h", "n", "lr", "wd"}
+        # axis -> (grid field, the spec's own single value)
+        single = {"h": ("grid_hidden", spec.model.h), "n": ("grid_sizes", spec.n_samples),
+                  "lr": ("grid_lrs", spec.train.lr0), "wd": ("grid_wds", spec.train.weight_decay)}
+        unknown = keep - set(single)
         if unknown:
             raise ValidationError([f"unknown sweep axes: {sorted(unknown)}"])
-        if "h" not in keep and hidden is None:
-            hidden = [spec.model.h]
-        if "n" not in keep and sizes is None:
-            sizes = [spec.n_samples]
-        if "lr" not in keep and lrs is None:
-            lrs = [spec.train.lr0]
-        if "wd" not in keep and wds is None:
-            wds = [spec.train.weight_decay]
-    rows = xp.run_sensitivity_grid(spec, hidden, sizes, lrs, wds,
-                                   outdir=_outdir(args, spec))
+        spec = replace(spec, **{name: (value,) for axis, (name, value) in single.items()
+                                if axis not in keep})
+    rows = xp.run_sensitivity_grid(spec, outdir=_outdir(args, spec))
     failed = sum(1 for r in rows if r[4] != r[4])
     print(f"{len(rows)} cells ({failed} failed) in "
           f"{_outdir(args, spec) / 'sweep.csv'}")
@@ -228,16 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate-lambda", help="sweep the imaginary-penalty weight")
     _add_spec_args(p)
-    p.add_argument("--lambdas", help="comma-separated values (default: preset set)")
     p.set_defaults(fn=cmd_ablate_lambda)
 
     p = sub.add_parser("sweep", help="hidden/data/lr/weight-decay sensitivity grid")
     _add_spec_args(p)
-    p.add_argument("--axes", help="axes to expand from the preset lists, e.g. h,n")
-    p.add_argument("--hidden", help="comma-separated hidden widths")
-    p.add_argument("--sizes", help="comma-separated dataset sizes")
-    p.add_argument("--lrs", help="comma-separated learning rates")
-    p.add_argument("--wds", help="comma-separated weight decays")
+    p.add_argument("--axes", help="axes to expand from the spec's grid_* lists, e.g. h,n; "
+                   "the others take the spec's single value")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("kernel-demo", help="contour quadrature convergence table")

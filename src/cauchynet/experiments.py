@@ -459,9 +459,8 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
     if spec.baseline:
         mlp = bl.init_mlp(spec.model.h, ds.m,
                           Rng(derive_seed(seed, _STREAM_BASELINE_INIT)))
-        bcfg = copy.deepcopy(spec.train)
-        if spec.baseline_lr is not None:
-            bcfg.lr0 = spec.baseline_lr
+        bcfg = (spec.train if spec.baseline_lr is None
+                else replace(spec.train, lr0=spec.baseline_lr))
         blog = fit("baseline_", bl.mlp_trainable(mlp), bcfg)
         bpreds = _write_run(outdir, "baseline_", blog, ds, scaler,
                             lambda X: bl.mlp_predict(mlp, X))
@@ -503,40 +502,41 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
 # Ablation and sweeps
 
 
-def run_lambda_ablation(spec: ExperimentSpec, lambdas=None, outdir=None):
-    """One full train per penalty weight with a shared seed.
+def _test_mse(net, ds, scaler) -> float:
+    """Test MSE of the network in the targets' own units."""
+    yp_s, _ = mdl.predict(net, ds.test_x)
+    return metric_mse(dt.scaler_invert(yp_s, scaler), ds.test_y)
+
+
+def run_lambda_ablation(spec: ExperimentSpec, outdir=None):
+    """One full train per penalty weight in spec.lambdas with a shared seed.
 
     Returns long-format rows (lam, seed, epoch, test_mse) with the test MSE
     in unscaled units snapshotted after every epoch, and writes them to
     lambda_ablation.csv when outdir is given.
     """
     spec = validate_spec(spec)
-    lambdas = list(spec.lambdas if lambdas is None else lambdas)
-    if not lambdas:
+    if not spec.lambdas:
         raise ValidationError(["lambda list must be nonempty"])
-    if any(l < 0 for l in lambdas):
+    if any(l < 0 for l in spec.lambdas):
         raise ValidationError(["lambda values must be nonnegative"])
     ds, scaled, scaler = prepare(spec)
 
     rows = []
-    for lam in lambdas:
-        sub = copy.deepcopy(spec)
-        sub.train.lam = lam
-        net = _init_model(sub, ds.m)
+    for lam in spec.lambdas:
+        net = _init_model(spec, ds.m)
 
         def snapshot(epoch, m, _lam=lam):
-            yp_s, _ = mdl.predict(m, ds.test_x)
-            yp = dt.scaler_invert(yp_s, scaler)
-            rows.append((_lam, spec.train.seed, epoch, metric_mse(yp, ds.test_y)))
+            rows.append((_lam, spec.train.seed, epoch, _test_mse(m, ds, scaler)))
 
-        train(grad.cauchynet_trainable(net), scaled, sub.train,
+        train(grad.cauchynet_trainable(net), scaled, replace(spec.train, lam=lam),
               epoch_callback=snapshot)
 
     final = {lam: next(r[3] for r in reversed(rows) if r[0] == lam)
-             for lam in lambdas}
+             for lam in spec.lambdas}
     best = min(final, key=final.get)
     summary = (f"final test MSE by lambda: "
-               + ", ".join(f"{l:g}: {final[l]:.6g}" for l in lambdas)
+               + ", ".join(f"{l:g}: {final[l]:.6g}" for l in spec.lambdas)
                + f"; best at lambda={best:g} (single-seed observation, not a gate)")
 
     if outdir is not None:
@@ -551,40 +551,37 @@ def run_lambda_ablation(spec: ExperimentSpec, lambdas=None, outdir=None):
 
 
 def _sweep_cell(spec: ExperimentSpec, h, n, lr, wd):
-    sub = copy.deepcopy(spec)
-    sub.model.h = int(h)
-    sub.n_samples = int(n)
-    sub.train.lr0 = float(lr)
-    sub.train.weight_decay = float(wd)
-    ds, scaled, scaler = prepare(sub)
-    net = _init_model(sub, ds.m)
-    train(grad.cauchynet_trainable(net), scaled, sub.train)
-    yp_s, _ = mdl.predict(net, ds.test_x)
-    return metric_mse(dt.scaler_invert(yp_s, scaler), ds.test_y)
+    cell = validate_spec(replace(spec, n_samples=n, model=replace(spec.model, h=h),
+                                 train=replace(spec.train, lr0=lr, weight_decay=wd)))
+    ds, scaled, scaler = prepare(cell)
+    net = _init_model(cell, ds.m)
+    train(grad.cauchynet_trainable(net), scaled, cell.train)
+    return _test_mse(net, ds, scaler)
 
 
 def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
                          lrs=None, wds=None, outdir=None):
     """Cross-product sweep over hidden width, data size, lr, weight decay.
 
-    Individual cell failures (divergence, poles, invalid cells) become NaN
-    rows carrying an error note.  If every cell fails the sweep raises:
-    NonFiniteError when some cell diverged, ValidationError otherwise.
-    Rows are (h, n, lr, wd, test_mse, note) in deterministic axis order.
+    A given axis replaces the spec's grid field (grid_hidden, grid_sizes,
+    grid_lrs, grid_wds) before the spec is checked.  Each cell is the spec
+    with its h, n, lr and wd, checked again; a cell that raises
+    NonFiniteError or ValidationError becomes a NaN row whose note is the
+    message.  If every cell fails the sweep raises: NonFiniteError when some
+    cell diverged, ValidationError otherwise.  Rows are (h, n, lr, wd,
+    test_mse, note) in deterministic axis order.
     """
-    spec = validate_spec(spec)
-    hidden = list(spec.grid_hidden if hidden is None else hidden)
-    data_sizes = list(spec.grid_sizes if data_sizes is None else data_sizes)
-    lrs = list(spec.grid_lrs if lrs is None else lrs)
-    wds = list(spec.grid_wds if wds is None else wds)
-    if not (hidden and data_sizes and lrs and wds):
+    axes = dict(grid_hidden=hidden, grid_sizes=data_sizes, grid_lrs=lrs, grid_wds=wds)
+    spec = validate_spec(replace(spec, **{k: tuple(v) for k, v in axes.items() if v is not None}))
+    grid = (spec.grid_hidden, spec.grid_sizes, spec.grid_lrs, spec.grid_wds)
+    if not all(grid):
         raise ValidationError(["every sweep axis must be nonempty"])
 
     rows, diverged = [], False
-    for h, n, lr, wd in itertools.product(hidden, data_sizes, lrs, wds):
+    for h, n, lr, wd in itertools.product(*grid):
         try:
             rows.append((h, n, lr, wd, _sweep_cell(spec, h, n, lr, wd), ""))
-        except (NonFiniteError, ValidationError, ValueError) as exc:
+        except (NonFiniteError, ValidationError) as exc:
             diverged |= isinstance(exc, NonFiniteError)
             rows.append((h, n, lr, wd, float("nan"), f"failed: {exc}"))
 
@@ -598,8 +595,7 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         write_csv(outdir / "sweep.csv", ["h", "n", "lr", "wd", "test_mse", "note"],
-                  ([h, n, repr(float(lr)), repr(float(wd)), repr(float(mse)), note]
-                   for h, n, lr, wd, mse, note in rows))
+                  ([h, n, *_reprs(lr, wd, mse), note] for h, n, lr, wd, mse, note in rows))
     return rows
 
 
@@ -632,6 +628,9 @@ def run_kernel_demo(target: str = "square", a: float = 2.0, b: float = 1.0,
         raise ValidationError([f"node counts must be at least 4, got {node_counts}"])
     if grid < 1:
         raise ValidationError([f"grid must be at least 1, got {grid}"])
+    bounds = (a, b, center, eval_lo, eval_hi)
+    if not np.isfinite(bounds).all():
+        raise ValidationError([f"a, b, center, eval_lo and eval_hi must be finite, got {bounds}"])
     if not (a > 0 and b > 0):
         raise ValidationError([f"semi-axes must be positive, got a={a}, b={b}"])
     f, f_real = KERNEL_DEMOS[target]

@@ -93,12 +93,11 @@ def _arclength_angles(a: float, b: float, fractions: np.ndarray) -> np.ndarray:
 
 def init_elliptical(h: int, m: int, rng: Rng,
                     semi_major: float = 6.0, semi_minor: float = 2.0,
-                    center: complex = 0j,
                     epsilon: float = DEFAULT_EPSILON) -> CauchyNetModel:
     """Experimental initializer placing the hidden-unit poles on an ellipse.
 
-    The pole of unit k in input dimension i sits on
-    ``center + a cos(t) + i b sin(t)``, spaced uniformly by arc length;
+    The pole of unit k in input dimension i sits on the origin-centered
+    ellipse ``a cos(t) + i b sin(t)``, spaced uniformly by arc length;
     biases are the negated pole positions (minus epsilon) so the shifted
     denominator vanishes exactly on the ellipse.  Higher input dimensions
     follow a golden-ratio progression of arc positions so multi-dimensional
@@ -116,7 +115,7 @@ def init_elliptical(h: int, m: int, rng: Rng,
         else:
             fractions = (np.arange(h) * _GOLD * i + 0.5) % 1.0
         ts = _arclength_angles(semi_major, semi_minor, fractions)
-        poles = center + semi_major * np.cos(ts) + 1j * semi_minor * np.sin(ts)
+        poles = semi_major * np.cos(ts) + 1j * semi_minor * np.sin(ts)
         B[:, i] = -poles - epsilon
     C = np.array([normal_complex(rng, sigma) for _ in range(h)])
     return CauchyNetModel(h, m, epsilon, B, C)

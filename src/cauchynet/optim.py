@@ -22,6 +22,7 @@ from .errors import NonFiniteError
 from .fileio import write_csv
 
 _SHUFFLE_STREAM = 0x5A
+_BETA1, _BETA2, _EPS_ADAM = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -29,9 +30,6 @@ class AdamState:
     m1: np.ndarray
     m2: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     @classmethod
     def for_size(cls, n: int) -> "AdamState":
@@ -55,16 +53,16 @@ class TrainConfig:
             problems.append("epochs must be at least 1")
         if self.batch_size < 1:
             problems.append("batch_size must be at least 1")
-        if self.lr0 <= 0:
-            problems.append("lr0 must be positive")
+        if not 0 < self.lr0 < np.inf:
+            problems.append("lr0 must be positive and finite")
         if not (0 < self.lr_decay_factor <= 1):
             problems.append("lr_decay_factor must be in (0, 1]")
         if self.lr_decay_every < 1:
             problems.append("lr_decay_every must be at least 1")
-        if self.weight_decay < 0:
-            problems.append("weight_decay must be nonnegative")
-        if self.lam < 0:
-            problems.append("lam must be nonnegative")
+        if not 0 <= self.weight_decay < np.inf:
+            problems.append("weight_decay must be nonnegative and finite")
+        if not 0 <= self.lam < np.inf:
+            problems.append("lam must be nonnegative and finite")
         return problems
 
 
@@ -116,30 +114,38 @@ def adam_step(model, grad_vec: np.ndarray, state: AdamState, lr: float,
     """One Adam update with bias correction of `model.params`, in place.
 
     Weight decay couples as classic L2: it is added to the raw gradient
-    before the moment updates.  A non-finite update raises NonFiniteError
-    and leaves the parameters as they were.
+    before the moment updates.  A non-finite moment or update raises
+    NonFiniteError and leaves the parameters as they were: a finite gradient
+    past ~4e155 overflows the second moment, which would freeze its
+    coordinate's step at 0.
     """
     p = model.params
     g = np.asarray(grad_vec, dtype=float)
     if g.shape != p.shape:
         raise ValueError("gradient and parameter vectors differ in shape")
-    if weight_decay:
-        g = g + weight_decay * p
     state.t += 1
     # Same elementwise operations in the same order as the textbook update,
-    # so the trajectory does not depend on the buffers being reused.
-    state.m1 *= state.beta1
-    state.m1 += (1 - state.beta1) * g
-    state.m2 *= state.beta2
-    state.m2 += (1 - state.beta2) * g * g
-    m_hat = state.m1 / (1 - state.beta1 ** state.t)
-    denom = state.m2 / (1 - state.beta2 ** state.t)
-    np.sqrt(denom, out=denom)
-    denom += state.eps_adam
-    update = lr * m_hat
-    update /= denom
-    new = np.subtract(p, update, out=update)
-    if not np.all(np.isfinite(new)):
+    # so the trajectory does not depend on the buffers being reused.  An
+    # overflow raises where it happens, at no extra pass over the arrays;
+    # NaN or inf in the gradient shows up in `new`.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if weight_decay:
+                g = g + weight_decay * p
+            state.m1 *= _BETA1
+            state.m1 += (1 - _BETA1) * g
+            state.m2 *= _BETA2
+            state.m2 += (1 - _BETA2) * g * g
+            m_hat = state.m1 / (1 - _BETA1 ** state.t)
+            denom = state.m2 / (1 - _BETA2 ** state.t)
+            np.sqrt(denom, out=denom)
+            denom += _EPS_ADAM
+            update = lr * m_hat
+            update /= denom
+            new = np.subtract(p, update, out=update)
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"Adam moment or parameter update: {exc}") from None
+    if not np.isfinite(new).all():
         raise NonFiniteError("parameter update is non-finite")
     p[...] = new
 

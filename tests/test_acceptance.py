@@ -241,7 +241,8 @@ def test_criterion_11_lambda_ablation(tmp_path):
     """One complete row-group per penalty value with a shared seed."""
     spec = get_preset("exp5-lambda")
     lambdas = (0.1, 0.3, 0.5, 1.0, 1.5)
-    rows, summary = run_lambda_ablation(spec, list(lambdas), tmp_path)
+    assert spec.lambdas == lambdas
+    rows, summary = run_lambda_ablation(spec, tmp_path)
     by_lam = {l: [r for r in rows if r[0] == l] for l in lambdas}
     complete = all(len(v) == spec.train.epochs for v in by_lam.values())
     shared_seed = all(r[1] == spec.train.seed for r in rows)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -285,8 +286,8 @@ def test_predictions_header_1d_and_2d(tmp_path):
 
 
 def test_lambda_ablation_rows(tmp_path):
-    spec = tiny_spec()
-    rows, summary = run_lambda_ablation(spec, [0.1, 0.3, 0.5, 1.0, 1.5], tmp_path)
+    spec = tiny_spec(lambdas=(0.1, 0.3, 0.5, 1.0, 1.5))
+    rows, summary = run_lambda_ablation(spec, tmp_path)
     # 5 lambdas x 5 epochs, five rows per epoch snapshot
     assert len(rows) == 25
     per_epoch = [r for r in rows if r[2] == 3]
@@ -299,14 +300,14 @@ def test_lambda_ablation_rows(tmp_path):
 
 
 def test_lambda_ablation_zero_reduces_to_plain_mse(tmp_path):
-    rows, _ = run_lambda_ablation(tiny_spec(), [0.0], tmp_path)
+    rows, _ = run_lambda_ablation(tiny_spec(lambdas=(0.0,)), tmp_path)
     assert all(r[0] == 0.0 for r in rows)
     assert all(math.isfinite(r[3]) for r in rows)
 
 
 def test_lambda_ablation_rejects_empty():
     with pytest.raises(ValidationError):
-        run_lambda_ablation(tiny_spec(), [])
+        run_lambda_ablation(tiny_spec(lambdas=()))
 
 
 def test_sensitivity_grid_shapes(tmp_path):
@@ -335,9 +336,28 @@ def test_sensitivity_grid_failed_cell_is_nan_row():
     assert len(failed) == 1 and failed[0][5].startswith("failed")
 
 
+def test_sensitivity_grid_cell_out_of_range_carries_spec_message():
+    rows = run_sensitivity_grid(tiny_spec(), hidden=[0, 8], data_sizes=[60],
+                                lrs=[0.01], wds=[0.0])
+    assert [r[0] for r in rows] == [0, 8]
+    assert math.isnan(rows[0][4]) and rows[0][5] == "failed: model.h must be at least 1"
+    assert math.isfinite(rows[1][4]) and rows[1][5] == ""
+
+
+@pytest.mark.parametrize("axes", [
+    dict(hidden=[8.5]), dict(data_sizes=[60.0]), dict(lrs=[float("nan")]),
+    dict(wds=[float("inf")]),
+], ids=["float-width", "float-size", "nan-lr", "infinite-wd"])
+def test_sensitivity_grid_rejects_mistyped_axis_before_training(monkeypatch, axes):
+    monkeypatch.setattr(xp, "train", lambda *a, **k: pytest.fail("a cell trained"))
+    grid = {**dict(hidden=[8], data_sizes=[60], lrs=[0.01], wds=[0.0]), **axes}
+    with pytest.raises(ValidationError):
+        run_sensitivity_grid(tiny_spec(), **grid)
+
+
 @pytest.mark.parametrize("failures,expected", [
-    ((ValueError("bad cell"), ValueError("bad cell")), ValidationError),
-    ((ValueError("bad cell"), NonFiniteError("diverged")), NonFiniteError),
+    ((ValidationError("bad cell"), ValidationError("bad cell")), ValidationError),
+    ((ValidationError("bad cell"), NonFiniteError("diverged")), NonFiniteError),
 ])
 def test_sensitivity_grid_every_cell_failed(monkeypatch, failures, expected):
     pending = list(failures)
@@ -536,7 +556,7 @@ def test_cli_ablate_lambda(tmp_path, capsys):
     rc = cli.main(["ablate-lambda", "--preset", "exp1", "--out", str(tmp_path),
                    "--set", "n_samples=60", "--set", "model.h=8",
                    "--set", "train.epochs=2", "--set", "baseline=false",
-                   "--lambdas", "0.1,1.0"])
+                   "--set", "lambdas=[0.1,1.0]"])
     assert rc == 0
     lines = (tmp_path / "exp1" / "lambda_ablation.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 2
@@ -546,10 +566,44 @@ def test_cli_sweep_axes(tmp_path, capsys):
     rc = cli.main(["sweep", "--preset", "exp1", "--out", str(tmp_path),
                    "--set", "n_samples=60", "--set", "train.epochs=2",
                    "--set", "baseline=false",
-                   "--axes", "h,n", "--hidden", "8,16", "--sizes", "40,60"])
+                   "--axes", "h,n", "--set", "grid_hidden=[8,16]",
+                   "--set", "grid_sizes=[40,60]"])
     assert rc == 0
     lines = (tmp_path / "exp1" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 5
+
+
+def _flags(parser):
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+def test_cli_sweep_and_ablation_take_only_spec_flags():
+    # sweep axes and penalty weights come in only through the checked spec
+    spec_parser = argparse.ArgumentParser()
+    cli._add_spec_args(spec_parser)
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert _flags(commands["ablate-lambda"]) == _flags(spec_parser)
+    assert _flags(commands["sweep"]) == _flags(spec_parser) | {"--axes"}
+
+
+def test_cli_ablate_lambda_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ablate-lambda", "--preset", "exp5-lambda", "--out", str(tmp_path),
+                  "--set", "n_samples=60", "--set", "train.epochs=1",
+                  "--lambdas", "0.1"])
+    assert exc.value.code == 2
+    assert not any(tmp_path.rglob("*"))
+
+
+def test_cli_sweep_out_of_range_cells_stop_before_compute(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(xp, "prepare", lambda spec: pytest.fail("a cell was built"))
+    rc = cli.main(["sweep", "--preset", "exp5-grid", "--out", str(tmp_path),
+                   "--set", "grid_hidden=[8]", "--set", "grid_sizes=[4]",
+                   "--set", "grid_lrs=[0.01]", "--set", "grid_wds=[0.0]"])
+    assert rc == 2
+    assert "n_samples must be at least 10" in capsys.readouterr().err
+    assert not any(tmp_path.rglob("*"))
 
 
 def _bad_checkpoint_args(tmp_path):
@@ -581,18 +635,22 @@ def _series_csv(tmp_path, n):
     (lambda tmp: ["train", "--preset", "exp1", "--set", 'model.h="abc"'], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "train.epochs=1.5"], 2),
     (_unknown_train_key_args, 2),
-    (lambda tmp: ["sweep", "--preset", "exp5-grid", "--hidden", "8", "--sizes", "2",
-                  "--lrs", "0.01", "--wds", "0"], 2),
+    (lambda tmp: ["sweep", "--preset", "exp5-grid", "--set", "grid_hidden=[8]",
+                  "--set", "grid_sizes=[2]", "--set", "grid_lrs=[0.01]",
+                  "--set", "grid_wds=[0]"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", 'fractions=["a",0.25,0.25]'], 2),
     (lambda tmp: ["impute", "--preset", "exp2-disk", "--set", 'mask.radius="x"'], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0.5]"], 2),
-    (lambda tmp: ["ablate-lambda", "--preset", "exp5-lambda", "--lambdas", "a,b"], 2),
-    (lambda tmp: ["sweep", "--preset", "exp5-grid", "--hidden", "x"], 2),
+    (lambda tmp: ["ablate-lambda", "--preset", "exp5-lambda", "--set", "lambdas=a,b"], 2),
+    (lambda tmp: ["sweep", "--preset", "exp5-grid", "--set", "grid_hidden=x"], 2),
     (lambda tmp: ["kernel-demo", "--nodes", "x"], 2),
     (lambda tmp: ["kernel-demo", "--nodes", "2"], 2),
     (lambda tmp: ["kernel-demo", "--grid", "0"], 2),
     (lambda tmp: ["kernel-demo", "--a", "0"], 2),
     (lambda tmp: ["kernel-demo", "--a", "-1", "--b", "1"], 2),
+    (lambda tmp: ["kernel-demo", "--lo", "nan"], 2),
+    (lambda tmp: ["kernel-demo", "--hi", "inf"], 2),
+    (lambda tmp: ["kernel-demo", "--center-re", "nan"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "train.lr0=NaN"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "model.epsilon=NaN"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0, Infinity]"], 2),
@@ -611,7 +669,8 @@ def _series_csv(tmp_path, n):
         "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
         "set-scaler-range-short",
         "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero",
-        "semi-axis-zero", "semi-axis-negative", "set-lr0-nan", "set-epsilon-nan",
+        "semi-axis-zero", "semi-axis-negative", "kernel-demo-lo-nan",
+        "kernel-demo-hi-infinite", "kernel-demo-center-nan", "set-lr0-nan", "set-epsilon-nan",
         "set-scaler-range-infinite", "empty-val-and-test", "empty-train",
         "empty-masked-train", "empty-test", "decompose-period-1",
         "decompose-short-series", "csv-trend-short-series", "csv-trend-two-trend-points"])

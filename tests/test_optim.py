@@ -6,7 +6,7 @@ from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
 from cauchynet.complex_linalg import Rng
 from cauchynet.data import (ScalerState, SplitDataset, scaler_apply, scaler_fit,
                             target_intro_spike)
-from cauchynet.grad import cauchynet_trainable
+from cauchynet.grad import batch_gradient, cauchynet_trainable
 from cauchynet.model import (CauchyNetModel, init_elliptical, load_checkpoint,
                              save_checkpoint)
 from cauchynet.optim import (AdamState, TrainConfig, Trainable, adam_step,
@@ -71,6 +71,26 @@ def test_adam_non_finite_update_leaves_parameters():
     with pytest.raises(NonFiniteError):
         adam_step(m, np.array([np.nan]), st, lr=0.1)
     assert m.theta == 1.5
+
+
+def test_adam_second_moment_overflow_leaves_parameters():
+    # |hidden| = 1e100 at x = 0: the gradient is finite (max |g| ~ 2e199) but
+    # its square overflows the second moment, which would freeze Im B's step
+    from cauchynet.errors import NonFiniteError
+    model = CauchyNetModel(1, 1, 0.0, [[1e-100j]], [1e-50])
+    _, g = batch_gradient(model, np.zeros((1, 1)), np.zeros(1), 0.1)
+    assert np.all(np.isfinite(g)) and np.abs(g).max() > 1e199
+    before = model.params.copy()
+    with pytest.raises(NonFiniteError):
+        adam_step(model, g, AdamState.for_size(len(g)), lr=0.01)
+    assert np.array_equal(model.params, before)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["lr0", "weight_decay", "lam"])
+def test_train_config_rejects_non_finite(name, value):
+    problems = TrainConfig(**{name: value}).validate()
+    assert [p for p in problems if p.startswith(name)]
 
 
 def test_adam_weight_decay_pulls_toward_zero():
