@@ -77,7 +77,7 @@ def mlp_predict(model: MlpModel, X):
     with np.errstate(over="ignore", invalid="ignore"):
         pre = X @ model.W1.T + model.b1
         y = np.maximum(pre, 0.0) @ model.W2 + model.b2
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteError("baseline prediction overflowed")
     return y, np.zeros_like(y)
 
@@ -106,7 +106,7 @@ def mlp_batch_gradient(model: MlpModel, X, y_true, lam: float = 0.0):
         dW1[...] = dpre.T @ X
         db1[...] = dpre.sum(axis=0)
         fit = float(((y - y_true) ** 2).mean())
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteError("baseline gradient overflowed")
     return LossValue(fit, fit, 0.0), g
 

@@ -118,7 +118,7 @@ def normal_complex(rng: Rng, sigma: float) -> complex:
 def require_finite(arr, what: str):
     """Raise NonFiniteError unless every component of arr is finite."""
     a = np.asarray(arr)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values in {what}")
     return a
 

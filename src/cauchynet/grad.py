@@ -75,7 +75,7 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float):
 
         fit = float((r ** 2).mean())
         pen = float(lam * (e * e).mean())
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteError("gradient overflowed")
     return LossValue(fit + pen, fit, pen), g
 

@@ -99,7 +99,7 @@ def cauchy_block(X, shifts, eps, weights, work=None):
             prod *= s
         np.divide(1.0, prod, out=hidden)
         o = hidden @ weights
-    if not np.all(np.isfinite(o)):
+    if not np.isfinite(o).all():
         if any(np.any(s == 0) for s in shifted):
             raise PoleEncountered("input coincides with a kernel pole")
         raise NonFiniteError("kernel block overflowed")
@@ -178,14 +178,20 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
 
     A = (-1)^N H for the kernel blocks H of `kernel_rows` (shifts -xi,
     eps 0), so the fit solves for (-1)^N theta against H and flips the sign
-    at the end.  The blocks fill one (n, k+1) buffer whose last column is
-    f.  R = qr([H | f], mode="r") reduces the problem to
-    R[:k, :k] (-1)^N theta ~ R[:k, k] (fewer than k rows when n < k),
-    solved through its SVD with the filter factors s/(s^2 + ridge): in
-    exact arithmetic the same weights as that filter on the SVD of A,
-    without forming Q or A's (n, k) left singular vectors.  Cauchy-kernel
-    design matrices are too ill-conditioned for explicit normal equations.
-    samples is a sequence of (x, f(x)).
+    at the end.  The ridge problem is ordinary least squares on the stacked
+    design [H; sqrt(ridge) I] with target [f; 0] (Tikhonov regularization
+    as an augmented system), so one (n + k, k + 1) buffer holds [H | f] in
+    its top n rows, filled block by block, and [sqrt(ridge) I | 0] in its
+    bottom k.  Its triangular factor R = qr(buffer, mode="r") reduces the
+    problem to the k x k system R[:k, :k] (-1)^N theta = R[:k, k], solved
+    by back-substitution: no Q, no singular vectors.  For ridge > 0 the
+    stacked design has full column rank, so R[:k, :k] is nonsingular.
+    Cauchy-kernel design matrices are too ill-conditioned for explicit
+    normal equations, which would square the condition number.
+
+    With ridge 0 the design itself must have full column rank, so n >= k:
+    SingularSystem when R[:k, :k]'s smallest singular value is within
+    numpy's matrix_rank tolerance of 0.  samples is a sequence of (x, f(x)).
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
@@ -194,27 +200,29 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
         points = points[:, None]
     if len(points) < 1:
         raise ValueError("need at least one boundary point")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:
+        raise ValueError("ridge must be nonnegative and finite")
 
     xs = np.array([np.atleast_1d(np.asarray(s[0], dtype=float)) for s in samples])
-    k = len(points)
-    Af = np.empty((len(xs), k + 1), dtype=complex)
-    Af[:, k] = [complex(s[1]) for s in samples]
+    n, k = len(xs), len(points)
+    Af = np.zeros((n + k, k + 1), dtype=complex)
+    top = Af[:n]  # the last block's slice must not reach the ridge rows
+    top[:, k] = [complex(s[1]) for s in samples]
     # the row sums of H carry the finiteness check of each block
     for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
-        Af[rows, :k] = hidden
+        top[rows, :k] = hidden
+    np.fill_diagonal(Af[n:, :k], np.sqrt(ridge))
 
-    R = np.linalg.qr(Af, mode="r")
+    R = np.linalg.qr(Af, mode="r")[:k]
     try:
-        U, s, Vh = np.linalg.svd(R[:k, :k], full_matrices=False)
+        if ridge == 0:
+            # numpy's matrix_rank tolerance: rounding leaves a repeated column's s near 0
+            s = np.linalg.svd(R[:, :k], compute_uv=False)
+            if s.min() <= s.max() * k * np.finfo(float).eps:
+                raise SingularSystem("design matrix is rank-deficient with ridge 0")
+        theta = np.linalg.solve(R[:, :k], R[:, k])
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"SVD failed: {exc}") from None
-    # numpy's matrix_rank tolerance: rounding leaves a repeated column's s near 0, not at 0
-    if ridge == 0 and s.min() <= s.max() * max(R[:k, :k].shape) * np.finfo(float).eps:
-        raise SingularSystem("design matrix is rank-deficient with ridge 0")
-    filt = s / (s * s + ridge)
-    theta = Vh.conj().T @ (filt * (U.conj().T @ R[:k, k]))
-    if not np.all(np.isfinite(theta)):
+        raise SingularSystem(f"least-squares solve failed: {exc}") from None
+    if not np.isfinite(theta).all():
         raise SingularSystem("regularized solve produced non-finite weights")
     return KernelExpansion(points, (-1) ** points.shape[1] * theta)

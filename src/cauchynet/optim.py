@@ -49,16 +49,16 @@ class TrainConfig:
 
     def validate(self) -> list[str]:
         problems = []
-        if self.epochs < 1:
-            problems.append("epochs must be at least 1")
-        if self.batch_size < 1:
-            problems.append("batch_size must be at least 1")
+        for name in ("epochs", "batch_size", "lr_decay_every"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                problems.append(f"{name} must be an int, got {value!r}")
+            elif value < 1:
+                problems.append(f"{name} must be at least 1")
         if not 0 < self.lr0 < np.inf:
             problems.append("lr0 must be positive and finite")
         if not (0 < self.lr_decay_factor <= 1):
             problems.append("lr_decay_factor must be in (0, 1]")
-        if self.lr_decay_every < 1:
-            problems.append("lr_decay_every must be at least 1")
         if not 0 <= self.weight_decay < np.inf:
             problems.append("weight_decay must be nonnegative and finite")
         if not 0 <= self.lam < np.inf:

@@ -242,15 +242,9 @@ def test_kernel_rejects_mismatched_dimension():
         evaluate_expansion_grid(exp, np.zeros((3, 1)))
 
 
-# "under-2d" fits 12 samples with 24 centres (design condition ~1e4; at
-# most 3e-12 from the reference over data seeds 0-59).  A 30 x 64 design
-# has condition ~1e8, where the 1e-15 ridge starts to filter, and its
-# error (up to 1.14e-8 over those seeds) depended on the data seed.
-@pytest.mark.parametrize("n,k,ndim", [(150, 32, 1), (32, 32, 1), (20, 32, 1),
-                                      (200, 64, 2), (12, 24, 2)],
-                         ids=["over", "square", "under", "over-2d", "under-2d"])
-def test_fit_matches_full_svd_reference(n, k, ndim):
-    rng = np.random.default_rng(k + n)
+def _fit_problem(n, k, ndim, rng):
+    """k centres on an ellipse (mirrored in a second dimension), n samples
+    and 50 held-out points of cos(sum x) drawn from rng."""
     t = 2 * np.pi * np.arange(k) / k
     points = (3 * np.cos(t) + 1.5j * np.sin(t))[:, None]
     if ndim == 2:
@@ -258,6 +252,21 @@ def test_fit_matches_full_svd_reference(n, k, ndim):
     xs = rng.uniform(-1, 1, size=(n, ndim))
     fs = np.cos(xs.sum(axis=1)) + 0j
     held = rng.uniform(-1, 1, size=(50, ndim))
+    return points, xs, fs, held
+
+
+FIT_SHAPES = pytest.mark.parametrize(
+    "n,k,ndim", [(150, 32, 1), (32, 32, 1), (20, 32, 1), (200, 64, 2), (12, 24, 2)],
+    ids=["over", "square", "under", "over-2d", "under-2d"])
+
+
+# "under-2d" fits 12 samples with 24 centres (design condition ~1e4; at
+# most 5e-12 from the reference over data seeds 0-59).  A 30 x 64 design
+# has condition ~1e8, where the 1e-15 ridge starts to filter, and its
+# error (up to 1.5e-8 over those seeds) depended on the data seed.
+@FIT_SHAPES
+def test_fit_matches_full_svd_reference(n, k, ndim):
+    points, xs, fs, held = _fit_problem(n, k, ndim, np.random.default_rng(k + n))
     exp = fit_expansion_least_squares(list(zip(xs, fs)), points)
     theta = _reference_fit(points, xs, fs, 1e-15)
     for where in (xs, held):
@@ -267,15 +276,51 @@ def test_fit_matches_full_svd_reference(n, k, ndim):
 
 @pytest.mark.parametrize("centres,n", [
     ((2, 2), 2), ((2, 2), 4), ((2, 2, 2), 2), ((2, 2, 2), 3),
-    ((2, 2), 3), ((2, 2), 7), ((2, 3, 2), 4),
-], ids=["square", "over", "under", "square-3", "over-3", "over-7", "repeat-among-3"])
+    ((2, 2), 3), ((2, 2), 7), ((2, 3, 2), 4), ((2, 3, 4, 5, 6), 3),
+], ids=["square", "over", "under", "square-3", "over-3", "over-7", "repeat-among-3",
+        "fewer-samples-than-centres"])
 def test_fit_rank_deficient_ridge_zero_raises(centres, n):
     # a repeated centre repeats a column, so the design is singular; rounding
-    # can leave its smallest singular value just above 0
+    # can leave its smallest singular value just above 0.  With distinct
+    # centres, fewer samples than centres leave the column rank below k.
     points = np.array(centres, dtype=complex)[:, None]
     samples = [([x], 1.0) for x in np.linspace(0.0, 0.75, n)]
     with pytest.raises(SingularSystem):
         fit_expansion_least_squares(samples, points, ridge=0.0)
+
+
+@FIT_SHAPES
+def test_fit_error_against_truth_matches_full_svd_reference(n, k, ndim):
+    # the held-out error against cos(sum x) itself, not against the reference
+    for seed in range(10):
+        points, xs, fs, held = _fit_problem(n, k, ndim, np.random.default_rng(seed))
+        truth = np.cos(held.sum(axis=1))
+        exp = fit_expansion_least_squares(list(zip(xs, fs)), points)
+        ref = _one_division_design(points, held) @ _reference_fit(points, xs, fs, 1e-15)
+        err = np.abs(evaluate_expansion_grid(exp, held) - truth).max()
+        ref_err = np.abs(ref - truth).max()
+        assert abs(err - ref_err) <= 0.01 * ref_err, (seed, err, ref_err)
+
+
+@pytest.mark.parametrize("ridge", [1e-6, 1e-2, 1.0])
+def test_fit_ridge_matches_regularized_normal_equations(ridge):
+    # a design of condition ~550, where the normal equations are accurate;
+    # theta minimizes |A theta - f|^2 + ridge |theta|^2, not sqrt(ridge) |theta|^2
+    xi = 3 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+    xs = np.linspace(-2.5, 2.5, 40)
+    fs = np.exp(xs) + 0j
+    A = _reference_design(xi[:, None], xs[:, None])
+    expected = np.linalg.solve(A.conj().T @ A + ridge * np.eye(8), A.conj().T @ fs)
+    theta = fit_expansion_least_squares(list(zip(xs[:, None], fs)), xi, ridge=ridge).theta
+    np.testing.assert_allclose(theta, expected, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("ridge", [np.inf, np.nan, -1e-3])
+def test_fit_rejects_bad_ridge(ridge):
+    xi = 3 * np.exp(2j * np.pi * np.arange(8) / 8)
+    samples = [([x], np.exp(x)) for x in np.linspace(-1, 1, 20)]
+    with pytest.raises(ValueError, match="ridge"):
+        fit_expansion_least_squares(samples, xi, ridge=ridge)
 
 
 def test_grid_memory_is_one_block():

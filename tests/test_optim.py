@@ -93,6 +93,15 @@ def test_train_config_rejects_non_finite(name, value):
     assert [p for p in problems if p.startswith(name)]
 
 
+@pytest.mark.parametrize("value", [float("nan"), 2.0, 2.5, True, "2"])
+@pytest.mark.parametrize("name", ["epochs", "batch_size", "lr_decay_every"])
+def test_train_config_rejects_non_int_counts(name, value):
+    problems = TrainConfig(**{name: value}).validate()
+    assert problems == [f"{name} must be an int, got {value!r}"]
+    with pytest.raises(ValueError, match=name):
+        train(None, None, TrainConfig(**{name: value}))
+
+
 def test_adam_weight_decay_pulls_toward_zero():
     m = ScalarModel(2.0)
     st = AdamState.for_size(1)
