@@ -40,6 +40,11 @@ class MlpModel:
         copy_into(self.W2, W2, "W2")
         self.b2 = b2
 
+    def __reduce__(self):
+        # Rebuilt from the weights, so a pickled or deep-copied model's views
+        # are views of its own `params` again.
+        return MlpModel, (self.W1, self.b1, self.W2, self.b2)
+
     @property
     def b2(self) -> float:
         return float(self.params[-1])
@@ -75,7 +80,7 @@ def mlp_predict(model: MlpModel, X):
     """
     X = as_inputs(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = X @ model.W1.T + model.b1
+        pre = np.dot(X, model.W1.T) + model.b1
         y = np.maximum(pre, 0.0) @ model.W2 + model.b2
     if not np.isfinite(y).all():
         raise NonFiniteError("baseline prediction overflowed")
@@ -96,7 +101,7 @@ def mlp_batch_gradient(model: MlpModel, X, y_true, lam: float = 0.0):
     dW1, db1, dW2 = split_mlp_parameters(g, model.h, model.m)
     # overflow surfaces as an explicit NonFiniteError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = X @ model.W1.T + model.b1
+        pre = np.dot(X, model.W1.T) + model.b1
         z = np.maximum(pre, 0.0)
         y = z @ W2 + model.b2
         r = 2.0 * (y - y_true) / n

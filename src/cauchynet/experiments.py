@@ -31,6 +31,7 @@ from .data import DiskMask, IntervalMask
 from .errors import CauchyNetError, LengthMismatch, NonFiniteError, ValidationError
 from .fileio import write_csv, write_json
 from .optim import TrainConfig, train
+from .workers import map_forked
 
 CONFIG_VERSION = 1
 
@@ -417,7 +418,10 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
     """Build, train, evaluate, and emit one experiment's artifacts.
 
     If a model diverges, its partial trainlog and a manifest with status
-    "diverged" are written before the NonFiniteError propagates.
+    "diverged" are written before the NonFiniteError propagates.  The
+    network trains in this process and the baseline, if the spec has one,
+    in a worker where `workers.map_forked` finds a free slot; the
+    artifacts are those of a serial run either way.
     """
     spec = validate_spec(spec)
     outdir = Path(outdir)
@@ -438,17 +442,35 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
             "wall_ms_total": (time.perf_counter() - t_start) * 1e3,
         })
 
-    def fit(prefix, trainable, config):
+    def write_diverged(prefix, exc):
+        exc.partial_log.write_csv(outdir / f"{prefix}trainlog.csv")
+        files.append(f"{prefix}trainlog.csv")
+        write_manifest("diverged")
+
+    def fit_network():
+        net = _init_model(spec, ds.m)
         try:
-            return train(trainable, scaled, config)
+            return net, train(grad.cauchynet_trainable(net), scaled, spec.train)
         except NonFiniteError as exc:      # train() attaches the epochs it finished
-            exc.partial_log.write_csv(outdir / f"{prefix}trainlog.csv")
-            files.append(f"{prefix}trainlog.csv")
-            write_manifest("diverged")
+            write_diverged("", exc)
             raise
 
-    net = _init_model(spec, ds.m)
-    log = fit("", grad.cauchynet_trainable(net), spec.train)
+    def fit_baseline():
+        # Its divergence comes back as a value, so the network's artifacts
+        # are written before the baseline's partial log, as in a serial run.
+        mlp = bl.init_mlp(spec.model.h, ds.m,
+                          Rng(derive_seed(seed, _STREAM_BASELINE_INIT)))
+        bcfg = (spec.train if spec.baseline_lr is None
+                else replace(spec.train, lr0=spec.baseline_lr))
+        try:
+            return mlp, train(bl.mlp_trainable(mlp), scaled, bcfg)
+        except NonFiniteError as exc:
+            return exc
+
+    # Item 0 runs in this process, so a caller that patches this module's
+    # `train` sees the network's fit; a worker's calls stay in the worker.
+    jobs = [fit_network, fit_baseline] if spec.baseline else [fit_network]
+    (net, log), *baseline = map_forked(lambda fit: fit(), jobs)
     cplx, real = mdl.parameter_count(net)
     preds = _write_run(outdir, "", log, ds, scaler, lambda X: mdl.predict(net, X))
     mdl.save_checkpoint(net, scaler, outdir / "checkpoint.json", seed=seed)
@@ -456,12 +478,11 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
     # model name -> (per-split predictions, complex params, real params, log)
     runs = {"cauchynet": (preds, cplx, real, log)}
 
-    if spec.baseline:
-        mlp = bl.init_mlp(spec.model.h, ds.m,
-                          Rng(derive_seed(seed, _STREAM_BASELINE_INIT)))
-        bcfg = (spec.train if spec.baseline_lr is None
-                else replace(spec.train, lr0=spec.baseline_lr))
-        blog = fit("baseline_", bl.mlp_trainable(mlp), bcfg)
+    for outcome in baseline:               # empty without a baseline
+        if isinstance(outcome, NonFiniteError):
+            write_diverged("baseline_", outcome)
+            raise outcome
+        mlp, blog = outcome
         bpreds = _write_run(outdir, "baseline_", blog, ds, scaler,
                             lambda X: bl.mlp_predict(mlp, X))
         bl.save_mlp_checkpoint(mlp, scaler, outdir / "baseline_checkpoint.json",
@@ -522,15 +543,18 @@ def run_lambda_ablation(spec: ExperimentSpec, outdir=None):
         raise ValidationError(["lambda values must be nonnegative"])
     ds, scaled, scaler = prepare(spec)
 
-    rows = []
-    for lam in spec.lambdas:
-        net = _init_model(spec, ds.m)
+    def arm(lam):
+        net, rows = _init_model(spec, ds.m), []
 
-        def snapshot(epoch, m, _lam=lam):
-            rows.append((_lam, spec.train.seed, epoch, _test_mse(m, ds, scaler)))
+        def snapshot(epoch, m):
+            rows.append((lam, spec.train.seed, epoch, _test_mse(m, ds, scaler)))
 
         train(grad.cauchynet_trainable(net), scaled, replace(spec.train, lam=lam),
               epoch_callback=snapshot)
+        return rows
+
+    # Each arm's rows come back from wherever it ran, in spec.lambdas order.
+    rows = [row for arm_rows in map_forked(arm, spec.lambdas) for row in arm_rows]
 
     final = {lam: next(r[3] for r in reversed(rows) if r[0] == lam)
              for lam in spec.lambdas}

@@ -54,6 +54,11 @@ class CauchyNetModel:
         require_finite(self.B, "B")
         require_finite(self.C, "C")
 
+    def __reduce__(self):
+        # Rebuilt from the weights, so a pickled or deep-copied model's views
+        # are views of its own `params` again.
+        return CauchyNetModel, (self.h, self.m, self.epsilon, self.B, self.C)
+
 
 def split_parameters(vec: np.ndarray, h: int, m: int):
     """Complex (h, m) and (h,) views of a flat real vector in `params` layout."""

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
-                                save_mlp_checkpoint)
+                                mlp_trainable, save_mlp_checkpoint)
 from cauchynet.complex_linalg import Rng
 from cauchynet.data import (ScalerState, SplitDataset, scaler_apply, scaler_fit,
                             target_intro_spike)
@@ -117,12 +120,18 @@ MODEL_KINDS = {
 }
 
 
+COPIES ={"pickled": lambda model: pickle.loads(pickle.dumps(model)),
+          "deep-copied": copy.deepcopy}
+
+
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
-@pytest.mark.parametrize("stage", ["constructed", "loaded", "adam_step"])
+@pytest.mark.parametrize("stage", ["constructed", "loaded", "adam_step", *COPIES])
 def test_weight_views_share_memory_with_params(tmp_path, kind, stage):
     make, names, save, load = MODEL_KINDS[kind]
     model = make()
-    if stage == "loaded":
+    if stage in COPIES:
+        model = COPIES[stage](model)
+    elif stage == "loaded":
         save(model, ScalerState(0.0, 1.0, 0.0, 1.0), tmp_path / "ckpt.json")
         model, _ = load(tmp_path / "ckpt.json")
     elif stage == "adam_step":
@@ -156,6 +165,19 @@ def spike_dataset(n=120, seed=3):
     return SplitDataset(xs[tr][:, None], scaler_apply(ys[tr], st),
                         xs[va][:, None], scaler_apply(ys[va], st),
                         xs[va][:, None], scaler_apply(ys[va], st), m=1)
+
+
+@pytest.mark.parametrize("kind", ["cauchynet", "mlp"])
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_copied_model_trains_like_the_original(kind, how):
+    make, trainable = {"cauchynet": (lambda: init_elliptical(8, 1, Rng(5), 1.05, 0.1),
+                                     cauchynet_trainable),
+                       "mlp": (lambda: init_mlp(8, 1, Rng(5)), mlp_trainable)}[kind]
+    original = make()
+    copied = COPIES[how](original)
+    for model in (original, copied):
+        train(trainable(model), spike_dataset(), TrainConfig(epochs=3, seed=5))
+    assert copied.params.tobytes() == original.params.tobytes()
 
 
 def test_train_rejects_zero_epochs():

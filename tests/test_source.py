@@ -29,6 +29,23 @@ def test_library_never_calls_reciprocal():
     assert found == []
 
 
+def test_only_the_workers_module_forks():
+    # One way to run work in parallel: workers.map_forked.  multiprocessing
+    # and concurrent.futures stay out of the library, and so does their
+    # import time before the first epoch.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            forks = (isinstance(node, ast.Attribute) and node.attr == "fork"
+                     or isinstance(node, ast.alias) and node.name == "fork")
+            module = (node.name if isinstance(node, ast.alias)
+                      else node.module or "" if isinstance(node, ast.ImportFrom) else "")
+            if (forks and path.name != "workers.py"
+                    or module.split(".")[0] in ("multiprocessing", "concurrent")):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+
+
 # Public names kept without a caller in the library or the benchmark.
 UNCALLED_BY_DESIGN = {
     "backward": "per-sample gradient oracle for the batch gradient",
