@@ -549,12 +549,21 @@ def run_lambda_ablation(spec: ExperimentSpec, outdir=None):
         def snapshot(epoch, m):
             rows.append((lam, spec.train.seed, epoch, _test_mse(m, ds, scaler)))
 
-        train(grad.cauchynet_trainable(net), scaled, replace(spec.train, lam=lam),
-              epoch_callback=snapshot)
+        try:
+            train(grad.cauchynet_trainable(net), scaled, replace(spec.train, lam=lam),
+                  epoch_callback=snapshot)
+        except NonFiniteError as exc:
+            return exc
         return rows
 
-    # Each arm's rows come back from wherever it ran, in spec.lambdas order.
-    rows = [row for arm_rows in map_forked(arm, spec.lambdas) for row in arm_rows]
+    # Each arm's rows or divergence come back from wherever it ran, in
+    # spec.lambdas order, so the first diverged arm is the same whichever
+    # process ran it.
+    arms = map_forked(arm, spec.lambdas)
+    for outcome in arms:
+        if isinstance(outcome, NonFiniteError):
+            raise outcome
+    rows = [row for arm_rows in arms for row in arm_rows]
 
     final = {lam: next(r[3] for r in reversed(rows) if r[0] == lam)
              for lam in spec.lambdas}
@@ -583,6 +592,15 @@ def _sweep_cell(spec: ExperimentSpec, h, n, lr, wd):
     return _test_mse(net, ds, scaler)
 
 
+def _sweep_row(spec: ExperimentSpec, h, n, lr, wd):
+    """A sweep row and whether the cell diverged; a failed cell's row is NaN."""
+    try:
+        return (h, n, lr, wd, _sweep_cell(spec, h, n, lr, wd), ""), False
+    except (NonFiniteError, ValidationError) as exc:
+        return ((h, n, lr, wd, float("nan"), f"failed: {exc}"),
+                isinstance(exc, NonFiniteError))
+
+
 def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
                          lrs=None, wds=None, outdir=None):
     """Cross-product sweep over hidden width, data size, lr, weight decay.
@@ -592,8 +610,9 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
     with its h, n, lr and wd, checked again; a cell that raises
     NonFiniteError or ValidationError becomes a NaN row whose note is the
     message.  If every cell fails the sweep raises: NonFiniteError when some
-    cell diverged, ValidationError otherwise.  Rows are (h, n, lr, wd,
-    test_mse, note) in deterministic axis order.
+    cell diverged, ValidationError otherwise.  Cells run over the caller and
+    forked workers (`workers.map_forked`), largest h*n first; rows are
+    (h, n, lr, wd, test_mse, note) in deterministic axis order.
     """
     axes = dict(grid_hidden=hidden, grid_sizes=data_sizes, grid_lrs=lrs, grid_wds=wds)
     spec = validate_spec(replace(spec, **{k: tuple(v) for k, v in axes.items() if v is not None}))
@@ -601,16 +620,16 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
     if not all(grid):
         raise ValidationError(["every sweep axis must be nonempty"])
 
-    rows, diverged = [], False
-    for h, n, lr, wd in itertools.product(*grid):
-        try:
-            rows.append((h, n, lr, wd, _sweep_cell(spec, h, n, lr, wd), ""))
-        except (NonFiniteError, ValidationError) as exc:
-            diverged |= isinstance(exc, NonFiniteError)
-            rows.append((h, n, lr, wd, float("nan"), f"failed: {exc}"))
+    # Largest h*n first: a cell's cost grows with both, and the processes
+    # that finish early take the small cells left at the end.
+    cells = list(itertools.product(*grid))
+    order = sorted(range(len(cells)), key=lambda k: -cells[k][0] * cells[k][1])
+    done = map_forked(lambda k: _sweep_row(spec, *cells[k]), order)
+    outcomes = [outcome for _, outcome in sorted(zip(order, done), key=lambda p: p[0])]
+    rows = [row for row, _ in outcomes]
 
     if all(math.isnan(r[4]) for r in rows):
-        if diverged:
+        if any(diverged for _, diverged in outcomes):
             raise NonFiniteError("every sweep cell failed")
         raise ValidationError(["every sweep cell failed"]
                               + list(dict.fromkeys(r[5] for r in rows)))

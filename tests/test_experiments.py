@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchynet import cli
+from cauchynet import cli, workers
 from cauchynet import experiments as xp
 from cauchynet import model as mdl
 from cauchynet.complex_linalg import Rng
@@ -360,15 +360,19 @@ def test_sensitivity_grid_rejects_mistyped_axis_before_training(monkeypatch, axe
     ((ValidationError("bad cell"), NonFiniteError("diverged")), NonFiniteError),
 ])
 def test_sensitivity_grid_every_cell_failed(monkeypatch, failures, expected):
-    pending = list(failures)
+    # Keyed on the cell, not the call order: a cell run in a forked worker
+    # would pop its own copy of a list.
+    by_width = dict(zip([8, 16], failures))
 
-    def fail(*args):
-        raise pending.pop(0)
+    def fail(spec, h, *args):
+        raise by_width[h]
 
     monkeypatch.setattr(xp, "_sweep_cell", fail)
-    with pytest.raises(expected):
-        run_sensitivity_grid(tiny_spec(), hidden=[8, 16], data_sizes=[60],
-                             lrs=[0.01], wds=[0.0])
+    for slots in (1, 2):
+        monkeypatch.setattr(workers, "process_slots", lambda: slots)
+        with pytest.raises(expected):
+            run_sensitivity_grid(tiny_spec(), hidden=[8, 16], data_sizes=[60],
+                                 lrs=[0.01], wds=[0.0])
 
 
 def test_kernel_demo_square(tmp_path):

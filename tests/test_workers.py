@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import select
 import signal
 import threading
 import time
@@ -8,10 +10,11 @@ import pytest
 
 from cauchynet import baseline as bl
 from cauchynet import cli, workers
+from cauchynet import experiments as xp
 from cauchynet import model as mdl
-from cauchynet.errors import CauchyNetError, NonFiniteError
+from cauchynet.errors import CauchyNetError, NonFiniteError, ValidationError
 from cauchynet.experiments import (ExperimentSpec, ModelSpec, run_experiment,
-                                   run_lambda_ablation)
+                                   run_lambda_ablation, run_sensitivity_grid)
 from cauchynet.optim import TrainConfig
 
 TINY_BASELINE = ["train", "--preset", "exp1", "--set", "n_samples=60",
@@ -32,14 +35,89 @@ def pid_of(x):
     return x, os.getpid()
 
 
+@pytest.fixture
+def pipe():
+    """Makes pipes through which an item run in one process tells another
+    that it ran; that fixes which process takes which item without sleeps."""
+    made = []
+
+    def make():
+        made.append(os.pipe())
+        return made[-1]
+
+    yield make
+    for fds in made:
+        for fd in fds:
+            os.close(fd)
+
+
+def wait_for(read_fd, count=1):
+    """Read count bytes from a pipe made by `pipe`, failing after 30 s without one."""
+    got = 0
+    while got < count:
+        if not select.select([read_fd], [], [], 30)[0]:
+            pytest.fail("no worker reported within 30 s")
+        got += len(os.read(read_fd, count - got))
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_results_come_back_in_input_order(monkeypatch, n):
+def test_results_come_back_in_input_order(monkeypatch, pipe, n):
     slots(monkeypatch, n)
-    out = workers.map_forked(pid_of, range(7))
+    read_fd, write_fd = pipe()
+
+    def run(x):
+        if x == 0:
+            wait_for(read_fd, 6)       # until the workers ran items 1 to 6
+        else:
+            os.write(write_fd, b"x")
+        return pid_of(x)
+
+    out = workers.map_forked(run, range(7))
     assert [x for x, _ in out] == list(range(7))
     pids = [pid for _, pid in out]
-    assert pids[0::n] == [os.getpid()] * len(pids[0::n])
-    assert len(set(pids)) == n
+    # The caller ran items[0] only: a free worker took the next item each
+    # time, not its stride share items[i::n].
+    assert pids[0] == os.getpid() and os.getpid() not in pids[1:]
+    assert len(set(pids)) <= n
+    assert no_child_left()
+
+
+def test_items_after_the_first_go_to_whichever_process_is_free(monkeypatch, pipe):
+    slots(monkeypatch, 2)
+    (took_1, tell_1), (ran_rest, tell_rest) = pipe(), pipe()
+
+    def run(x):
+        if x == 0:
+            wait_for(took_1)           # until the worker has taken item 1
+        elif x == 1:
+            os.write(tell_1, b"x")
+            wait_for(ran_rest, 4)      # until the caller ran items 2 to 5
+        else:
+            os.write(tell_rest, b"x")
+        return pid_of(x)
+
+    pids = [pid for _, pid in workers.map_forked(run, range(6))]
+    assert pids[1] != os.getpid()
+    assert pids == [os.getpid(), pids[1]] + [os.getpid()] * 4
+    assert no_child_left()
+
+
+def test_many_items_take_one_process_per_slot(monkeypatch):
+    # 20,000 four-byte indices written to a pipe before the fork would
+    # overfill its 64 KiB; the shared counter holds one index at a time.
+    slots(monkeypatch, 3)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    out = workers.map_forked(pid_of, range(20_000))
+    assert [x for x, _ in out] == list(range(20_000))
+    assert out[0][1] == os.getpid()
+    assert len(forks) == 2 and len({pid for _, pid in out}) <= 3
     assert no_child_left()
 
 
@@ -79,12 +157,15 @@ def test_process_slots_share_the_cpus_among_blas_threads(monkeypatch, env, cpus,
     assert workers.process_slots() == expected
 
 
-def test_worker_exception_is_raised_in_the_caller(monkeypatch):
+def test_worker_exception_is_raised_in_the_caller(monkeypatch, pipe):
     slots(monkeypatch, 2)
+    read_fd, write_fd = pipe()
 
     def fail_on_one(x):
         if x == 1:
+            os.write(write_fd, b"x")
             raise NonFiniteError("worker overflow", epoch=4)
+        wait_for(read_fd)
         return x
 
     with pytest.raises(NonFiniteError, match="worker overflow") as info:
@@ -93,13 +174,15 @@ def test_worker_exception_is_raised_in_the_caller(monkeypatch):
     assert no_child_left()
 
 
-def test_worker_killed_by_a_signal_names_it(monkeypatch):
+def test_worker_killed_by_a_signal_names_it(monkeypatch, pipe):
     slots(monkeypatch, 2)
-    caller = os.getpid()
+    read_fd, write_fd = pipe()
 
     def killed_in_worker(x):
-        if os.getpid() != caller:
+        if x == 1:
+            os.write(write_fd, b"x")
             os.kill(os.getpid(), signal.SIGKILL)
+        wait_for(read_fd)
         return x
 
     with pytest.raises(CauchyNetError, match="SIGKILL"):
@@ -122,15 +205,18 @@ def test_caller_exception_kills_the_workers_at_once(monkeypatch):
     assert no_child_left()
 
 
-def test_unpicklable_worker_exception_becomes_a_library_error(monkeypatch):
+def test_unpicklable_worker_exception_becomes_a_library_error(monkeypatch, pipe):
     slots(monkeypatch, 2)
+    read_fd, write_fd = pipe()
 
     class LocalError(Exception):
         pass
 
     def fail_on_one(x):
         if x == 1:
+            os.write(write_fd, b"x")
             raise LocalError("not importable")
+        wait_for(read_fd)
         return x
 
     with pytest.raises(CauchyNetError, match="worker raised LocalError: not importable"):
@@ -233,3 +319,82 @@ def test_ablation_arms_in_workers_match_serial(tmp_path, monkeypatch):
         out[n] = (rows, summary, (tmp_path / str(n) / "lambda_ablation.csv").read_bytes())
     assert out[1] == out[2]
     assert no_child_left()
+
+
+def test_diverged_ablation_arm_is_the_first_in_lambda_order(tmp_path, monkeypatch, pipe):
+    # Two slots: the caller runs lam=0 until the worker has taken lam=0.3,
+    # and the worker stays in lam=0.3 until the caller has run lam=0.5, so
+    # the later arm fails first.
+    spec = tiny_baseline_spec()
+    spec.lambdas = (0.0, 0.3, 0.5)
+    original = xp.train
+    (took_3, tell_3), (ran_5, tell_5) = pipe(), pipe()
+
+    def diverge_on_03_and_05(trainable, dataset, config, **kwargs):
+        lam = config.lam
+        if fanned and lam == 0.0:
+            wait_for(took_3)
+        elif fanned and lam == 0.3:
+            os.write(tell_3, b"x")
+            wait_for(ran_5)
+        elif fanned and lam == 0.5:
+            os.write(tell_5, b"x")
+        if lam in (0.3, 0.5):
+            raise NonFiniteError(f"arm lam={lam} diverged")
+        return original(trainable, dataset, config, **kwargs)
+
+    monkeypatch.setattr(xp, "train", diverge_on_03_and_05)
+    for fanned in (False, True):
+        slots(monkeypatch, 1 + fanned)
+        with pytest.raises(NonFiniteError, match=r"^arm lam=0\.3 diverged$"):
+            run_lambda_ablation(spec, tmp_path)
+    assert not (tmp_path / "lambda_ablation.csv").exists()
+    assert no_child_left()
+
+
+def sweep_serial_and_fanned(tmp_path, monkeypatch, pipe, hidden, diverging):
+    """The outcome of a sweep at n=60 with 1 and 2 slots, which must be equal:
+    its row reprs and sweep.csv, or its exception.  The cells of width in
+    `diverging` raise NonFiniteError; with 2 slots the width-4 cell runs in
+    the worker while the caller waits in the widest cell."""
+    original = xp._sweep_cell
+    ran_4, tell_4 = pipe()
+
+    def cell(spec, h, *args):
+        if fanned and h == max(hidden):
+            wait_for(ran_4)
+        elif fanned and h == 4:
+            os.write(tell_4, b"x")
+        if h in diverging:
+            raise NonFiniteError(f"injected overflow at h={h}")
+        return original(spec, h, *args)
+
+    monkeypatch.setattr(xp, "_sweep_cell", cell)
+    out = {}
+    for fanned in (False, True):
+        slots(monkeypatch, 1 + fanned)
+        outdir = tmp_path / str(fanned)
+        try:
+            rows = run_sensitivity_grid(tiny_baseline_spec(), hidden=hidden,
+                                        data_sizes=[60], lrs=[0.01], wds=[0.0],
+                                        outdir=outdir)
+            out[fanned] = [repr(r) for r in rows], (outdir / "sweep.csv").read_text()
+        except (NonFiniteError, ValidationError) as exc:
+            out[fanned] = type(exc), str(exc)
+    assert no_child_left()
+    assert out[False] == out[True]
+    return out[True]
+
+
+def test_sweep_cells_in_workers_match_serial(tmp_path, monkeypatch, pipe):
+    _, csv = sweep_serial_and_fanned(tmp_path, monkeypatch, pipe, [0, 4, 8, 12], {4})
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert [(r[0], r[5]) for r in rows] == [               # axis order
+        ("0", "failed: model.h must be at least 1"),
+        ("4", "failed: injected overflow at h=4"), ("8", ""), ("12", "")]
+    assert all(math.isfinite(float(r[4])) for r in rows[2:])
+
+
+def test_sweep_with_every_cell_failed_raises_the_same_in_workers(tmp_path, monkeypatch, pipe):
+    assert sweep_serial_and_fanned(tmp_path, monkeypatch, pipe, [0, 4, 8], {4, 8}) == (
+        NonFiniteError, "every sweep cell failed")
