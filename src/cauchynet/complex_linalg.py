@@ -61,12 +61,22 @@ class Rng:
         self.state = (self.state + _GOLDEN) & MASK64
         return _mix64(self.state)
 
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next n next_u64() outputs as a uint64 array, in one wrapping pass."""
+        states = np.uint64(self.state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        if n:
+            self.state = int(states[-1])
+        return _mix64(states)
+
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
+    def uniform_in(self, lo: float, hi: float, n: int | None = None):
+        """lo + (hi - lo) * uniform(); with n, the next n such draws as an array."""
+        if n is None:
+            return lo + (hi - lo) * self.uniform()
+        return lo + (hi - lo) * ((self._next_u64s(n) >> np.uint64(11)) * (1.0 / (1 << 53)))
 
     def normal(self, sigma: float = 1.0) -> float:
         """N(0, sigma^2) via Box-Muller; the sine mate is cached for the next call."""
@@ -94,25 +104,35 @@ class Rng:
         """
         idx = list(range(n))
         if n > 1:
-            states = np.uint64(self.state) + np.arange(1, n, dtype=np.uint64) * np.uint64(_GOLDEN)
-            self.state = int(states[-1])
-            draws = (_mix64(states) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+            draws = (self._next_u64s(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
             for i, j in zip(range(n - 1, 0, -1), draws):
                 idx[i], idx[j] = idx[j], idx[i]
         return np.asarray(idx, dtype=np.int64)
 
 
-def normal_complex(rng: Rng, sigma: float) -> complex:
+def normal_complex(rng: Rng, sigma: float, n: int | None = None):
     """Complex sample with independent N(0, sigma^2) real and imaginary parts.
 
     Consumes exactly one Box-Muller pair (two uniforms), independent of any
     cached scalar-normal state, so mixed scalar/complex draws stay
-    reproducible.
+    reproducible.  With n, returns the next n such samples as a complex
+    array, bit-equal to n single draws: the 2n uniforms come from one
+    uint64 pass, and each log, cos and sin is Python's `math` one, whose
+    results numpy's vector loops are not bound to match.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    r, c, s = rng._box_muller()
-    return complex(r * c * sigma, r * s * sigma)
+    if n is None:
+        r, c, s = rng._box_muller()
+        return complex(r * c * sigma, r * s * sigma)
+    bits = (rng._next_u64s(2 * n) >> np.uint64(11)).reshape(n, 2)
+    u1 = ((bits[:, 0] + np.uint64(1)) * (1.0 / (1 << 53))).tolist()
+    turns = (2.0 * math.pi * (bits[:, 1] * (1.0 / (1 << 53)))).tolist()
+    r = np.sqrt(np.array([-2.0 * math.log(u) for u in u1]))
+    out = np.empty(n, dtype=complex)
+    out.real = r * np.array([math.cos(t) for t in turns]) * sigma
+    out.imag = r * np.array([math.sin(t) for t in turns]) * sigma
+    return out
 
 
 def require_finite(arr, what: str):

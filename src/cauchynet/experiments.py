@@ -281,8 +281,7 @@ def _even_1d(spec: ExperimentSpec, rng: Rng, lo, hi, target):
 
 
 def _random_2d(spec: ExperimentSpec, rng: Rng, lo, hi, target):
-    pts = np.array([[rng.uniform_in(lo, hi), rng.uniform_in(lo, hi)]
-                    for _ in range(spec.n_samples)])
+    pts = rng.uniform_in(lo, hi, 2 * spec.n_samples).reshape(-1, 2)     # (x0, x1) per row
     return pts, target(pts[:, 0], pts[:, 1])
 
 

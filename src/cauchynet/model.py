@@ -73,13 +73,8 @@ def init_xavier_complex(h: int, m: int, rng: Rng,
     B is filled row-major before C, one complex draw per entry, so the
     stream layout is reproducible.
     """
-    sigma = math.sqrt(2.0 / (m + h))
-    B = np.empty((h, m), dtype=complex)
-    for k in range(h):
-        for i in range(m):
-            B[k, i] = normal_complex(rng, sigma)
-    C = np.array([normal_complex(rng, sigma) for _ in range(h)])
-    return CauchyNetModel(h, m, epsilon, B, C)
+    draws = normal_complex(rng, math.sqrt(2.0 / (m + h)), h * (m + 1))
+    return CauchyNetModel(h, m, epsilon, draws[:h * m].reshape(h, m), draws[h * m:])
 
 
 def _arclength_angles(a: float, b: float, fractions: np.ndarray) -> np.ndarray:
@@ -112,7 +107,6 @@ def init_elliptical(h: int, m: int, rng: Rng,
     The default semi-axes (6 and 2) match the contour used by the kernel
     demo; experiment presets pass domain-scaled axes instead.
     """
-    sigma = math.sqrt(2.0 / (m + h))
     B = np.empty((h, m), dtype=complex)
     for i in range(m):
         if i == 0:
@@ -122,8 +116,7 @@ def init_elliptical(h: int, m: int, rng: Rng,
         ts = _arclength_angles(semi_major, semi_minor, fractions)
         poles = semi_major * np.cos(ts) + 1j * semi_minor * np.sin(ts)
         B[:, i] = -poles - epsilon
-    C = np.array([normal_complex(rng, sigma) for _ in range(h)])
-    return CauchyNetModel(h, m, epsilon, B, C)
+    return CauchyNetModel(h, m, epsilon, B, normal_complex(rng, math.sqrt(2.0 / (m + h)), h))
 
 
 def forward_batch(model: CauchyNetModel, X):

@@ -20,6 +20,7 @@ import numpy as np
 from .complex_linalg import Rng, derive_seed
 from .errors import NonFiniteError
 from .fileio import write_csv
+from .workers import Pipeline
 
 _SHUFFLE_STREAM = 0x5A
 _BETA1, _BETA2, _EPS_ADAM = 0.9, 0.999, 1e-8
@@ -157,7 +158,18 @@ def train(trainable: Trainable, dataset, config: TrainConfig,
     Per-epoch shuffle order comes from a child seed of (config.seed, epoch),
     so evaluation callbacks cannot perturb the trajectory.  Raises
     NonFiniteError with the failing epoch and the partial log if the run
-    diverges.  epoch_callback(epoch, model) runs after each epoch.
+    diverges.  epoch_callback(epoch, model) runs after each epoch's steps,
+    with the parameters from the end of that epoch.
+
+    Epoch e's val loss is computed by a `workers.Pipeline`: in a forked
+    child while epoch e + 1 trains, where a slot is free, or else in this
+    process at the end of epoch e.  The child runs the same predict and
+    loss expression on the same pinned BLAS, so the log is the same either
+    way.  A divergence of epoch e's val loss is raised once epoch e + 1's
+    steps are done, ahead of any divergence in those steps, as
+    "training diverged at epoch e" with entries 0..e-1.  So
+    epoch_callback(e) may run for an epoch whose val loss then diverges,
+    and an epoch's wall_ms does not count a val loss computed in the child.
     """
     problems = config.validate()
     if problems:
@@ -169,27 +181,49 @@ def train(trainable: Trainable, dataset, config: TrainConfig,
     model = trainable.model
     state = AdamState.for_size(len(model.params))
     log = TrainLog()
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        lr = lr_at(config, epoch)
-        order = Rng(derive_seed(config.seed, _SHUFFLE_STREAM, epoch)).permutation(n)
-        batch_losses = []
+
+    def val_loss(params):
+        model.params[...] = params       # in this process, params is model.params
+        yv, ev = trainable.predict(model, dataset.val_x)
+        return float(((yv - dataset.val_y) ** 2).mean()
+                     + config.lam * (ev ** 2).mean())
+
+    def diverged(epoch, exc):
+        return NonFiniteError(f"training diverged at epoch {epoch}: {exc}",
+                              epoch=epoch, partial_log=log)
+
+    def record(epoch, lr, train_loss, wall_ms):
+        """Log an epoch once its val loss is back from the evaluator."""
         try:
-            for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                lv, gvec = trainable.batch_gradient(
-                    model, dataset.train_x[idx], dataset.train_y[idx], config.lam)
-                adam_step(model, gvec, state, lr, config.weight_decay)
-                batch_losses.append(lv.total)
-            yv, ev = trainable.predict(model, dataset.val_x)
-            val_loss = float(((yv - dataset.val_y) ** 2).mean()
-                             + config.lam * (ev ** 2).mean())
+            loss = evaluator.collect()
         except NonFiniteError as exc:
-            raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}",
-                                 epoch=epoch, partial_log=log) from None
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        log.entries.append(TrainLogEntry(epoch, lr, float(np.mean(batch_losses)),
-                                         val_loss, wall_ms))
-        if epoch_callback is not None:
-            epoch_callback(epoch, model)
+            raise diverged(epoch, exc) from None
+        log.entries.append(TrainLogEntry(epoch, lr, train_loss, loss, wall_ms))
+
+    pending = None                        # record() arguments of the previous epoch
+    with Pipeline(val_loss) as evaluator:
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            lr = lr_at(config, epoch)
+            order = Rng(derive_seed(config.seed, _SHUFFLE_STREAM, epoch)).permutation(n)
+            batch_losses, failed = [], None
+            try:
+                for start in range(0, n, config.batch_size):
+                    idx = order[start:start + config.batch_size]
+                    lv, gvec = trainable.batch_gradient(
+                        model, dataset.train_x[idx], dataset.train_y[idx], config.lam)
+                    adam_step(model, gvec, state, lr, config.weight_decay)
+                    batch_losses.append(lv.total)
+            except NonFiniteError as exc:
+                failed = exc
+            if pending is not None:
+                record(*pending)          # the previous epoch's divergence wins
+            if failed is not None:
+                raise diverged(epoch, failed)
+            evaluator.submit(model.params)
+            pending = (epoch, lr, float(np.mean(batch_losses)),
+                       (time.perf_counter() - t0) * 1e3)
+            if epoch_callback is not None:
+                epoch_callback(epoch, model)
+        record(*pending)
     return log

@@ -53,3 +53,19 @@ def test_derive_seed_decorrelates_tags():
     assert len(seeds) == 100
     assert derive_seed(10, 3, 7) == derive_seed(10, 3, 7)
     assert derive_seed(10, 3, 7) != derive_seed(10, 7, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1224])
+def test_normal_complex_array_is_bit_equal_to_single_draws(n):
+    one, many = Rng(31), Rng(31)
+    expected = np.array([normal_complex(one, 0.3) for _ in range(n)], dtype=complex)
+    drawn = normal_complex(many, 0.3, n)
+    assert drawn.tobytes() == expected.tobytes()
+    assert many.state == one.state
+
+
+def test_uniform_in_array_is_bit_equal_to_single_draws():
+    one, many = Rng(77), Rng(77)
+    expected = np.array([one.uniform_in(-0.8, 0.8) for _ in range(6000)])
+    assert many.uniform_in(-0.8, 0.8, 6000).tobytes() == expected.tobytes()
+    assert many.state == one.state

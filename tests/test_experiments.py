@@ -163,6 +163,17 @@ def test_build_dataset_split_sizes():
     assert (len(ds.train_y), len(ds.val_y), len(ds.test_y)) == (150, 75, 75)
 
 
+def test_random_2d_points_equal_the_scalar_loop():
+    # One uint64 pass, laid out as (x0, x1) rows, replays the per-point loop.
+    spec = get_preset("exp2-disk")
+    spec.n_samples = 3000
+    pts, _ = xp._random_2d(spec, Rng(21), -0.8, 0.8, lambda a, b: a + b)
+    rng = Rng(21)
+    expected = np.array([[rng.uniform_in(-0.8, 0.8), rng.uniform_in(-0.8, 0.8)]
+                         for _ in range(3000)])
+    assert pts.tobytes() == expected.tobytes()
+
+
 def test_build_dataset_gap_mask():
     spec = get_preset("exp2-gap")
     spec.n_samples = 200
@@ -247,9 +258,13 @@ def test_run_experiment_predicts_each_split_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mdl, "predict", counted)
     spec = get_preset("exp2-disk")
     spec.n_samples, spec.model.h, spec.train.epochs = 400, 8, 3
-    run_experiment(spec, tmp_path)
-    # one validation pass per epoch, then one pass per split feeds every artifact
-    assert len(calls) == 3 + 3
+    for n in (1, 2):
+        monkeypatch.setattr(workers, "process_slots", lambda: n)
+        calls.clear()
+        run_experiment(spec, tmp_path / str(n))
+        # one validation pass per epoch, here or in the evaluator process, then
+        # one pass per split feeds every artifact
+        assert len(calls) == {1: 3 + 3, 2: 3}[n]
 
 
 def test_divergence_leaves_partial_trainlog_and_manifest(tmp_path, capsys, monkeypatch):

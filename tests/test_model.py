@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cauchynet.complex_linalg import Rng
+from cauchynet.complex_linalg import Rng, normal_complex
 from cauchynet.data import ScalerState
 from cauchynet.errors import SchemaError
 from cauchynet.model import (CauchyNetModel, forward_batch, init_elliptical,
@@ -189,3 +191,19 @@ def test_checkpoint_bad_version_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("init", [init_elliptical, init_xavier_complex])
+@pytest.mark.parametrize("h,m", [(1, 1), (128, 2), (1224, 1)])
+def test_init_draws_equal_the_scalar_loop(init, h, m):
+    # The one-draw-per-entry loop the initializers used to run: B row-major
+    # (xavier only), then C.
+    drawn, scalar = Rng(1921), Rng(1921)
+    net = init(h, m, drawn)
+    sigma = math.sqrt(2.0 / (m + h))
+    if init is init_xavier_complex:
+        B = np.array([[normal_complex(scalar, sigma) for _ in range(m)] for _ in range(h)])
+        assert net.B.tobytes() == B.tobytes()
+    C = np.array([normal_complex(scalar, sigma) for _ in range(h)])
+    assert net.C.tobytes() == C.tobytes()
+    assert drawn.state == scalar.state

@@ -1,14 +1,17 @@
 import copy
+import os
 import pickle
 
 import numpy as np
 import pytest
 
+from cauchynet import workers
 from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
                                 mlp_trainable, save_mlp_checkpoint)
 from cauchynet.complex_linalg import Rng
 from cauchynet.data import (ScalerState, SplitDataset, scaler_apply, scaler_fit,
                             target_intro_spike)
+from cauchynet.errors import NonFiniteError
 from cauchynet.grad import batch_gradient, cauchynet_trainable
 from cauchynet.model import (CauchyNetModel, init_elliptical, load_checkpoint,
                              save_checkpoint)
@@ -250,3 +253,89 @@ def test_imag_error_shrinks_with_penalty():
                                      lam=0.1, seed=10))
     _, e1 = trainable.predict(model, ds.val_x)
     assert np.abs(e1).mean() < start
+
+
+def train_with_slots(monkeypatch, slots, val_fails=None, steps_fail=None):
+    """What a caller of train() sees with `slots` process slots, when the val
+    loss of epoch `val_fails` and the steps of epoch `steps_fail` raise
+    NonFiniteError: the log or the error's message, epoch and partial log,
+    and the (epoch, params) pairs the epoch callback saw."""
+    monkeypatch.setattr(workers, "process_slots", lambda: slots)
+    model = init_elliptical(8, 1, Rng(2), 1.05, 0.1)
+    base = cauchynet_trainable(model)
+    val_calls, steps = [], []
+
+    def predict(m, X):                 # called once per epoch, here or in the evaluator
+        val_calls.append(1)
+        if len(val_calls) - 1 == val_fails:
+            raise NonFiniteError("val overflow")
+        return base.predict(m, X)
+
+    def batch_gradient(m, X, y, lam):  # 96 train rows: 3 batches per epoch
+        steps.append(1)
+        if (len(steps) - 1) // 3 == steps_fail:
+            raise NonFiniteError("step overflow")
+        return base.batch_gradient(m, X, y, lam)
+
+    seen = []
+    rows = lambda log: [(r.epoch, r.lr, r.train_loss, r.val_loss) for r in log.entries]
+    try:
+        log = train(Trainable(model, batch_gradient, predict), spike_dataset(),
+                    TrainConfig(epochs=5, seed=2),
+                    epoch_callback=lambda e, m: seen.append((e, m.params.tobytes())))
+        outcome = rows(log)
+    except NonFiniteError as exc:
+        outcome = str(exc), exc.epoch, rows(exc.partial_log)
+    assert (val_calls == []) == (slots == 2)     # the val losses came from the evaluator
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return outcome, seen
+
+
+@pytest.mark.parametrize("val_fails,steps_fail,message,epoch,callbacks", [
+    (2, None, "val overflow", 2, 3),
+    (2, 3, "val overflow", 2, 3),      # epoch 2's val loss wins over epoch 3's steps
+    (None, 3, "step overflow", 3, 3),
+    (4, None, "val overflow", 4, 5),   # the last val loss, collected after the loop
+])
+def test_divergence_is_the_same_with_an_evaluator(monkeypatch, val_fails, steps_fail,
+                                                  message, epoch, callbacks):
+    serial = train_with_slots(monkeypatch, 1, val_fails, steps_fail)
+    assert train_with_slots(monkeypatch, 2, val_fails, steps_fail) == serial
+    (text, failed_at, entries), seen = serial
+    assert text == f"training diverged at epoch {epoch}: {message}"
+    assert failed_at == epoch and [r[0] for r in entries] == list(range(epoch))
+    # The callback runs once an epoch's steps are done, before its val loss
+    # is known: it saw epoch 2 although epoch 2's val loss diverged.
+    assert [e for e, _ in seen] == list(range(callbacks))
+
+
+def test_epoch_callback_sees_the_same_parameters_with_an_evaluator(monkeypatch):
+    serial = train_with_slots(monkeypatch, 1)
+    assert train_with_slots(monkeypatch, 2) == serial
+    rows, seen = serial
+    assert [r[0] for r in rows] == [e for e, _ in seen] == list(range(5))
+    assert len({params for _, params in seen}) == 5
+
+
+def test_caller_exception_in_the_epoch_loop_reaps_the_evaluator(monkeypatch):
+    monkeypatch.setattr(workers, "process_slots", lambda: 2)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    def fail(epoch, model):
+        if epoch == 1:
+            raise KeyError("callback")
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    model = init_elliptical(8, 1, Rng(2), 1.05, 0.1)
+    with pytest.raises(KeyError):
+        train(cauchynet_trainable(model), spike_dataset(), TrainConfig(epochs=5, seed=2),
+              epoch_callback=fail)
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

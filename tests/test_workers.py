@@ -51,6 +51,29 @@ def pipe():
             os.close(fd)
 
 
+@pytest.fixture
+def forks(monkeypatch, pipe):
+    """Counts os.fork calls made since the last count, by this process and
+    by its children, through a pipe every child inherits."""
+    read_fd, write_fd = pipe()
+    os.set_blocking(read_fd, False)
+    real_fork = os.fork
+
+    def counted_fork():
+        os.write(write_fd, b"f")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def count():
+        try:
+            return len(os.read(read_fd, 1024))
+        except BlockingIOError:
+            return 0
+
+    return count
+
+
 def wait_for(read_fd, count=1):
     """Read count bytes from a pipe made by `pipe`, failing after 30 s without one."""
     got = 0
@@ -102,22 +125,14 @@ def test_items_after_the_first_go_to_whichever_process_is_free(monkeypatch, pipe
     assert no_child_left()
 
 
-def test_many_items_take_one_process_per_slot(monkeypatch):
+def test_many_items_take_one_process_per_slot(monkeypatch, forks):
     # 20,000 four-byte indices written to a pipe before the fork would
     # overfill its 64 KiB; the shared counter holds one index at a time.
     slots(monkeypatch, 3)
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
     out = workers.map_forked(pid_of, range(20_000))
     assert [x for x, _ in out] == list(range(20_000))
     assert out[0][1] == os.getpid()
-    assert len(forks) == 2 and len({pid for _, pid in out}) <= 3
+    assert forks() == 2 and len({pid for _, pid in out}) <= 3
     assert no_child_left()
 
 
@@ -241,15 +256,26 @@ def run_files(outdir):
     return files, list(manifest["files"]), hashes, manifest["status"]
 
 
-def test_workers_and_serial_write_identical_runs(tmp_path, monkeypatch):
-    original = bl.mlp_batch_gradient
+def test_workers_and_serial_write_identical_runs(tmp_path, monkeypatch, pipe):
+    # With 2 slots the network's fit waits until the worker has started the
+    # baseline; otherwise a caller done first would take the baseline itself.
+    original, original_train = bl.mlp_batch_gradient, xp.train
+    caller, (started, tell) = os.getpid(), pipe()
     calls = []
 
     def counted(*args):
+        if os.getpid() != caller:
+            os.write(tell, b"x")
         calls.append(1)
         return original(*args)
 
+    def network_waits(trainable, *args, **kwargs):
+        if n == 2 and isinstance(trainable.model, mdl.CauchyNetModel):
+            wait_for(started)
+        return original_train(trainable, *args, **kwargs)
+
     monkeypatch.setattr(bl, "mlp_batch_gradient", counted)
+    monkeypatch.setattr(xp, "train", network_waits)
     runs, caller_calls = {}, {}
     for n in (1, 2):
         slots(monkeypatch, n)
@@ -398,3 +424,148 @@ def test_sweep_cells_in_workers_match_serial(tmp_path, monkeypatch, pipe):
 def test_sweep_with_every_cell_failed_raises_the_same_in_workers(tmp_path, monkeypatch, pipe):
     assert sweep_serial_and_fanned(tmp_path, monkeypatch, pipe, [0, 4, 8], {4, 8}) == (
         NonFiniteError, "every sweep cell failed")
+
+
+def short_preset(name):
+    spec = xp.get_preset(name)
+    spec.n_samples = {"exp2-disk": 400, "exp2-gap": 120, "intro-spike": 60}[name]
+    spec.model.h, spec.train.epochs = 8, 4
+    return spec
+
+
+@pytest.mark.parametrize("name", ["exp2-disk", "exp2-gap"])
+def test_single_fit_with_an_evaluator_writes_the_serial_run(tmp_path, monkeypatch, forks,
+                                                            name):
+    runs, forked = {}, {}
+    for n in (1, 2):
+        slots(monkeypatch, n)
+        report = run_experiment(short_preset(name), tmp_path / str(n))
+        runs[n] = run_files(tmp_path / str(n)), report.abs_errors.tobytes()
+        forked[n] = forks()
+    assert runs[1] == runs[2]
+    assert {"trainlog.csv", "predictions.csv", "checkpoint.json"} <= set(runs[2][0][0])
+    assert forked == {1: 0, 2: 1}           # the evaluator, once per train call
+    assert no_child_left()
+
+
+def test_no_evaluator_when_the_fits_fill_the_slots(tmp_path, monkeypatch, forks):
+    slots(monkeypatch, 2)
+    run_experiment(short_preset("intro-spike"), tmp_path / "spike")
+    assert forks() == 1                     # the baseline's worker only
+    spec = tiny_baseline_spec()
+    spec.lambdas = (0.0, 0.1, 1.0)
+    run_lambda_ablation(spec)
+    assert forks() == 1
+    run_sensitivity_grid(spec, hidden=[4, 8], data_sizes=[60], lrs=[0.01], wds=[0.0])
+    assert forks() == 1
+    spec.lambdas = (0.1,)                   # one arm: a single fit again
+    run_lambda_ablation(spec)
+    assert forks() == 1
+    assert no_child_left()
+
+
+def test_no_evaluator_with_an_unpinned_blas_or_other_threads(tmp_path, monkeypatch, forks):
+    for var in workers._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    with monkeypatch.context() as two_cpus:
+        two_cpus.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(short_preset("exp2-gap"), tmp_path / "unpinned")
+    assert forks() == 0
+    slots(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        run_experiment(short_preset("exp2-gap"), tmp_path / "thread")
+    finally:
+        stop.set()
+        thread.join()
+    assert forks() == 0
+    run_experiment(short_preset("exp2-gap"), tmp_path / "free_slot")
+    assert forks() == 1
+
+
+def test_single_arm_ablation_divergence_matches_serial(tmp_path, monkeypatch, forks):
+    # val has 18 rows and test 12, so the val passes (in the evaluator when
+    # there is one) can be told from the epoch callback's test passes.
+    spec = tiny_baseline_spec()
+    spec.lambdas, spec.fractions = (0.1,), (0.5, 0.3, 0.2)
+    original = mdl.predict
+    val_calls = []
+
+    def val_diverges_in_epoch_two(model, X):
+        if len(X) == 18:
+            val_calls.append(1)
+            if len(val_calls) == 3:
+                raise NonFiniteError("injected val overflow")
+        return original(model, X)
+
+    out = {}
+    for n in (1, 2):
+        slots(monkeypatch, n)
+        monkeypatch.setattr(mdl, "predict", original)
+        out[n] = run_lambda_ablation(spec, tmp_path / str(n))
+        monkeypatch.setattr(mdl, "predict", val_diverges_in_epoch_two)
+        val_calls.clear()
+        with pytest.raises(NonFiniteError) as info:
+            run_lambda_ablation(spec)
+        out[n] += (str(info.value), info.value.epoch,
+                   len(info.value.partial_log.entries), forks())
+    assert out[1] == out[2][:-1] + (0,)
+    assert out[2][2:] == ("training diverged at epoch 2: injected val overflow", 2, 2, 2)
+    assert no_child_left()
+
+
+def square_or_fail(x):
+    if x < 0:
+        raise NonFiniteError(f"negative {x}")
+    return x * x, os.getpid()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pipeline_returns_outcomes_in_submit_order(monkeypatch, n):
+    slots(monkeypatch, n)
+    with workers.Pipeline(square_or_fail) as pipeline:
+        for x in (2, -1, 3):
+            pipeline.submit(x)
+        got = [pipeline.collect()]
+        with pytest.raises(NonFiniteError, match="negative -1"):   # that input's outcome
+            pipeline.collect()
+        got.append(pipeline.collect())
+        pipeline.submit(4)
+        got.append(pipeline.collect())
+    assert [value for value, _ in got] == [4, 9, 16]
+    pids = {pid for _, pid in got}
+    assert len(pids) == 1 and (pids == {os.getpid()}) == (n == 1)
+    assert no_child_left()
+
+
+def test_pipeline_child_runs_off_the_callers_cpu(monkeypatch):
+    # Woken on the caller's CPU, the child would hold the caller up until
+    # its fn returns; it may run on every CPU of the mask but the caller's.
+    slots(monkeypatch, 2)
+    cpus = os.sched_getaffinity(0)
+    with workers.Pipeline(lambda x: os.sched_getaffinity(0)) as pipeline:
+        pipeline.submit(0)
+        allowed = pipeline.collect()
+    assert allowed <= cpus and len(allowed) == max(1, len(cpus) - 1)
+    assert os.sched_getaffinity(0) == cpus
+    assert no_child_left()
+
+
+def test_pipeline_child_killed_by_a_signal_names_it(monkeypatch):
+    slots(monkeypatch, 2)
+    with workers.Pipeline(lambda x: os.kill(os.getpid(), signal.SIGKILL)) as pipeline:
+        pipeline.submit(0)
+        with pytest.raises(CauchyNetError, match="SIGKILL"):
+            pipeline.collect()
+    assert no_child_left()
+
+
+def test_pipeline_child_is_reaped_when_the_caller_raises(monkeypatch):
+    slots(monkeypatch, 2)
+    with pytest.raises(KeyError):
+        with workers.Pipeline(square_or_fail) as pipeline:
+            pipeline.submit(2)
+            raise KeyError("caller")
+    assert no_child_left()
