@@ -17,8 +17,8 @@ from .data import (Decomposition, DiskMask, IntervalMask, ScalerState,
                    target_2d_surface, target_exp1, target_exp2_gap,
                    target_intro_spike)
 from .experiments import (ExperimentSpec, MetricsReport, ModelSpec, PRESETS,
-                          get_preset, metric_mae, metric_mse,
-                          run_experiment, run_kernel_demo,
+                          fit, fit_baseline, get_preset, metric_mae, metric_mse,
+                          prepare, run_experiment, run_kernel_demo,
                           run_lambda_ablation, run_sensitivity_grid)
 from .grad import (LossValue, backward, batch_gradient, cauchynet_trainable,
                    finite_difference_gradients)

@@ -15,10 +15,8 @@ import copy
 import hashlib
 import itertools
 import math
-import sys
 import time
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +27,7 @@ from . import grad, kernel, model as mdl
 from .complex_linalg import Rng, derive_seed
 from .data import DiskMask, IntervalMask
 from .errors import CauchyNetError, LengthMismatch, NonFiniteError, ValidationError
-from .fileio import write_csv, write_json
+from .fileio import _check, write_csv, write_json
 from .optim import TrainConfig, train
 from .workers import map_forked
 
@@ -135,83 +133,6 @@ class ExperimentSpec:
         if isinstance(tr, dict) and "lambda" in tr:     # accepted alias for lam
             tr["lam"] = tr.pop("lambda")
         return _check(cls, doc, "")
-
-
-def _name(hint) -> str:
-    """A type hint as messages spell it: float, tuple[float, float], str | None."""
-    if isinstance(hint, type):
-        return "None" if hint is type(None) else hint.__name__
-    if typing.get_origin(hint) is tuple:
-        return str(hint)
-    return " | ".join(map(_name, typing.get_args(hint)))
-
-
-def _check(hint, value, path: str):
-    """Return value as the type hint names it, or raise ValidationError.
-
-    An int rejects floats, bools and strings; a float takes an int within
-    float range (stored as a float); a tuple takes a list and checks its
-    length and each element; a dict becomes the dataclass its hint names.
-    A float must be finite.  A union of dataclasses picks the class whose
-    default `kind` the dict names; any other union takes its first member
-    that fits.  Messages read "<path> must be <type>, got <value>".
-    """
-    args = typing.get_args(hint)
-    if is_dataclass(hint):
-        if type(value) is dict:
-            return _check_fields(hint, value, path)
-    elif typing.get_origin(hint) is tuple:
-        if type(value) in (list, tuple):
-            elements = args[:1] * len(value) if args[-1] is ... else args
-            if len(value) == len(elements):
-                return tuple(_check(a, v, f"{path}[{i}]")
-                             for i, (a, v) in enumerate(zip(elements, value)))
-    elif args:
-        members = [a for a in args if a is not type(None)]
-        if value is None and len(members) < len(args):
-            return None
-        if type(value) is dict and all(is_dataclass(a) for a in members):
-            kinds = [a.kind for a in members]
-            if value.get("kind") not in kinds:
-                raise ValidationError([f"{path}.kind must be {' | '.join(map(repr, kinds))}, "
-                                       f"got {value.get('kind')!r}"])
-            return _check_fields(members[kinds.index(value["kind"])], value, path)
-        for member in members:
-            try:
-                return _check(member, value, path)
-            except ValidationError:
-                pass
-    elif hint is float and type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
-    elif hint is float and type(value) is float and not math.isfinite(value):
-        raise ValidationError([f"{path} must be finite float, got {value!r}"])
-    elif type(value) is hint:
-        return value
-    raise ValidationError([f"{path} must be {_name(hint)}, got {value!r}"])
-
-
-def _check_fields(cls, doc: dict, path: str):
-    """Build dataclass cls from doc, reporting every unknown, missing or
-    mistyped field in one ValidationError."""
-    where = f"{path}." if path else ""
-    hints = typing.get_type_hints(cls)
-    problems = []
-    unknown = [f"{where}{k}" for k in doc if k not in hints]
-    if unknown:
-        problems.append(f"unknown config fields: {unknown}")
-    missing = [where + f.name for f in fields(cls) if f.name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        problems.append(f"missing config fields: {missing}")
-    checked = {}
-    for key in [k for k in doc if k in hints]:
-        try:
-            checked[key] = _check(hints[key], doc[key], where + key)
-        except ValidationError as exc:
-            problems += exc.problems
-    if problems:
-        raise ValidationError(problems)
-    return cls(**checked)
 
 
 def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
@@ -356,13 +277,28 @@ def prepare(spec: ExperimentSpec):
     return ds, scaled, scaler
 
 
-def _init_model(spec: ExperimentSpec, m: int):
+def fit(spec: ExperimentSpec, scaled: dt.SplitDataset, epoch_callback=None):
+    """Initialise the network from spec.model and the spec's seed, then train
+    it on `scaled`, the split `prepare` returns.  Returns (model, log)."""
     rng = Rng(derive_seed(spec.train.seed, _STREAM_INIT))
     ms = spec.model
     if ms.init == "elliptical":
-        return mdl.init_elliptical(ms.h, m, rng, semi_major=ms.init_major,
-                                   semi_minor=ms.init_minor, epsilon=ms.epsilon)
-    return mdl.init_xavier_complex(ms.h, m, rng, epsilon=ms.epsilon)
+        net = mdl.init_elliptical(ms.h, scaled.m, rng, semi_major=ms.init_major,
+                                  semi_minor=ms.init_minor, epsilon=ms.epsilon)
+    else:
+        net = mdl.init_xavier_complex(ms.h, scaled.m, rng, epsilon=ms.epsilon)
+    return net, train(grad.cauchynet_trainable(net), scaled, spec.train,
+                      epoch_callback=epoch_callback)
+
+
+def fit_baseline(spec: ExperimentSpec, scaled: dt.SplitDataset):
+    """The ReLU MLP of the spec's width and seed, trained on `scaled` at
+    spec.baseline_lr (spec.train.lr0 if unset).  Returns (mlp, log)."""
+    mlp = bl.init_mlp(spec.model.h, scaled.m,
+                      Rng(derive_seed(spec.train.seed, _STREAM_BASELINE_INIT)))
+    cfg = (spec.train if spec.baseline_lr is None
+           else replace(spec.train, lr0=spec.baseline_lr))
+    return mlp, train(bl.mlp_trainable(mlp), scaled, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -447,29 +383,24 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
         write_manifest("diverged")
 
     def fit_network():
-        net = _init_model(spec, ds.m)
         try:
-            return net, train(grad.cauchynet_trainable(net), scaled, spec.train)
+            return fit(spec, scaled)
         except NonFiniteError as exc:      # train() attaches the epochs it finished
             write_diverged("", exc)
             raise
 
-    def fit_baseline():
+    def fit_mlp():
         # Its divergence comes back as a value, so the network's artifacts
         # are written before the baseline's partial log, as in a serial run.
-        mlp = bl.init_mlp(spec.model.h, ds.m,
-                          Rng(derive_seed(seed, _STREAM_BASELINE_INIT)))
-        bcfg = (spec.train if spec.baseline_lr is None
-                else replace(spec.train, lr0=spec.baseline_lr))
         try:
-            return mlp, train(bl.mlp_trainable(mlp), scaled, bcfg)
+            return fit_baseline(spec, scaled)
         except NonFiniteError as exc:
             return exc
 
     # Item 0 runs in this process, so a caller that patches this module's
     # `train` sees the network's fit; a worker's calls stay in the worker.
-    jobs = [fit_network, fit_baseline] if spec.baseline else [fit_network]
-    (net, log), *baseline = map_forked(lambda fit: fit(), jobs)
+    jobs = [fit_network, fit_mlp] if spec.baseline else [fit_network]
+    (net, log), *baseline = map_forked(lambda job: job(), jobs)
     cplx, real = mdl.parameter_count(net)
     preds = _write_run(outdir, "", log, ds, scaler, lambda X: mdl.predict(net, X))
     mdl.save_checkpoint(net, scaler, outdir / "checkpoint.json", seed=seed)
@@ -543,14 +474,13 @@ def run_lambda_ablation(spec: ExperimentSpec, outdir=None):
     ds, scaled, scaler = prepare(spec)
 
     def arm(lam):
-        net, rows = _init_model(spec, ds.m), []
+        rows = []
 
         def snapshot(epoch, m):
             rows.append((lam, spec.train.seed, epoch, _test_mse(m, ds, scaler)))
 
         try:
-            train(grad.cauchynet_trainable(net), scaled, replace(spec.train, lam=lam),
-                  epoch_callback=snapshot)
+            fit(replace(spec, train=replace(spec.train, lam=lam)), scaled, snapshot)
         except NonFiniteError as exc:
             return exc
         return rows
@@ -586,9 +516,7 @@ def _sweep_cell(spec: ExperimentSpec, h, n, lr, wd):
     cell = validate_spec(replace(spec, n_samples=n, model=replace(spec.model, h=h),
                                  train=replace(spec.train, lr0=lr, weight_decay=wd)))
     ds, scaled, scaler = prepare(cell)
-    net = _init_model(cell, ds.m)
-    train(grad.cauchynet_trainable(net), scaled, cell.train)
-    return _test_mse(net, ds, scaler)
+    return _test_mse(fit(cell, scaled)[0], ds, scaler)
 
 
 def _sweep_row(spec: ExperimentSpec, h, n, lr, wd):

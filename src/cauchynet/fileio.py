@@ -4,7 +4,7 @@ Every table and document the library writes goes through here, so the CSV
 dialect, the JSON layout and what a malformed document raises are fixed in
 one place.  Readers check the version, the required fields and the type and
 shape of every value before building anything, and raise SchemaError on any
-defect.
+defect; `_check` holds a config to its dataclasses' type hints the same way.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, fields
+import sys
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
 
 from .data import ScalerState
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
 
 def write_csv(path, header, rows) -> None:
@@ -107,3 +109,80 @@ def read_scaler(doc: dict, path) -> ScalerState:
     if not (scaler.max > scaler.min and scaler.range_hi > scaler.range_lo):
         raise SchemaError(f"{path}: scaler ranges must be increasing, got {sc!r}")
     return scaler
+
+
+def _name(hint) -> str:
+    """A type hint as messages spell it: float, tuple[float, float], str | None."""
+    if isinstance(hint, type):
+        return "None" if hint is type(None) else hint.__name__
+    if typing.get_origin(hint) is tuple:
+        return str(hint)
+    return " | ".join(map(_name, typing.get_args(hint)))
+
+
+def _check(hint, value, path: str):
+    """Return value as the type hint names it, or raise ValidationError.
+
+    An int rejects floats, bools and strings; a float takes an int within
+    float range (stored as a float); a tuple takes a list and checks its
+    length and each element; a dict becomes the dataclass its hint names.
+    A float must be finite.  A union of dataclasses picks the class whose
+    default `kind` the dict names; any other union takes its first member
+    that fits.  Messages read "<path> must be <type>, got <value>".
+    """
+    args = typing.get_args(hint)
+    if is_dataclass(hint):
+        if type(value) is dict:
+            return _check_fields(hint, value, path)
+    elif typing.get_origin(hint) is tuple:
+        if type(value) in (list, tuple):
+            elements = args[:1] * len(value) if args[-1] is ... else args
+            if len(value) == len(elements):
+                return tuple(_check(a, v, f"{path}[{i}]")
+                             for i, (a, v) in enumerate(zip(elements, value)))
+    elif args:
+        members = [a for a in args if a is not type(None)]
+        if value is None and len(members) < len(args):
+            return None
+        if type(value) is dict and all(is_dataclass(a) for a in members):
+            kinds = [a.kind for a in members]
+            if value.get("kind") not in kinds:
+                raise ValidationError([f"{path}.kind must be {' | '.join(map(repr, kinds))}, "
+                                       f"got {value.get('kind')!r}"])
+            return _check_fields(members[kinds.index(value["kind"])], value, path)
+        for member in members:
+            try:
+                return _check(member, value, path)
+            except ValidationError:
+                pass
+    elif hint is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    elif hint is float and type(value) is float and not math.isfinite(value):
+        raise ValidationError([f"{path} must be finite float, got {value!r}"])
+    elif type(value) is hint:
+        return value
+    raise ValidationError([f"{path} must be {_name(hint)}, got {value!r}"])
+
+
+def _check_fields(cls, doc: dict, path: str):
+    """Build dataclass cls from doc, reporting every unknown, missing or
+    mistyped field in one ValidationError."""
+    where = f"{path}." if path else ""
+    hints = typing.get_type_hints(cls)
+    problems = []
+    unknown = [f"{where}{k}" for k in doc if k not in hints]
+    if unknown:
+        problems.append(f"unknown config fields: {unknown}")
+    missing = [where + f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        problems.append(f"missing config fields: {missing}")
+    checked = {}
+    for key in [k for k in doc if k in hints]:
+        try:
+            checked[key] = _check(hints[key], doc[key], where + key)
+        except ValidationError as exc:
+            problems += exc.problems
+    if problems:
+        raise ValidationError(problems)
+    return cls(**checked)

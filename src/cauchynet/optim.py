@@ -12,14 +12,14 @@ reproducible end to end.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .complex_linalg import Rng, derive_seed
-from .errors import NonFiniteError
-from .fileio import write_csv
+from .errors import NonFiniteError, ValidationError
+from .fileio import _check, write_csv
 from .workers import Pipeline
 
 _SHUFFLE_STREAM = 0x5A
@@ -49,21 +49,21 @@ class TrainConfig:
     seed: int = 10
 
     def validate(self) -> list[str]:
-        problems = []
-        for name in ("epochs", "batch_size", "lr_decay_every"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                problems.append(f"{name} must be an int, got {value!r}")
-            elif value < 1:
-                problems.append(f"{name} must be at least 1")
-        if not 0 < self.lr0 < np.inf:
-            problems.append("lr0 must be positive and finite")
+        try:
+            _check(TrainConfig, asdict(self), "")
+        except ValidationError as exc:
+            return exc.problems
+        problems = [f"{name} must be at least 1"
+                    for name in ("epochs", "batch_size", "lr_decay_every")
+                    if getattr(self, name) < 1]
+        if self.lr0 <= 0:
+            problems.append("lr0 must be positive")
         if not (0 < self.lr_decay_factor <= 1):
             problems.append("lr_decay_factor must be in (0, 1]")
-        if not 0 <= self.weight_decay < np.inf:
-            problems.append("weight_decay must be nonnegative and finite")
-        if not 0 <= self.lam < np.inf:
-            problems.append("lam must be nonnegative and finite")
+        if self.weight_decay < 0:
+            problems.append("weight_decay must be nonnegative")
+        if self.lam < 0:
+            problems.append("lam must be nonnegative")
         return problems
 
 

@@ -9,23 +9,22 @@ pinned in each test.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from cauchynet.activation import cauchy_activation, cauchy_activation_derivative
-from cauchynet.complex_linalg import Rng, derive_seed
+from cauchynet.complex_linalg import Rng
 from cauchynet.errors import NonFiniteError, PoleEncountered
-from cauchynet.data import (SplitDataset, find_turning_points, scaler_apply,
-                            scaler_fit, seasonal_decompose_multiplicative,
+from cauchynet.data import (find_turning_points, seasonal_decompose_multiplicative,
                             target_exp2_gap)
-from cauchynet.baseline import init_mlp, mlp_predict, mlp_trainable
-from cauchynet.experiments import (build_dataset, get_preset,
-                                   run_experiment, run_lambda_ablation)
-from cauchynet.grad import backward, cauchynet_trainable, finite_difference_gradients
+from cauchynet.baseline import mlp_predict
+from cauchynet.experiments import (build_dataset, fit, fit_baseline, get_preset,
+                                   prepare, run_experiment, run_lambda_ablation)
+from cauchynet.grad import backward, finite_difference_gradients
 from cauchynet.kernel import ellipse_mesh, evaluate_expansion_grid, quadrature_expansion
-from cauchynet.model import (init_elliptical, parameter_count, predict)
-from cauchynet.optim import train
+from cauchynet.model import init_elliptical, parameter_count, predict
+from cauchynet.workers import map_forked
 
 from test_grad import max_rel_err, offpole_model
 
@@ -89,42 +88,24 @@ def test_criterion_03_quadrature_convergence():
            f"sup errors {['%.2e' % e for e in errors]}, {elapsed:.2f}s (< 1s)")
 
 
-def _final_val_mse(trainable, predict_fn, ds, cfg):
-    train(trainable, ds, cfg)
-    yv, _ = predict_fn(ds.val_x)
-    return float(((yv - ds.val_y) ** 2).mean())
-
-
 def test_criterion_04_intro_comparison():
     """Median final validation MSE over 10 seeds: inversion net below MLP."""
     t0 = time.perf_counter()
     spec = get_preset("intro-spike")
-    cn_scores, mlp_scores = [], []
-    for seed in range(1, 11):
-        spec.train.seed = seed
-        ds = build_dataset(spec)
-        scaler = scaler_fit(ds.train_y, *spec.scaler_range)
-        scaled = SplitDataset(ds.train_x, scaler_apply(ds.train_y, scaler),
-                              ds.val_x, scaler_apply(ds.val_y, scaler),
-                              ds.test_x, scaler_apply(ds.test_y, scaler), m=ds.m)
-        net = init_elliptical(spec.model.h, ds.m,
-                              Rng(derive_seed(seed, 13)),
-                              spec.model.init_major, spec.model.init_minor,
-                              epsilon=spec.model.epsilon)
-        try:
-            cn_scores.append(_final_val_mse(cauchynet_trainable(net),
-                                            lambda X: predict(net, X),
-                                            scaled, spec.train))
-        except (NonFiniteError, PoleEncountered):
-            cn_scores.append(float("inf"))
-        mlp = init_mlp(spec.model.h, ds.m, Rng(derive_seed(seed, 14)))
-        bcfg = spec.train
-        try:
-            mlp_scores.append(_final_val_mse(mlp_trainable(mlp),
-                                             lambda X: mlp_predict(mlp, X),
-                                             scaled, bcfg))
-        except (NonFiniteError, PoleEncountered):
-            mlp_scores.append(float("inf"))
+
+    def val_mses(seed):
+        seeded = replace(spec, train=replace(spec.train, seed=seed))
+        _, scaled, _ = prepare(seeded)
+        scores = []
+        for fitter, predict_fn in ((fit, predict), (fit_baseline, mlp_predict)):
+            try:
+                yv, _ = predict_fn(fitter(seeded, scaled)[0], scaled.val_x)
+                scores.append(float(((yv - scaled.val_y) ** 2).mean()))
+            except (NonFiniteError, PoleEncountered):
+                scores.append(float("inf"))
+        return scores
+
+    cn_scores, mlp_scores = zip(*map_forked(val_mses, range(1, 11)))
     elapsed = time.perf_counter() - t0
     med_cn, med_mlp = float(np.median(cn_scores)), float(np.median(mlp_scores))
     report(4, med_cn < med_mlp and elapsed < 300.0,

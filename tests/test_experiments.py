@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,10 +337,15 @@ def test_sensitivity_grid_shapes(tmp_path):
     assert len(lines) == 5
 
 
-def test_sensitivity_grid_single_cell():
-    rows = run_sensitivity_grid(tiny_spec(), hidden=[8], data_sizes=[60],
-                                lrs=[0.01], wds=[0.0])
-    assert len(rows) == 1 and math.isfinite(rows[0][4])
+def test_sensitivity_grid_single_cell(tmp_path):
+    # A one-cell sweep at the spec's (h, n, lr, wd) and a one-lambda ablation
+    # at its lam train the run's network and report the run's test MSE.
+    spec = tiny_spec(n_samples=80)
+    (cell,) = run_sensitivity_grid(replace(
+        spec, grid_hidden=(spec.model.h,), grid_sizes=(spec.n_samples,),
+        grid_lrs=(spec.train.lr0,), grid_wds=(spec.train.weight_decay,)))
+    rows, _ = run_lambda_ablation(replace(spec, lambdas=(spec.train.lam,)))
+    assert repr(cell[4]) == repr(rows[-1][3]) == repr(run_experiment(spec, tmp_path).mse)
 
 
 def test_sensitivity_grid_failed_cell_is_nan_row():

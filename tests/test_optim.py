@@ -92,7 +92,7 @@ def test_adam_second_moment_overflow_leaves_parameters():
     assert np.array_equal(model.params, before)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.1", None])
 @pytest.mark.parametrize("name", ["lr0", "weight_decay", "lam"])
 def test_train_config_rejects_non_finite(name, value):
     problems = TrainConfig(**{name: value}).validate()
@@ -100,10 +100,10 @@ def test_train_config_rejects_non_finite(name, value):
 
 
 @pytest.mark.parametrize("value", [float("nan"), 2.0, 2.5, True, "2"])
-@pytest.mark.parametrize("name", ["epochs", "batch_size", "lr_decay_every"])
+@pytest.mark.parametrize("name", ["epochs", "batch_size", "lr_decay_every", "seed"])
 def test_train_config_rejects_non_int_counts(name, value):
     problems = TrainConfig(**{name: value}).validate()
-    assert problems == [f"{name} must be an int, got {value!r}"]
+    assert problems == [f"{name} must be int, got {value!r}"]
     with pytest.raises(ValueError, match=name):
         train(None, None, TrainConfig(**{name: value}))
 

@@ -30,9 +30,9 @@ def test_library_never_calls_reciprocal():
 
 
 def test_only_the_workers_module_forks():
-    # One way to run work in parallel: workers.map_forked.  multiprocessing
-    # and concurrent.futures stay out of the library, and so does their
-    # import time before the first epoch.
+    # Work runs in parallel only through workers: map_forked and Pipeline.
+    # multiprocessing and concurrent.futures stay out of the library, and so
+    # does their import time before the first epoch.
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -44,6 +44,15 @@ def test_only_the_workers_module_forks():
                     or module.split(".")[0] in ("multiprocessing", "concurrent")):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
+
+
+def test_experiments_trains_only_through_fit():
+    # One fit path: every run, ablation arm and sweep cell trains through it.
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    callers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "train"]
+    assert callers == ["fit", "fit_baseline"]
 
 
 # Public names kept without a caller in the library or the benchmark.
