@@ -180,6 +180,8 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
                                             or spec.model.init_minor <= 0):
         problems.append("elliptical init needs positive semi-axes")
     problems.extend(spec.train.validate())
+    if spec.baseline_lr is not None and spec.baseline_lr <= 0:
+        problems.append("baseline_lr must be positive")
     if spec.scaler_range[1] <= spec.scaler_range[0]:
         problems.append("scaler_range must be increasing")
     if spec.generator == "csv-trend":

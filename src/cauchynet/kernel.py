@@ -13,15 +13,19 @@ tests.
 
 The network's hidden layer is the same kernel: hidden_k = prod_i
 1/(x_i + B_ki + eps) = (-1)^N K(xi_k, x) for centres xi = -(B + eps).
-`cauchy_block` computes it, and its weighted sum, for a block of rows;
-every caller goes through it: the network's forward pass and `predict`,
-the expansion's evaluation and least-squares fit, and the scalar
-activation.  `kernel_rows` walks an input EVAL_BLOCK rows at a time, so no
-(n, k, N) array is ever formed.
+`cauchy_block` computes it, and its weighted sum, for a block of rows: the
+network's forward pass and `predict`, the scalar activation, and every
+expansion whose centres are not a tensor grid go through it.  When the
+centres are the full tensor product of N >= 2 per-dimension node sets, as
+`quadrature_expansion` makes them, the kernel factorises per dimension and
+the expansion's evaluation and least-squares fit take only the n * sum_i
+n_i per-dimension reciprocals (`_factor_rows`).  Both walk an input
+EVAL_BLOCK rows at a time, so no (n, k, N) array is ever formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -35,6 +39,8 @@ DEFAULT_RIDGE = 1e-15
 # centres of a 48x48 two-dimensional quadrature, about one L2 cache, and
 # the network's (64, h) blocks fit it at every preset width.
 EVAL_BLOCK = 64
+# Rows of each diagonal block that `_back_substitute` solves at once.
+_SOLVE_BLOCK = 64
 
 
 @dataclass
@@ -100,10 +106,16 @@ def cauchy_block(X, shifts, eps, weights, work=None):
         np.divide(1.0, prod, out=hidden)
         o = hidden @ weights
     if not np.isfinite(o).all():
-        if any(np.any(s == 0) for s in shifted):
-            raise PoleEncountered("input coincides with a kernel pole")
-        raise NonFiniteError("kernel block overflowed")
+        _raise_non_finite(shifted)
     return o, hidden, shifted
+
+
+def _raise_non_finite(columns):
+    """The error for a non-finite kernel block built from these columns:
+    PoleEncountered if one holds an exact zero, NonFiniteError otherwise."""
+    if any(np.any(c == 0) for c in columns):
+        raise PoleEncountered("input coincides with a kernel pole")
+    raise NonFiniteError("kernel block overflowed")
 
 
 def kernel_rows(X, shifts, eps, weights):
@@ -162,36 +174,155 @@ def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
     return KernelExpansion(zeta.T, fval * dz / (2j * np.pi) ** mesh.ndim)
 
 
+def _tensor_grid(xi):
+    """(nodes, flat) when the k centres xi (k, N) are every point of a
+    tensor grid with N >= 2 dimensions of at least 2 nodes each, else None.
+
+    nodes[i] holds the n_i distinct values of column i, sorted; the centres
+    are a full grid when the n_i multiply to k and no two centres share a
+    grid point, in any order.  flat[c] is centre c's index in the C-order
+    (last dimension fastest) flattening of the n_1 x ... x n_N grid.  A
+    dimension of one node factors nothing out, and leaving it to
+    `kernel_sum` keeps a one-centre expansion equal to `predict` byte for
+    byte.
+    """
+    k, N = xi.shape
+    if N < 2:
+        return None
+    nodes, index = zip(*(np.unique(xi[:, i], return_inverse=True) for i in range(N)))
+    shape = [len(v) for v in nodes]
+    if min(shape) < 2 or math.prod(shape) != k:
+        return None
+    flat = np.ravel_multi_index(index, shape)
+    if np.bincount(flat, minlength=k).max() > 1:
+        return None
+    return nodes, flat
+
+
+def _factor_rows(X, nodes):
+    """Yield (rows, factors, diffs) over consecutive EVAL_BLOCK-row blocks of
+    X, with diffs[i] = nodes[i] - X[rows, i, None] and factors[i] = 1 / diffs[i],
+    each (rows, n_i): K(xi, x) for the grid point (j_1, ..., j_N) is the
+    product of factors[i][:, j_i] over i.  Division by zero is left to the
+    caller's finiteness check of the block it builds from them.
+    """
+    if X.shape[1] != len(nodes):
+        raise ValueError(f"inputs must have {len(nodes)} columns, got {X.shape[1]}")
+    for lo in range(0, len(X), EVAL_BLOCK):
+        rows = slice(lo, lo + EVAL_BLOCK)
+        diffs = [v - X[rows, i, None] for i, v in enumerate(nodes)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factors = [1.0 / d for d in diffs]
+        yield rows, factors, diffs
+
+
 def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     """sum_k theta_k K(xi_k, x) at each of an (n,) or (n, N) array of points.
 
-    theta_k K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is
-    the network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign
-    flips are exact): the same `kernel_sum` that `model.predict` runs.
+    On a tensor grid of centres (`_tensor_grid`) theta becomes the
+    n_1 x ... x n_N weight tensor W, and each block contracts it with the
+    per-dimension factors: one (rows, n_1) @ (n_1, k / n_1) product, then
+    one row-wise contraction per further dimension.  Otherwise theta_k
+    K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is the
+    network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign flips
+    are exact): the same `kernel_sum` that `model.predict` runs.
     """
-    return kernel_sum(as_inputs(xs), -exp.xi, 0.0, (-1) ** exp.xi.shape[1] * exp.theta)
+    X = as_inputs(xs)
+    grid = _tensor_grid(exp.xi)
+    if grid is None:
+        return kernel_sum(X, -exp.xi, 0.0, (-1) ** exp.xi.shape[1] * exp.theta)
+    nodes, flat = grid
+    W = np.empty(len(flat), dtype=complex)
+    W[flat] = exp.theta
+    W = W.reshape(len(nodes[0]), -1)
+    out = np.empty(len(X), dtype=complex)
+    for rows, factors, diffs in _factor_rows(X, nodes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            o = factors[0] @ W
+            for f in factors[1:]:
+                o = np.einsum("rj,rjk->rk", f, o.reshape(len(f), f.shape[1], -1))
+        if not np.isfinite(o).all():
+            _raise_non_finite(diffs)
+        out[rows] = o[:, 0]
+    return out
+
+
+def _khatri_rao(factors, out):
+    """Write the row-wise Khatri-Rao product of factors, (rows, n_i) each,
+    into out (rows, prod n_i): out[r, flat(j)] = prod_i factors[i][r, j_i],
+    multiplied left to right, the last dimension fastest."""
+    acc = factors[0]
+    for f in factors[1:-1]:
+        acc = (acc[:, :, None] * f[:, None, :]).reshape(len(acc), -1)
+    last = factors[-1]
+    np.multiply(acc[:, :, None], last[:, None, :],
+                out=out.reshape(len(out), acc.shape[1], last.shape[1]))
+
+
+def _back_substitute(U, b):
+    """x with U x = b for an upper-triangular U (k, k), from the bottom in
+    diagonal blocks of _SOLVE_BLOCK: each block is one small solve against
+    b minus the matrix-vector product with the x already found.  Partial
+    pivoting never swaps rows of a triangular block, so each small solve is
+    a back-substitution; a zero pivot raises LinAlgError."""
+    k = len(b)
+    x = np.empty_like(b)
+    for lo in range((k - 1) // _SOLVE_BLOCK * _SOLVE_BLOCK, -1, -_SOLVE_BLOCK):
+        hi = min(lo + _SOLVE_BLOCK, k)
+        x[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], b[lo:hi] - U[lo:hi, hi:] @ x[hi:])
+    return x
+
+
+def _solve_stacked(Af, k):
+    """phi minimising |H phi - f|^2 + ridge |phi|^2 from the stacked buffer
+    Af = [[H, f], [sqrt(ridge) I, 0]] of shape (n + k, k + 1).
+
+    R = qr(Af, mode="r") reduces the problem to the k x k triangular system
+    R[:k, :k] phi = R[:k, k], solved by `_back_substitute`: no Q, no singular
+    vectors.  For ridge > 0 the stacked design has full column rank, so
+    R[:k, :k] is nonsingular.  A zero in the last ridge row means ridge 0;
+    then H itself must have full column rank, so n >= k: SingularSystem when
+    R[:k, :k]'s smallest singular value is within numpy's matrix_rank
+    tolerance of 0, or when the solve fails or is not finite.
+    """
+    ridge_zero = Af[-1, k - 1] == 0
+    R = np.linalg.qr(Af, mode="r")[:k]
+    try:
+        if ridge_zero:
+            # numpy's matrix_rank tolerance: rounding leaves a repeated column's s near 0
+            s = np.linalg.svd(R[:, :k], compute_uv=False)
+            if s.min() <= s.max() * k * np.finfo(float).eps:
+                raise SingularSystem("design matrix is rank-deficient with ridge 0")
+        phi = _back_substitute(R[:, :k], R[:, k])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"least-squares solve failed: {exc}") from None
+    if not np.isfinite(phi).all():
+        raise SingularSystem("regularized solve produced non-finite weights")
+    return phi
 
 
 def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
                                 ) -> KernelExpansion:
     """Weights minimizing sum_j |sum_k theta_k K(xi_k, x_j) - f_j|^2 + ridge*|theta|^2.
 
-    A = (-1)^N H for the kernel blocks H of `kernel_rows` (shifts -xi,
-    eps 0), so the fit solves for (-1)^N theta against H and flips the sign
-    at the end.  The ridge problem is ordinary least squares on the stacked
-    design [H; sqrt(ridge) I] with target [f; 0] (Tikhonov regularization
-    as an augmented system), so one (n + k, k + 1) buffer holds [H | f] in
-    its top n rows, filled block by block, and [sqrt(ridge) I | 0] in its
-    bottom k.  Its triangular factor R = qr(buffer, mode="r") reduces the
-    problem to the k x k system R[:k, :k] (-1)^N theta = R[:k, k], solved
-    by back-substitution: no Q, no singular vectors.  For ridge > 0 the
-    stacked design has full column rank, so R[:k, :k] is nonsingular.
-    Cauchy-kernel design matrices are too ill-conditioned for explicit
-    normal equations, which would square the condition number.
+    The ridge problem is ordinary least squares on the stacked design
+    [A; sqrt(ridge) I] with target [f; 0] (Tikhonov regularization as an
+    augmented system), so one (n + k, k + 1) buffer holds [A | f] in its top
+    n rows, filled block by block, and [sqrt(ridge) I | 0] in its bottom k;
+    `_solve_stacked` solves it.  Cauchy-kernel design matrices are too
+    ill-conditioned for explicit normal equations, which would square the
+    condition number.
 
-    With ridge 0 the design itself must have full column rank, so n >= k:
-    SingularSystem when R[:k, :k]'s smallest singular value is within
-    numpy's matrix_rank tolerance of 0.  samples is a sequence of (x, f(x)).
+    On a tensor grid of centres (`_tensor_grid`) each block of rows is the
+    row-wise Khatri-Rao product of the per-dimension factors, written
+    straight into the buffer with its columns in grid order; the solve's
+    weights are then read back in the order of points (a column permutation
+    leaves the ridge problem unchanged).  Otherwise the design is (-1)^N H
+    for the kernel blocks H of `kernel_rows` (shifts -xi, eps 0), so the fit
+    solves for (-1)^N theta against H and flips the sign at the end.
+
+    With ridge 0 the design itself must have full column rank, so n >= k,
+    else SingularSystem.  samples is a sequence of (x, f(x)).
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
@@ -208,21 +339,18 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     Af = np.zeros((n + k, k + 1), dtype=complex)
     top = Af[:n]  # the last block's slice must not reach the ridge rows
     top[:, k] = [complex(s[1]) for s in samples]
-    # the row sums of H carry the finiteness check of each block
-    for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
-        top[rows, :k] = hidden
     np.fill_diagonal(Af[n:, :k], np.sqrt(ridge))
-
-    R = np.linalg.qr(Af, mode="r")[:k]
-    try:
-        if ridge == 0:
-            # numpy's matrix_rank tolerance: rounding leaves a repeated column's s near 0
-            s = np.linalg.svd(R[:, :k], compute_uv=False)
-            if s.min() <= s.max() * k * np.finfo(float).eps:
-                raise SingularSystem("design matrix is rank-deficient with ridge 0")
-        theta = np.linalg.solve(R[:, :k], R[:, k])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"least-squares solve failed: {exc}") from None
-    if not np.isfinite(theta).all():
-        raise SingularSystem("regularized solve produced non-finite weights")
-    return KernelExpansion(points, (-1) ** points.shape[1] * theta)
+    grid = _tensor_grid(points)
+    if grid is None:
+        # the row sums of H carry the finiteness check of each block
+        for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
+            top[rows, :k] = hidden
+        return KernelExpansion(points, (-1) ** points.shape[1] * _solve_stacked(Af, k))
+    nodes, flat = grid
+    for rows, factors, diffs in _factor_rows(xs, nodes):
+        block = top[rows, :k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _khatri_rao(factors, block)
+            if not np.isfinite(block.sum(axis=1)).all():
+                _raise_non_finite(diffs)
+    return KernelExpansion(points, _solve_stacked(Af, k)[flat])

@@ -707,6 +707,15 @@ def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     assert [p for p in (tmp_path / "runs").rglob("*") if p.is_file()] == []
 
 
+@pytest.mark.parametrize("value", ["0", "-0.001", "NaN"])
+def test_cli_rejects_non_positive_baseline_lr(tmp_path, capsys, value):
+    argv = ["train", "--preset", "exp1", "--out", str(tmp_path / "runs"),
+            "--set", f"baseline_lr={value}", "--set", "train.epochs=2"]
+    assert cli.main(argv) == 2
+    assert "baseline_lr must be" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_rejects_non_integer_seed_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAUCHYNET_SEED", "abc")
     argv = ["train", "--preset", "exp1", "--out", str(tmp_path / "runs")]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cauchynet.errors import NonFiniteError, PoleEncountered, SingularSystem
-from cauchynet.kernel import (EVAL_BLOCK, BoundaryMesh, KernelExpansion,
-                              ellipse_mesh, evaluate_expansion_grid,
+from cauchynet.kernel import (EVAL_BLOCK, BoundaryMesh, KernelExpansion, _back_substitute,
+                              _tensor_grid, ellipse_mesh, evaluate_expansion_grid,
                               fit_expansion_least_squares, quadrature_expansion)
 
 
@@ -196,15 +196,44 @@ def _product_mesh(ndim, nodes):
     return BoundaryMesh(m.nodes * ndim, m.increments * ndim)
 
 
+def _centre_layouts(exp, rng):
+    """{name: (expansion, on the tensor path)} for a quadrature expansion:
+    its centres in tensor order, shuffled, and with one centre removed (no
+    longer a tensor grid).  A 1-D expansion has only the first."""
+    if exp.xi.shape[1] == 1:
+        return {"tensor": (exp, False)}
+    perm = rng.permutation(len(exp.theta))
+    return {"tensor": (exp, True),
+            "shuffled": (KernelExpansion(exp.xi[perm], exp.theta[perm]), True),
+            "one-removed": (KernelExpansion(exp.xi[1:], exp.theta[1:]), False)}
+
+
 @pytest.mark.parametrize("ndim,nodes", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("n", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 1681])
 def test_grid_matches_reference_across_block_edges(n, ndim, nodes):
-    exp = quadrature_expansion(lambda z: np.exp(np.sum(z, axis=0)), _product_mesh(ndim, nodes))
-    xs = np.random.default_rng(n).uniform(-0.9, 0.9, size=(n, ndim))
-    ref = _reference_design(exp.xi, xs) @ exp.theta
-    vals = evaluate_expansion_grid(exp, xs)
-    assert vals.shape == (n,)
-    assert np.abs(vals - ref).max() <= 1e-14 * np.abs(ref).max()
+    full = quadrature_expansion(lambda z: np.exp(np.sum(z, axis=0)), _product_mesh(ndim, nodes))
+    rng = np.random.default_rng(n)
+    xs = rng.uniform(-0.9, 0.9, size=(n, ndim))
+    for name, (exp, tensor) in _centre_layouts(full, rng).items():
+        assert (_tensor_grid(exp.xi) is not None) == tensor, name
+        ref = _reference_design(exp.xi, xs) @ exp.theta
+        vals = evaluate_expansion_grid(exp, xs)
+        assert vals.shape == (n,)
+        assert np.abs(vals - ref).max() <= 1e-14 * np.abs(ref).max(), name
+
+
+def test_tensor_grid_recognises_only_full_grids():
+    z = np.array([1j, 2j, 3j])
+    grid = np.stack(np.meshgrid(z, z[:2] + 1, indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes, flat = _tensor_grid(grid[::-1])
+    np.testing.assert_array_equal(flat, np.arange(6)[::-1])
+    assert [len(v) for v in nodes] == [3, 2]
+    assert _tensor_grid(grid[:, :1]) is None                   # one dimension
+    assert _tensor_grid(np.vstack([grid[1:], grid[:1]])) is not None
+    assert _tensor_grid(np.vstack([grid[1:], grid[1:2]])) is None  # a repeat, one missing
+    assert _tensor_grid(grid[:5]) is None
+    assert _tensor_grid(grid[:1]) is None                      # one node per dimension
+    assert _tensor_grid(grid[::2]) is None                     # 3 x 1
 
 
 def test_one_point_calls_match_grid():
@@ -229,11 +258,44 @@ def test_pole_in_later_block_raises(ndim):
 
 
 def test_grid_overflow_raises_non_finite():
-    # (x - xi)^2 = -1e-320 is no exact pole, but its reciprocal overflows
-    exp = KernelExpansion(np.array([[1e-160j, 1e-160j]]), np.array([1.0 + 0j]))
+    # (x - xi)^2 = -1e-320 is no exact pole, but its reciprocal overflows;
+    # three centres on two values per dimension are no tensor grid
+    xi = np.array([[1e-160j, 1e-160j], [1j, 2j], [1j, 1e-160j]])
+    assert _tensor_grid(xi) is None
+    exp = KernelExpansion(xi, np.ones(3, complex))
     with pytest.raises(NonFiniteError) as exc:
         evaluate_expansion_grid(exp, np.zeros((3, 2)))
     assert not isinstance(exc.value, PoleEncountered)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_tensor_grid_pole_in_later_block_raises(ndim):
+    # shuffled centres still form a tensor grid; the t = 0 node is 2 + 0j
+    exp = quadrature_expansion(lambda z: 1.0, _product_mesh(ndim, 8))
+    perm = np.random.default_rng(ndim).permutation(len(exp.theta))
+    xi = exp.xi[perm]
+    assert _tensor_grid(xi) is not None
+    xs = np.zeros((3 * EVAL_BLOCK, ndim))
+    xs[2 * EVAL_BLOCK + 5, ndim - 1] = 2.0
+    with pytest.raises(PoleEncountered):
+        evaluate_expansion_grid(KernelExpansion(xi, exp.theta[perm]), xs)
+    with pytest.raises(PoleEncountered):
+        fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
+
+
+def test_tensor_grid_overflow_raises_non_finite():
+    # the centre (1e-160i, 1e-160i) of a 2 x 2 grid: each factor is finite,
+    # their product -1e320 overflows, and no difference is an exact zero
+    z = np.array([1e-160j, 2.0 + 1j])
+    xi = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert _tensor_grid(xi) is not None
+    xs = np.zeros((EVAL_BLOCK + 3, 2))
+    xs[:EVAL_BLOCK] = 1.0
+    for call in (lambda: evaluate_expansion_grid(KernelExpansion(xi, np.ones(4)), xs),
+                 lambda: fit_expansion_least_squares([(x, 1.0) for x in xs], xi)):
+        with pytest.raises(NonFiniteError) as exc:
+            call()
+        assert not isinstance(exc.value, PoleEncountered)
 
 
 def test_kernel_rejects_mismatched_dimension():
@@ -242,13 +304,23 @@ def test_kernel_rejects_mismatched_dimension():
         evaluate_expansion_grid(exp, np.zeros((3, 1)))
 
 
+def _ellipse_points(k):
+    t = 2 * np.pi * np.arange(k) / k
+    return 3 * np.cos(t) + 1.5j * np.sin(t)
+
+
 def _fit_problem(n, k, ndim, rng):
     """k centres on an ellipse (mirrored in a second dimension), n samples
-    and 50 held-out points of cos(sum x) drawn from rng."""
-    t = 2 * np.pi * np.arange(k) / k
-    points = (3 * np.cos(t) + 1.5j * np.sin(t))[:, None]
-    if ndim == 2:
-        points = np.hstack([points, points[::-1]])
+    and 50 held-out points of cos(sum x) drawn from rng.  ndim "2t" puts the
+    centres on a shuffled 8 x (k / 8) tensor grid of ellipse points."""
+    if ndim == "2t":
+        grid = np.meshgrid(_ellipse_points(8), _ellipse_points(k // 8), indexing="ij")
+        points = rng.permutation(np.stack(grid, axis=-1).reshape(-1, 2))
+        ndim = 2
+    else:
+        points = _ellipse_points(k)[:, None]
+        if ndim == 2:
+            points = np.hstack([points, points[::-1]])
     xs = rng.uniform(-1, 1, size=(n, ndim))
     fs = np.cos(xs.sum(axis=1)) + 0j
     held = rng.uniform(-1, 1, size=(50, ndim))
@@ -256,8 +328,9 @@ def _fit_problem(n, k, ndim, rng):
 
 
 FIT_SHAPES = pytest.mark.parametrize(
-    "n,k,ndim", [(150, 32, 1), (32, 32, 1), (20, 32, 1), (200, 64, 2), (12, 24, 2)],
-    ids=["over", "square", "under", "over-2d", "under-2d"])
+    "n,k,ndim", [(150, 32, 1), (32, 32, 1), (20, 32, 1), (200, 64, 2), (12, 24, 2),
+                 (200, 48, "2t")],
+    ids=["over", "square", "under", "over-2d", "under-2d", "tensor-2d"])
 
 
 # "under-2d" fits 12 samples with 24 centres (design condition ~1e4; at
@@ -315,6 +388,19 @@ def test_fit_ridge_matches_regularized_normal_equations(ridge):
     np.testing.assert_allclose(theta, expected, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 150])
+def test_back_substitution_matches_solve_across_blocks(k):
+    rng = np.random.default_rng(k)
+    U = np.triu(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    U[np.diag_indices(k)] += 4 * np.sqrt(k)     # well-conditioned
+    b = rng.normal(size=k) + 1j * rng.normal(size=k)
+    np.testing.assert_allclose(_back_substitute(U, b), np.linalg.solve(U, b),
+                               rtol=1e-12, atol=0)
+    U[k // 2, k // 2] = 0
+    with pytest.raises(np.linalg.LinAlgError):
+        _back_substitute(U, b)
+
+
 @pytest.mark.parametrize("ridge", [np.inf, np.nan, -1e-3])
 def test_fit_rejects_bad_ridge(ridge):
     xi = 3 * np.exp(2j * np.pi * np.arange(8) / 8)
@@ -323,11 +409,7 @@ def test_fit_rejects_bad_ridge(ridge):
         fit_expansion_least_squares(samples, xi, ridge=ridge)
 
 
-def test_grid_memory_is_one_block():
-    # oracle shape: 1681 points, 48 x 48 = 2304 centres, N = 2; the direct
-    # (n, k, N) formula needs ~300 MB here
-    z = ellipse_mesh(2.0, 1.0, nodes=48).nodes[0]
-    xi = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+def _grid_memory_peak(xi):
     exp = KernelExpansion(xi, np.ones(len(xi), complex))
     axis = np.linspace(-1.0, 1.0, 41)
     xs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -338,4 +420,25 @@ def test_grid_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def _oracle_centres():
+    z = ellipse_mesh(2.0, 1.0, nodes=48).nodes[0]
+    return np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def test_grid_memory_is_one_block():
+    # oracle shape: 1681 points, 48 x 48 = 2304 centres less one (no tensor
+    # grid), N = 2; the direct (n, k, N) formula needs ~300 MB here
+    xi = _oracle_centres()[1:]
+    assert _tensor_grid(xi) is None
+    peak = _grid_memory_peak(xi)
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_tensor_grid_memory_is_one_block():
+    xi = _oracle_centres()
+    assert _tensor_grid(xi) is not None
+    peak = _grid_memory_peak(xi)
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
