@@ -14,13 +14,16 @@ tests.
 The network's hidden layer is the same kernel: hidden_k = prod_i
 1/(x_i + B_ki + eps) = (-1)^N K(xi_k, x) for centres xi = -(B + eps).
 `cauchy_block` computes it, and its weighted sum, for a block of rows: the
-network's forward pass and `predict`, the scalar activation, and every
-expansion whose centres are not a tensor grid go through it.  When the
-centres are the full tensor product of N >= 2 per-dimension node sets, as
-`quadrature_expansion` makes them, the kernel factorises per dimension and
-the expansion's evaluation and least-squares fit take only the n * sum_i
-n_i per-dimension reciprocals (`_factor_rows`).  Both walk an input
-EVAL_BLOCK rows at a time, so no (n, k, N) array is ever formed.
+network's forward pass and `predict`, the scalar activation, every
+expansion whose centres are not a tensor grid and every fit whose samples
+or centres are not one go through it.  When the centres are the full
+tensor product of N >= 2 per-dimension node sets, as
+`quadrature_expansion` makes them, the kernel factorises per dimension:
+the expansion's evaluation takes only the n * sum_i n_i per-dimension
+reciprocals (`_factor_rows`), walking the input EVAL_BLOCK rows at a time,
+and a least-squares fit whose samples form a tensor grid too is solved
+from the SVDs of the per-dimension Cauchy matrices (`_solve_kronecker`).
+No (n, k, N) array is ever formed.
 """
 
 from __future__ import annotations
@@ -175,12 +178,13 @@ def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
 
 
 def _tensor_grid(xi):
-    """(nodes, flat) when the k centres xi (k, N) are every point of a
-    tensor grid with N >= 2 dimensions of at least 2 nodes each, else None.
+    """(nodes, flat) when the k points xi (k, N), centres or sample inputs,
+    are every point of a tensor grid with N >= 2 dimensions of at least 2
+    nodes each, else None.
 
-    nodes[i] holds the n_i distinct values of column i, sorted; the centres
-    are a full grid when the n_i multiply to k and no two centres share a
-    grid point, in any order.  flat[c] is centre c's index in the C-order
+    nodes[i] holds the n_i distinct values of column i, sorted; the points
+    are a full grid when the n_i multiply to k and no two points share a
+    grid point, in any order.  flat[c] is point c's index in the C-order
     (last dimension fastest) flattening of the n_1 x ... x n_N grid.  A
     dimension of one node factors nothing out, and leaving it to
     `kernel_sum` keeps a one-centre expansion equal to `predict` byte for
@@ -225,9 +229,12 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     one row-wise contraction per further dimension.  Otherwise theta_k
     K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is the
     network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign flips
-    are exact): the same `kernel_sum` that `model.predict` runs.
+    are exact): the same `kernel_sum` that `model.predict` runs.  Non-finite
+    points raise ValueError.
     """
     X = as_inputs(xs)
+    if not np.isfinite(X).all():
+        raise ValueError("evaluation points must be finite")
     grid = _tensor_grid(exp.xi)
     if grid is None:
         return kernel_sum(X, -exp.xi, 0.0, (-1) ** exp.xi.shape[1] * exp.theta)
@@ -245,18 +252,6 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
             _raise_non_finite(diffs)
         out[rows] = o[:, 0]
     return out
-
-
-def _khatri_rao(factors, out):
-    """Write the row-wise Khatri-Rao product of factors, (rows, n_i) each,
-    into out (rows, prod n_i): out[r, flat(j)] = prod_i factors[i][r, j_i],
-    multiplied left to right, the last dimension fastest."""
-    acc = factors[0]
-    for f in factors[1:-1]:
-        acc = (acc[:, :, None] * f[:, None, :]).reshape(len(acc), -1)
-    last = factors[-1]
-    np.multiply(acc[:, :, None], last[:, None, :],
-                out=out.reshape(len(out), acc.shape[1], last.shape[1]))
 
 
 def _back_substitute(U, b):
@@ -301,28 +296,77 @@ def _solve_stacked(Af, k):
     return phi
 
 
+def _mode_products(T, mats):
+    """T multiplied along each axis i by mats[i] (new_i, T.shape[i]): each
+    step is one matrix product on the leading axis, which then moves last,
+    so after N steps the axes are back in order."""
+    for M in mats:
+        T = np.moveaxis((M @ T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:]), 0, -1)
+    return T
+
+
+def _solve_kronecker(f, sample_grid, centre_grid, ridge):
+    """Grid-order weights W minimising |A w - f|^2 + ridge |w|^2 for the
+    Kronecker design A = F_1 (x) ... (x) F_N, F_i = 1 / (c_i - s_i[:, None])
+    of shape (n_i, k_i), with the (nodes, flat) of `_tensor_grid` for the
+    samples and the centres; f is in the samples' order, W in C order.
+
+    With the thin SVDs F_i = U_i S_i V_i^H, A = (x)U_i (x)S_i (x)V_i^H is a
+    thin SVD of A, so W = (x)V_i diag(s / (s^2 + ridge)) (x)U_i^H f, applied
+    as mode products of the n_1 x ... x n_N sample tensor; s / (s^2 + ridge)
+    is computed as 1 / (s + ridge / s), so s^2 never overflows.  A factor
+    holding an exact pole, or whose largest entries multiply past the
+    float range, raises as a kernel block would.  Ridge 0 needs full column
+    rank: k_i <= n_i in every dimension and the smallest s above numpy's
+    matrix_rank tolerance, else SingularSystem.
+    """
+    (s_nodes, s_flat), (c_nodes, c_flat) = sample_grid, centre_grid
+    diffs = [c[None, :] - s[:, None] for s, c in zip(s_nodes, c_nodes)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factors = [1.0 / d for d in diffs]
+        if not np.isfinite(math.prod(np.abs(F).max() for F in factors)):
+            _raise_non_finite(diffs)
+    try:
+        svds = [np.linalg.svd(F, full_matrices=False) for F in factors]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"least-squares solve failed: {exc}") from None
+    sigma = reduce(np.multiply.outer, [s for _, s, _ in svds])
+    if ridge == 0 and (any(F.shape[1] > F.shape[0] for F in factors)
+                       or sigma.min() <= sigma.max() * len(c_flat) * np.finfo(float).eps):
+        raise SingularSystem("design matrix is rank-deficient with ridge 0")
+    Y = np.empty(len(s_flat), dtype=complex)
+    Y[s_flat] = f
+    Z = _mode_products(Y.reshape([len(s) for s in s_nodes]), [U.conj().T for U, _, _ in svds])
+    with np.errstate(divide="ignore", over="ignore"):
+        Z *= 1.0 / (sigma + ridge / sigma)
+    W = _mode_products(Z, [Vh.conj().T for _, _, Vh in svds]).ravel()
+    if not np.isfinite(W).all():
+        raise SingularSystem("regularized solve produced non-finite weights")
+    return W
+
+
 def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
                                 ) -> KernelExpansion:
     """Weights minimizing sum_j |sum_k theta_k K(xi_k, x_j) - f_j|^2 + ridge*|theta|^2.
 
-    The ridge problem is ordinary least squares on the stacked design
-    [A; sqrt(ridge) I] with target [f; 0] (Tikhonov regularization as an
-    augmented system), so one (n + k, k + 1) buffer holds [A | f] in its top
-    n rows, filled block by block, and [sqrt(ridge) I | 0] in its bottom k;
-    `_solve_stacked` solves it.  Cauchy-kernel design matrices are too
-    ill-conditioned for explicit normal equations, which would square the
-    condition number.
+    When the samples' inputs and the centres are both full tensor grids
+    (`_tensor_grid`, N >= 2, each in any order), the design is a Kronecker
+    product of per-dimension Cauchy matrices and `_solve_kronecker` solves
+    the problem from their SVDs, with no (n, k) array.
 
-    On a tensor grid of centres (`_tensor_grid`) each block of rows is the
-    row-wise Khatri-Rao product of the per-dimension factors, written
-    straight into the buffer with its columns in grid order; the solve's
-    weights are then read back in the order of points (a column permutation
-    leaves the ridge problem unchanged).  Otherwise the design is (-1)^N H
-    for the kernel blocks H of `kernel_rows` (shifts -xi, eps 0), so the fit
-    solves for (-1)^N theta against H and flips the sign at the end.
+    Otherwise the ridge problem is ordinary least squares on the stacked
+    design [A; sqrt(ridge) I] with target [f; 0] (Tikhonov regularization
+    as an augmented system), so one (n + k, k + 1) buffer holds [A | f] in
+    its top n rows, filled block by block, and [sqrt(ridge) I | 0] in its
+    bottom k; `_solve_stacked` solves it.  The design is (-1)^N H for the
+    kernel blocks H of `kernel_rows` (shifts -xi, eps 0), so the fit solves
+    for (-1)^N theta against H and flips the sign at the end.  Cauchy-kernel
+    design matrices are too ill-conditioned for explicit normal equations,
+    which would square the condition number.
 
     With ridge 0 the design itself must have full column rank, so n >= k,
-    else SingularSystem.  samples is a sequence of (x, f(x)).
+    else SingularSystem.  samples is a sequence of (x, f(x)); non-finite
+    inputs or values raise ValueError.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
@@ -333,24 +377,26 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
         raise ValueError("need at least one boundary point")
     if not 0 <= ridge < np.inf:
         raise ValueError("ridge must be nonnegative and finite")
+    xs = as_inputs([s[0] for s in samples])
+    fs = np.array([s[1] for s in samples], dtype=complex)
+    if fs.shape != (len(xs),):
+        raise ValueError("each sample value must be a scalar")
+    if not np.isfinite(xs).all():
+        raise ValueError("sample inputs must be finite")
+    if not np.isfinite(fs).all():
+        raise ValueError("sample values must be finite")
 
-    xs = np.array([np.atleast_1d(np.asarray(s[0], dtype=float)) for s in samples])
-    n, k = len(xs), len(points)
+    n, (k, N) = len(xs), points.shape
+    centre_grid = _tensor_grid(points)
+    sample_grid = _tensor_grid(xs) if xs.shape[1] == N else None
+    if centre_grid is not None and sample_grid is not None:
+        W = _solve_kronecker(fs, sample_grid, centre_grid, ridge)
+        return KernelExpansion(points, W[centre_grid[1]])
     Af = np.zeros((n + k, k + 1), dtype=complex)
     top = Af[:n]  # the last block's slice must not reach the ridge rows
-    top[:, k] = [complex(s[1]) for s in samples]
+    top[:, k] = fs
     np.fill_diagonal(Af[n:, :k], np.sqrt(ridge))
-    grid = _tensor_grid(points)
-    if grid is None:
-        # the row sums of H carry the finiteness check of each block
-        for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
-            top[rows, :k] = hidden
-        return KernelExpansion(points, (-1) ** points.shape[1] * _solve_stacked(Af, k))
-    nodes, flat = grid
-    for rows, factors, diffs in _factor_rows(xs, nodes):
-        block = top[rows, :k]
-        with np.errstate(over="ignore", invalid="ignore"):
-            _khatri_rao(factors, block)
-            if not np.isfinite(block.sum(axis=1)).all():
-                _raise_non_finite(diffs)
-    return KernelExpansion(points, _solve_stacked(Af, k)[flat])
+    # the row sums of H carry the finiteness check of each block
+    for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
+        top[rows, :k] = hidden
+    return KernelExpansion(points, (-1) ** N * _solve_stacked(Af, k))

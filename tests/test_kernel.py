@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -309,37 +310,59 @@ def _ellipse_points(k):
     return 3 * np.cos(t) + 1.5j * np.sin(t)
 
 
-def _fit_problem(n, k, ndim, rng):
-    """k centres on an ellipse (mirrored in a second dimension), n samples
-    and 50 held-out points of cos(sum x) drawn from rng.  ndim "2t" puts the
-    centres on a shuffled 8 x (k / 8) tensor grid of ellipse points."""
-    if ndim == "2t":
-        grid = np.meshgrid(_ellipse_points(8), _ellipse_points(k // 8), indexing="ij")
-        points = rng.permutation(np.stack(grid, axis=-1).reshape(-1, 2))
-        ndim = 2
+def _grid(axes):
+    """Every point of the tensor grid on the given axes, in C order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+# leading per-dimension centre counts of the grid shapes; the last takes the rest of k
+CENTRE_GRIDS = {"2t": [8], "2g": [6], "3g": [4, 3]}
+
+
+def _fit_problem(n, k, shape, rng):
+    """k centres on an ellipse (mirrored in a second dimension when shape is
+    2), n samples and 50 held-out points of cos(sum x) drawn from rng.  A
+    CENTRE_GRIDS shape puts the centres on a shuffled tensor grid of ellipse
+    points; "2g" and "3g" put the samples on a shuffled grid too, with
+    n ** (1 / N) uniform coordinates per axis."""
+    if shape in CENTRE_GRIDS:
+        counts = CENTRE_GRIDS[shape] + [k // math.prod(CENTRE_GRIDS[shape])]
+        points = rng.permutation(_grid([_ellipse_points(c) for c in counts]))
+        ndim = len(counts)
     else:
         points = _ellipse_points(k)[:, None]
-        if ndim == 2:
+        if shape == 2:
             points = np.hstack([points, points[::-1]])
-    xs = rng.uniform(-1, 1, size=(n, ndim))
+        ndim = shape
+    if shape in ("2g", "3g"):
+        side = round(n ** (1 / ndim))
+        xs = rng.permutation(_grid(rng.uniform(-1, 1, size=(ndim, side))))
+    else:
+        xs = rng.uniform(-1, 1, size=(n, ndim))
     fs = np.cos(xs.sum(axis=1)) + 0j
     held = rng.uniform(-1, 1, size=(50, ndim))
     return points, xs, fs, held
 
 
 FIT_SHAPES = pytest.mark.parametrize(
-    "n,k,ndim", [(150, 32, 1), (32, 32, 1), (20, 32, 1), (200, 64, 2), (12, 24, 2),
-                 (200, 48, "2t")],
-    ids=["over", "square", "under", "over-2d", "under-2d", "tensor-2d"])
+    "n,k,shape", [(150, 32, 1), (32, 32, 1), (20, 32, 1), (200, 64, 2), (12, 24, 2),
+                  (200, 48, "2t"), (100, 24, "2g"), (216, 36, "3g")],
+    ids=["over", "square", "under", "over-2d", "under-2d", "tensor-2d", "grid-2d", "grid-3d"])
 
 
 # "under-2d" fits 12 samples with 24 centres (design condition ~1e4; at
 # most 5e-12 from the reference over data seeds 0-59).  A 30 x 64 design
 # has condition ~1e8, where the 1e-15 ridge starts to filter, and its
 # error (up to 1.5e-8 over those seeds) depended on the data seed.
+# "grid-2d" (10 x 10 samples, 6 x 4 centres) and "grid-3d" (6 x 6 x 6, 4 x 3
+# x 3) have condition ~1e6 and take the Kronecker solve; an 8 x 6 centre
+# grid on 14 x 14 samples has condition ~5e8 and errors near 1e-8 on both
+# solvers.
 @FIT_SHAPES
-def test_fit_matches_full_svd_reference(n, k, ndim):
-    points, xs, fs, held = _fit_problem(n, k, ndim, np.random.default_rng(k + n))
+def test_fit_matches_full_svd_reference(n, k, shape):
+    points, xs, fs, held = _fit_problem(n, k, shape, np.random.default_rng(k + n))
+    kronecker = shape in ("2g", "3g")
+    assert (_tensor_grid(xs) is not None and _tensor_grid(points) is not None) == kronecker
     exp = fit_expansion_least_squares(list(zip(xs, fs)), points)
     theta = _reference_fit(points, xs, fs, 1e-15)
     for where in (xs, held):
@@ -363,10 +386,10 @@ def test_fit_rank_deficient_ridge_zero_raises(centres, n):
 
 
 @FIT_SHAPES
-def test_fit_error_against_truth_matches_full_svd_reference(n, k, ndim):
+def test_fit_error_against_truth_matches_full_svd_reference(n, k, shape):
     # the held-out error against cos(sum x) itself, not against the reference
     for seed in range(10):
-        points, xs, fs, held = _fit_problem(n, k, ndim, np.random.default_rng(seed))
+        points, xs, fs, held = _fit_problem(n, k, shape, np.random.default_rng(seed))
         truth = np.cos(held.sum(axis=1))
         exp = fit_expansion_least_squares(list(zip(xs, fs)), points)
         ref = _one_division_design(points, held) @ _reference_fit(points, xs, fs, 1e-15)
@@ -375,17 +398,99 @@ def test_fit_error_against_truth_matches_full_svd_reference(n, k, ndim):
         assert abs(err - ref_err) <= 0.01 * ref_err, (seed, err, ref_err)
 
 
+def _circle_points(k):
+    return 3 * np.exp(2j * np.pi * (np.arange(k) + 0.5) / k)
+
+
+def _assert_ridge_fit_matches_normal_equations(xi, xs, fs, ridge):
+    # theta minimizes |A theta - f|^2 + ridge |theta|^2, not sqrt(ridge) |theta|^2
+    A = _reference_design(xi, xs)
+    expected = np.linalg.solve(A.conj().T @ A + ridge * np.eye(len(xi)), A.conj().T @ fs)
+    theta = fit_expansion_least_squares(list(zip(xs, fs)), xi, ridge=ridge).theta
+    np.testing.assert_allclose(theta, expected, rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("ridge", [1e-6, 1e-2, 1.0])
 def test_fit_ridge_matches_regularized_normal_equations(ridge):
-    # a design of condition ~550, where the normal equations are accurate;
-    # theta minimizes |A theta - f|^2 + ridge |theta|^2, not sqrt(ridge) |theta|^2
-    xi = 3 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
-    xs = np.linspace(-2.5, 2.5, 40)
-    fs = np.exp(xs) + 0j
-    A = _reference_design(xi[:, None], xs[:, None])
-    expected = np.linalg.solve(A.conj().T @ A + ridge * np.eye(8), A.conj().T @ fs)
-    theta = fit_expansion_least_squares(list(zip(xs[:, None], fs)), xi, ridge=ridge).theta
-    np.testing.assert_allclose(theta, expected, rtol=1e-10, atol=0)
+    # a design of condition ~550, where the normal equations are accurate
+    xs = np.linspace(-2.5, 2.5, 40)[:, None]
+    _assert_ridge_fit_matches_normal_equations(_circle_points(8)[:, None], xs,
+                                               np.exp(xs[:, 0]) + 0j, ridge)
+
+
+@pytest.mark.parametrize("ridge", [1e-6, 1e-2, 1.0])
+def test_kronecker_fit_ridge_matches_regularized_normal_equations(ridge):
+    # a shuffled 8 x 6 sample grid against a shuffled 4 x 3 centre grid:
+    # the Kronecker solve, on a design of condition ~67
+    rng = np.random.default_rng(3)
+    xi = rng.permutation(_grid([_circle_points(4), _circle_points(3)]))
+    xs = rng.permutation(_grid([np.linspace(-2.5, 2.5, 8), np.linspace(-2, 2, 6)]))
+    assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
+    _assert_ridge_fit_matches_normal_equations(
+        xi, xs, np.exp(xs[:, 0]) * np.cos(xs[:, 1]) + 0j, ridge)
+
+
+def test_kronecker_fit_ridge_zero_needs_full_rank_per_dimension():
+    # 15 samples for 8 centres, but 4 centre values against 3 sample values
+    # in the first dimension leave the design's rank at 3 * 2 = 6 < 8
+    xi = _grid([_circle_points(4), _circle_points(2)])
+    xs = _grid([np.linspace(-1, 1, 3), np.linspace(-1, 1, 5)])
+    samples = [(x, 1.0) for x in xs]
+    with pytest.raises(SingularSystem):
+        fit_expansion_least_squares(samples, xi, ridge=0.0)
+    # with one sample value more the same centres fit
+    xs = _grid([np.linspace(-1, 1, 4), np.linspace(-1, 1, 5)])
+    fit_expansion_least_squares([(x, 1.0) for x in xs], xi, ridge=0.0)
+
+
+def test_kronecker_fit_pole_raises():
+    # the sample grid's second axis holds 2.0, the real part of a real centre value
+    xi = _grid([_circle_points(3), np.array([2.0 + 0j, 1j, -1j])])
+    xs = _grid([np.linspace(-1, 1, 4), np.array([0.0, 1.0, 2.0, 2.5])])
+    assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
+    with pytest.raises(PoleEncountered):
+        fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
+
+
+def test_kronecker_fit_overflow_raises_non_finite():
+    # each factor is finite, but the product of their largest entries,
+    # 1 / (1e-160i)^2 = -1e320, overflows; no difference is an exact zero
+    z = np.array([1e-160j, 2.0 + 1j])
+    xi = _grid([z, z])
+    xs = _grid([[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteError) as exc:
+        fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
+    assert not isinstance(exc.value, PoleEncountered)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_fit_rejects_non_finite_sample_values(value):
+    xs = np.linspace(-1, 1, 20)
+    samples = [([x], value if i == 7 else 1.0) for i, x in enumerate(xs)]
+    with pytest.raises(ValueError, match="sample values must be finite"):
+        fit_expansion_least_squares(samples, _circle_points(8))
+
+
+@pytest.mark.parametrize("shape", [1, "2g"])
+def test_fit_rejects_non_finite_sample_inputs(shape):
+    points, xs, fs, _ = _fit_problem(100, 24, shape, np.random.default_rng(0))
+    xs[5, -1] = np.nan
+    with pytest.raises(ValueError, match="sample inputs must be finite"):
+        fit_expansion_least_squares(list(zip(xs, fs)), points)
+
+
+def test_fit_rejects_ragged_samples():
+    with pytest.raises(ValueError):
+        fit_expansion_least_squares([([0.0, 1.0], 1.0), ([0.5], 1.0)], _circle_points(4))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_evaluate_rejects_non_finite_points(ndim):
+    exp = quadrature_expansion(lambda z: 1.0, _product_mesh(ndim, 8))
+    xs = np.zeros((5, ndim))
+    xs[3, 0] = np.nan
+    with pytest.raises(ValueError, match="evaluation points must be finite"):
+        evaluate_expansion_grid(exp, xs)
 
 
 @pytest.mark.parametrize("k", [1, 63, 64, 65, 150])
@@ -425,7 +530,7 @@ def _grid_memory_peak(xi):
 
 def _oracle_centres():
     z = ellipse_mesh(2.0, 1.0, nodes=48).nodes[0]
-    return np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
+    return _grid([z, z])
 
 
 def test_grid_memory_is_one_block():
@@ -442,3 +547,21 @@ def test_tensor_grid_memory_is_one_block():
     assert _tensor_grid(xi) is not None
     peak = _grid_memory_peak(xi)
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_kronecker_fit_memory():
+    # the oracle fit: 41 x 41 samples against every 4th of the 48 x 48
+    # centres (48 x 12); its design alone would be 1681 x 576 complex, 15.5 MB
+    axis = np.linspace(-1.0, 1.0, 41)
+    xs = _grid([axis, axis])
+    samples = list(zip(xs, np.cos(xs.sum(axis=1))))
+    xi = _oracle_centres()[::4]
+    assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_expansion_least_squares(samples, xi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
