@@ -74,6 +74,10 @@ class KernelExpansion:
         self.theta = np.asarray(self.theta, dtype=complex)
         if len(self.xi) != len(self.theta):
             raise ValueError("points and weights differ in length")
+        if not np.isfinite(self.xi).all():
+            raise ValueError("expansion centres must be finite")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("expansion weights must be finite")
 
 
 def cauchy_block(X, shifts, eps, weights, work=None):
@@ -82,12 +86,14 @@ def cauchy_block(X, shifts, eps, weights, work=None):
 
     X is a real (rows, m) block, shifts a complex (h, m) array, eps a real
     offset and weights a complex (h,) vector.  shifted is the list of the m
-    (rows, h) columns X[:, i, None] + shifts[:, i] + eps; they are
-    multiplied left to right with complex `*` and 1.0 is divided by the
-    product once.  The columns and hidden are the m + 1 leading (rows, h)
-    slices of one complex (m + 1, >= rows, h) buffer, `work`, allocated
-    here when not given; every step writes into it in place, so a call
-    makes no other (rows, h) array.  o is always a fresh array.  The one
+    (rows, h) columns shifts[:, i] + X[:, i, None] + eps, all m built at
+    once by three whole-buffer operations (addition commutes, so these are
+    the bytes of X[:, i, None] + shifts[:, i] + eps); they are multiplied
+    left to right with complex `*` and 1.0 is divided by the product once.
+    The columns and hidden are the m + 1 leading (rows, h) slices of one
+    complex (m + 1, >= rows, h) buffer, `work`, allocated here when not
+    given; every step writes into it in place, so a call makes no other
+    (rows, h) array.  o is always a fresh array.  The one
     finiteness check is on o, h times smaller than hidden: a non-finite
     hidden entry makes its row of o non-finite too (inf * 0 is NaN), as
     does an overflowing sum.  Only when it fails are the columns scanned
@@ -98,9 +104,13 @@ def cauchy_block(X, shifts, eps, weights, work=None):
         raise ValueError(f"inputs must have {shifts.shape[1]} columns, got {m}")
     if work is None:
         work = np.empty((m + 1, rows, len(shifts)), dtype=complex)
-    shifted = [np.add(X[:, i, None], shifts[:, i], out=work[i, :rows]) for i in range(m)]
-    for s in shifted:
-        s += eps
+    # one (rows, 1) real column added to an (h,) complex row per column runs
+    # ~3x slower per element than a same-shape complex operation
+    columns = work[:m, :rows]
+    columns[...] = shifts.T[:, None, :]
+    np.add(columns, X.T[:, :, None], out=columns)
+    columns += eps
+    shifted = list(columns)
     hidden = work[m, :rows]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prod = shifted[0] if m == 1 else np.multiply(shifted[0], shifted[1], out=hidden)
@@ -366,7 +376,7 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
 
     With ridge 0 the design itself must have full column rank, so n >= k,
     else SingularSystem.  samples is a sequence of (x, f(x)); non-finite
-    inputs or values raise ValueError.
+    inputs, values or points raise ValueError before any solve.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
@@ -375,6 +385,8 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
         points = points[:, None]
     if len(points) < 1:
         raise ValueError("need at least one boundary point")
+    if not np.isfinite(points).all():
+        raise ValueError("boundary points must be finite")
     if not 0 <= ridge < np.inf:
         raise ValueError("ridge must be nonnegative and finite")
     xs = as_inputs([s[0] for s in samples])

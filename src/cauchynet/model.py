@@ -119,16 +119,18 @@ def init_elliptical(h: int, m: int, rng: Rng,
     return CauchyNetModel(h, m, epsilon, B, normal_complex(rng, math.sqrt(2.0 / (m + h)), h))
 
 
-def forward_batch(model: CauchyNetModel, X):
+def forward_batch(model: CauchyNetModel, X, work=None):
     """Vectorized forward over an (n, m) batch.
 
     Returns (o, hidden, shifted): o has shape (n,), hidden (n, h), and
     shifted is the list of the m columns x_i + B_:i + epsilon, each (n, h),
     as `kernel.cauchy_block` builds them.  hidden and the columns are views
-    of one complex (m + 1, n, h) array made fresh for this call and shared
-    with no other; o is a separate fresh array.
+    of one complex (m + 1, n, h) array: the leading n rows of `work`, a
+    complex (m + 1, >= n, h) buffer, when given, so the next call with it
+    overwrites them; otherwise one made fresh for this call and shared with
+    no other.  o is always a separate fresh array.
     """
-    return cauchy_block(as_inputs(X), model.B, model.epsilon, model.C)
+    return cauchy_block(as_inputs(X), model.B, model.epsilon, model.C, work)
 
 
 def predict(model: CauchyNetModel, X):

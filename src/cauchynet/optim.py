@@ -28,9 +28,15 @@ _BETA1, _BETA2, _EPS_ADAM = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, and the three vectors each
+    `adam_step` writes its temporaries into."""
     m1: np.ndarray
     m2: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((3, len(self.m1)))
 
     @classmethod
     def for_size(cls, n: int) -> "AdamState":
@@ -97,6 +103,9 @@ class Trainable:
 
     batch_gradient(model, X, y, lam) -> (LossValue, flat gradient vector)
     predict(model, X)                -> (y array, e array)
+
+    The gradient vector may be a buffer that the next batch_gradient call
+    overwrites: the trainer passes it to `adam_step` before that call.
     """
     model: object
     batch_gradient: Callable
@@ -125,23 +134,24 @@ def adam_step(model, grad_vec: np.ndarray, state: AdamState, lr: float,
     if g.shape != p.shape:
         raise ValueError("gradient and parameter vectors differ in shape")
     state.t += 1
+    decayed, update, denom = state.scratch
     # Same elementwise operations in the same order as the textbook update,
-    # so the trajectory does not depend on the buffers being reused.  An
-    # overflow raises where it happens, at no extra pass over the arrays;
-    # NaN or inf in the gradient shows up in `new`.
+    # written into the state's scratch vectors.  An overflow raises where it
+    # happens, at no extra pass over the arrays; NaN or inf in the gradient
+    # shows up in `new`.
     try:
         with np.errstate(over="raise", invalid="raise"):
             if weight_decay:
-                g = g + weight_decay * p
+                g = np.add(g, np.multiply(weight_decay, p, out=decayed), out=decayed)
             state.m1 *= _BETA1
-            state.m1 += (1 - _BETA1) * g
+            state.m1 += np.multiply(1 - _BETA1, g, out=update)
             state.m2 *= _BETA2
-            state.m2 += (1 - _BETA2) * g * g
-            m_hat = state.m1 / (1 - _BETA1 ** state.t)
-            denom = state.m2 / (1 - _BETA2 ** state.t)
+            state.m2 += np.multiply(np.multiply(1 - _BETA2, g, out=update), g, out=update)
+            m_hat = np.divide(state.m1, 1 - _BETA1 ** state.t, out=update)
+            np.divide(state.m2, 1 - _BETA2 ** state.t, out=denom)
             np.sqrt(denom, out=denom)
             denom += _EPS_ADAM
-            update = lr * m_hat
+            np.multiply(lr, m_hat, out=update)
             update /= denom
             new = np.subtract(p, update, out=update)
     except FloatingPointError as exc:
@@ -206,12 +216,13 @@ def train(trainable: Trainable, dataset, config: TrainConfig,
             t0 = time.perf_counter()
             lr = lr_at(config, epoch)
             order = Rng(derive_seed(config.seed, _SHUFFLE_STREAM, epoch)).permutation(n)
+            xs, ys = dataset.train_x[order], dataset.train_y[order]
             batch_losses, failed = [], None
             try:
                 for start in range(0, n, config.batch_size):
-                    idx = order[start:start + config.batch_size]
+                    stop = start + config.batch_size
                     lv, gvec = trainable.batch_gradient(
-                        model, dataset.train_x[idx], dataset.train_y[idx], config.lam)
+                        model, xs[start:stop], ys[start:stop], config.lam)
                     adam_step(model, gvec, state, lr, config.weight_decay)
                     batch_losses.append(lv.total)
             except NonFiniteError as exc:

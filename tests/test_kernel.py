@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,43 @@ def test_fit_rejects_non_finite_sample_inputs(shape):
 def test_fit_rejects_ragged_samples():
     with pytest.raises(ValueError):
         fit_expansion_least_squares([([0.0, 1.0], 1.0), ([0.5], 1.0)], _circle_points(4))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_expansion_rejects_a_non_finite_centre(value):
+    # it used to surface only on evaluation, as "kernel block overflowed"
+    with pytest.raises(ValueError, match="expansion centres must be finite"):
+        KernelExpansion([[value], [2.0]], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.inf, 1.0)])
+def test_expansion_rejects_a_non_finite_weight(value):
+    # an inf weight used to leak a RuntimeWarning from the (-1)^N sign flip
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expansion weights must be finite"):
+            KernelExpansion([[3.0], [2.0]], [1.0, value])
+
+
+def test_fit_rejects_a_non_finite_centre_before_solving():
+    samples = [([x], 1.0) for x in np.linspace(-1, 1, 20)]
+    points = _circle_points(8)
+    points[3] = np.nan
+    with pytest.raises(ValueError, match="boundary points must be finite"):
+        fit_expansion_least_squares(samples, points)
+
+
+def test_a_grid_with_a_nan_node_is_rejected():
+    # a NaN node on each axis of a 3 x 3 grid still passes _tensor_grid's
+    # count, so the check has to come first
+    axis = np.array([3.0 + 1j, np.nan, -3.0 + 1j])
+    points = _grid([axis, axis])
+    assert _tensor_grid(points) is not None
+    samples = [(x, 1.0) for x in _grid([[-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]])]
+    with pytest.raises(ValueError, match="boundary points must be finite"):
+        fit_expansion_least_squares(samples, points)
+    with pytest.raises(ValueError, match="expansion centres must be finite"):
+        KernelExpansion(points, np.ones(len(points)))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from cauchynet.complex_linalg import Rng
 from cauchynet.errors import NonFiniteError, PoleEncountered
-from cauchynet.grad import backward, batch_gradient
+from cauchynet.grad import GradientWork, backward, batch_gradient, cauchynet_trainable
 from cauchynet.kernel import (EVAL_BLOCK, KernelExpansion, evaluate_expansion_grid,
                               kernel_sum)
 from cauchynet.model import (CauchyNetModel, forward_batch, init_elliptical,
@@ -210,6 +210,42 @@ def test_batch_gradient_allocates_one_kernel_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * n * h * 16, f"peak {peak / (n * h * 16):.2f} (n, h) arrays"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_batch_gradient_with_a_workspace_allocates_no_kernel_array(m):
+    """A warmed call with a workspace writes every (n, h) array into it:
+    what it allocates is (m, h)-sized and smaller."""
+    n, h = 32, 1224
+    model, X, y = random_case(h, m, n, seed=5)
+    work = GradientWork(h, m, n)
+    batch_gradient(model, X, y, 0.1, work)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        batch_gradient(model, X, y, 0.1, work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * h * 16, f"peak {peak / (n * h * 16):.2f} (n, h) arrays"
+
+
+@pytest.mark.parametrize("h", [1, 37])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(h, m):
+    """Calls on 32, 7 and 32 rows through one workspace, and through the
+    trainable's callable after a 5-row first call, give the bytes of calls
+    that make their own."""
+    model, X, y = random_case(h, m, 32, seed=10 * h + m)
+    work = GradientWork(h, m, 32)
+    gradient = cauchynet_trainable(model).batch_gradient
+    gradient(model, X[:5], y[:5], 0.1)
+    for rows in (slice(None), slice(3, 10), slice(None)):
+        lv, g = batch_gradient(model, X[rows], y[rows], 0.1)
+        for reused in (batch_gradient(model, X[rows], y[rows], 0.1, work),
+                       gradient(model, X[rows], y[rows], 0.1)):
+            assert reused[0] == lv
+            assert reused[1].tobytes() == g.tobytes()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,

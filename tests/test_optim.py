@@ -7,16 +7,16 @@ import pytest
 
 from cauchynet import workers
 from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
-                                mlp_trainable, save_mlp_checkpoint)
-from cauchynet.complex_linalg import Rng
+                                mlp_batch_gradient, mlp_trainable, save_mlp_checkpoint)
+from cauchynet.complex_linalg import Rng, derive_seed
 from cauchynet.data import (ScalerState, SplitDataset, scaler_apply, scaler_fit,
                             target_intro_spike)
 from cauchynet.errors import NonFiniteError
 from cauchynet.grad import batch_gradient, cauchynet_trainable
 from cauchynet.model import (CauchyNetModel, init_elliptical, load_checkpoint,
                              save_checkpoint)
-from cauchynet.optim import (AdamState, TrainConfig, Trainable, adam_step,
-                             lr_at, train)
+from cauchynet.optim import (_SHUFFLE_STREAM, AdamState, TrainConfig, Trainable,
+                             adam_step, lr_at, train)
 
 
 class ScalarModel:
@@ -181,6 +181,70 @@ def test_copied_model_trains_like_the_original(kind, how):
     for model in (original, copied):
         train(trainable(model), spike_dataset(), TrainConfig(epochs=3, seed=5))
     assert copied.params.tobytes() == original.params.tobytes()
+
+
+def textbook_adam_step(p, g, m1, m2, t, lr, weight_decay):
+    """Adam with a fresh array per operation, in the trainer's order."""
+    if weight_decay:
+        g = g + weight_decay * p
+    m1 *= 0.9
+    m1 += (1 - 0.9) * g
+    m2 *= 0.999
+    m2 += (1 - 0.999) * g * g
+    m_hat = m1 / (1 - 0.9 ** t)
+    denom = np.sqrt(m2 / (1 - 0.999 ** t)) + 1e-8
+    p[...] = p - lr * m_hat / denom
+
+
+def reference_train(model, batch_gradient, predict, ds, cfg):
+    """The training loop written out with fresh arrays: each step gathers its
+    batch by fancy indexing, takes a new gradient vector and applies the
+    textbook update.  Returns the log rows without wall_ms."""
+    n, p = len(ds.train_y), model.params
+    m1, m2, t, rows = np.zeros_like(p), np.zeros_like(p), 0, []
+    for epoch in range(cfg.epochs):
+        lr = lr_at(cfg, epoch)
+        order = Rng(derive_seed(cfg.seed, _SHUFFLE_STREAM, epoch)).permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            lv, g = batch_gradient(model, ds.train_x[idx], ds.train_y[idx], cfg.lam)
+            t += 1
+            textbook_adam_step(p, g, m1, m2, t, lr, cfg.weight_decay)
+            losses.append(lv.total)
+        yv, ev = predict(model, ds.val_x)
+        val = float(((yv - ds.val_y) ** 2).mean() + cfg.lam * (ev ** 2).mean())
+        rows.append((epoch, lr, float(np.mean(losses)), val))
+    return rows
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("h", [1, 37])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["cauchynet", "mlp"])
+def test_train_matches_the_fresh_array_loop(kind, m, h, weight_decay):
+    """train reuses one gradient workspace, Adam's scratch vectors and one
+    gathered copy of the epoch's rows; the log and the final parameters are
+    those of the loop that allocates afresh.  70 train rows in batches of
+    32 leave a short last batch."""
+    rng = Rng(100 * m + h)
+    x = rng.uniform_in(-1.0, 1.0, 90 * m).reshape(90, m)
+    y = np.sin(3.0 * x).sum(axis=1) / m
+    ds = SplitDataset(x[:70], y[:70], x[70:], y[70:], x[70:], y[70:], m=m)
+    cfg = TrainConfig(epochs=4, lr0=0.01, lr_decay_every=2, weight_decay=weight_decay,
+                      lam=0.1, seed=7)
+    if kind == "cauchynet":
+        make = lambda: init_elliptical(h, m, Rng(9), 1.2, 0.3)
+        trainable, fresh_gradient = cauchynet_trainable, batch_gradient
+    else:
+        make = lambda: init_mlp(h, m, Rng(9))
+        trainable, fresh_gradient = mlp_trainable, mlp_batch_gradient
+    model, reference = make(), make()
+    log = train(trainable(model), ds, cfg)
+    expected = reference_train(reference, fresh_gradient, trainable(reference).predict,
+                               ds, cfg)
+    assert [(r.epoch, r.lr, r.train_loss, r.val_loss) for r in log.entries] == expected
+    assert model.params.tobytes() == reference.params.tobytes()
 
 
 def test_train_rejects_zero_epochs():

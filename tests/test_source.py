@@ -55,6 +55,21 @@ def test_experiments_trains_only_through_fit():
     assert callers == ["fit", "fit_baseline"]
 
 
+def test_batch_gradient_reaches_the_kernel_through_forward_batch():
+    # The benchmark traces the training forward pass where grad looks up
+    # forward_batch; a batch_gradient that built its kernel block any other
+    # way would leave that layer reading zero.
+    tree = ast.parse((SRC / "grad.py").read_text(encoding="utf-8"))
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "batch_gradient")
+    called = {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "forward_batch" in called
+    kernel_calls = sorted({ast.unparse(node.func) for node in ast.walk(tree)
+                           if isinstance(node, ast.Call)}
+                          & {"cauchy_block", "kernel_rows", "kernel_sum"})
+    assert kernel_calls == []
+
+
 # Public names kept without a caller in the library or the benchmark.
 UNCALLED_BY_DESIGN = {
     "backward": "per-sample gradient oracle for the batch gradient",
