@@ -279,9 +279,13 @@ def prepare(spec: ExperimentSpec):
     return ds, scaled, scaler
 
 
-def fit(spec: ExperimentSpec, scaled: dt.SplitDataset, epoch_callback=None):
+def fit(spec: ExperimentSpec, scaled: dt.SplitDataset, epoch_callback=None, *,
+        validate: bool = True):
     """Initialise the network from spec.model and the spec's seed, then train
-    it on `scaled`, the split `prepare` returns.  Returns (model, log)."""
+    it on `scaled`, the split `prepare` returns.  Returns (model, log).
+
+    validate=False goes to `train`: the log then has no val loss, for a
+    caller that keeps only the model; the model is the same bytes."""
     rng = Rng(derive_seed(spec.train.seed, _STREAM_INIT))
     ms = spec.model
     if ms.init == "elliptical":
@@ -290,7 +294,7 @@ def fit(spec: ExperimentSpec, scaled: dt.SplitDataset, epoch_callback=None):
     else:
         net = mdl.init_xavier_complex(ms.h, scaled.m, rng, epsilon=ms.epsilon)
     return net, train(grad.cauchynet_trainable(net), scaled, spec.train,
-                      epoch_callback=epoch_callback)
+                      epoch_callback=epoch_callback, validate=validate)
 
 
 def fit_baseline(spec: ExperimentSpec, scaled: dt.SplitDataset):
@@ -466,7 +470,9 @@ def run_lambda_ablation(spec: ExperimentSpec, outdir=None):
 
     Returns long-format rows (lam, seed, epoch, test_mse) with the test MSE
     in unscaled units snapshotted after every epoch, and writes them to
-    lambda_ablation.csv when outdir is given.
+    lambda_ablation.csv when outdir is given.  Arms train with
+    validate=False: no val loss is computed, so an arm fails only if its
+    steps diverge.
     """
     spec = validate_spec(spec)
     if not spec.lambdas:
@@ -482,7 +488,8 @@ def run_lambda_ablation(spec: ExperimentSpec, outdir=None):
             rows.append((lam, spec.train.seed, epoch, _test_mse(m, ds, scaler)))
 
         try:
-            fit(replace(spec, train=replace(spec.train, lam=lam)), scaled, snapshot)
+            fit(replace(spec, train=replace(spec.train, lam=lam)), scaled, snapshot,
+                validate=False)
         except NonFiniteError as exc:
             return exc
         return rows
@@ -518,7 +525,7 @@ def _sweep_cell(spec: ExperimentSpec, h, n, lr, wd):
     cell = validate_spec(replace(spec, n_samples=n, model=replace(spec.model, h=h),
                                  train=replace(spec.train, lr0=lr, weight_decay=wd)))
     ds, scaled, scaler = prepare(cell)
-    return _test_mse(fit(cell, scaled)[0], ds, scaler)
+    return _test_mse(fit(cell, scaled, validate=False)[0], ds, scaler)
 
 
 def _sweep_row(spec: ExperimentSpec, h, n, lr, wd):
@@ -541,7 +548,9 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
     message.  If every cell fails the sweep raises: NonFiniteError when some
     cell diverged, ValidationError otherwise.  Cells run over the caller and
     forked workers (`workers.map_forked`), largest h*n first; rows are
-    (h, n, lr, wd, test_mse, note) in deterministic axis order.
+    (h, n, lr, wd, test_mse, note) in deterministic axis order.  Cells
+    train with validate=False: a cell diverges in its steps or in its
+    test predict, never on a val row.
     """
     axes = dict(grid_hidden=hidden, grid_sizes=data_sizes, grid_lrs=lrs, grid_wds=wds)
     spec = validate_spec(replace(spec, **{k: tuple(v) for k, v in axes.items() if v is not None}))

@@ -91,10 +91,12 @@ def read_array(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
 
 def read_complex(doc: dict, key: str, shape: tuple, path) -> np.ndarray:
     """doc[key_re] + 1j*doc[key_im], each part checked for `shape` before
-    combining, so a short part cannot broadcast."""
-    re = read_array(doc, f"{key}_re", shape, path)
-    im = read_array(doc, f"{key}_im", shape, path)
-    return re + 1j * im
+    combining, so a short part cannot broadcast.  The parts are copied in,
+    not added, so a -0.0 part keeps its sign."""
+    out = np.empty(shape, dtype=complex)
+    out.real = read_array(doc, f"{key}_re", shape, path)
+    out.imag = read_array(doc, f"{key}_im", shape, path)
+    return out
 
 
 def scaler_doc(scaler: ScalerState) -> dict:

@@ -11,7 +11,9 @@ reproducible end to end.
 
 from __future__ import annotations
 
+import math
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -90,8 +92,12 @@ class TrainLog:
         """epoch,lr,train_loss,val_loss rows.
 
         wall_ms, the only nondeterministic field, stays out, so the file is
-        byte-reproducible.
+        byte-reproducible.  A log trained with validate=False carries no val
+        loss (NaN) and raises ValueError instead of writing a NaN column;
+        a validated log never holds a NaN, which raises divergence.
         """
+        if any(math.isnan(r.val_loss) for r in self.entries):
+            raise ValueError("the log has no val loss: it was trained with validate=False")
         cols = ["lr", "train_loss", "val_loss"]
         write_csv(path, ["epoch"] + cols,
                   ([r.epoch] + [repr(getattr(r, c)) for c in cols] for r in self.entries))
@@ -162,7 +168,8 @@ def adam_step(model, grad_vec: np.ndarray, state: AdamState, lr: float,
 
 
 def train(trainable: Trainable, dataset, config: TrainConfig,
-          epoch_callback: Optional[Callable] = None) -> TrainLog:
+          epoch_callback: Optional[Callable] = None, *,
+          validate: bool = True) -> TrainLog:
     """Shuffled minibatch Adam on the mean batch loss.
 
     Per-epoch shuffle order comes from a child seed of (config.seed, epoch),
@@ -180,6 +187,11 @@ def train(trainable: Trainable, dataset, config: TrainConfig,
     "training diverged at epoch e" with entries 0..e-1.  So
     epoch_callback(e) may run for an epoch whose val loss then diverges,
     and an epoch's wall_ms does not count a val loss computed in the child.
+
+    With validate=False no val loss is computed: nothing forks, the val
+    split is never predicted, and every entry's val_loss is NaN.  The steps
+    and the log's other fields are those of a validated run; a divergence
+    is one of the steps, raised at its own epoch.
     """
     problems = config.validate()
     if problems:
@@ -203,15 +215,17 @@ def train(trainable: Trainable, dataset, config: TrainConfig,
                               epoch=epoch, partial_log=log)
 
     def record(epoch, lr, train_loss, wall_ms):
-        """Log an epoch once its val loss is back from the evaluator."""
-        try:
-            loss = evaluator.collect()
-        except NonFiniteError as exc:
-            raise diverged(epoch, exc) from None
+        """Log an epoch once its val loss, if any, is back from the evaluator."""
+        loss = math.nan
+        if validate:
+            try:
+                loss = evaluator.collect()
+            except NonFiniteError as exc:
+                raise diverged(epoch, exc) from None
         log.entries.append(TrainLogEntry(epoch, lr, train_loss, loss, wall_ms))
 
     pending = None                        # record() arguments of the previous epoch
-    with Pipeline(val_loss) as evaluator:
+    with Pipeline(val_loss) if validate else nullcontext() as evaluator:
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             lr = lr_at(config, epoch)
@@ -231,7 +245,8 @@ def train(trainable: Trainable, dataset, config: TrainConfig,
                 record(*pending)          # the previous epoch's divergence wins
             if failed is not None:
                 raise diverged(epoch, failed)
-            evaluator.submit(model.params)
+            if validate:
+                evaluator.submit(model.params)
             pending = (epoch, lr, float(np.mean(batch_losses)),
                        (time.perf_counter() - t0) * 1e3)
             if epoch_callback is not None:

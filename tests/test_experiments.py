@@ -365,6 +365,29 @@ def test_sensitivity_grid_cell_out_of_range_carries_spec_message():
     assert math.isfinite(rows[1][4]) and rows[1][5] == ""
 
 
+def diverging_steps_spec():
+    """lr0 = 1e300 with weight decay: epoch 0's second Adam step overflows
+    its second moment (84 train rows, three batches an epoch)."""
+    return tiny_spec(n_samples=120, lambdas=(0.1,),
+                     train=TrainConfig(epochs=5, lr0=1e300, weight_decay=1e-4,
+                                       lam=0.1, seed=10))
+
+
+def test_sensitivity_grid_cell_with_diverging_steps_is_nan_row():
+    spec = diverging_steps_spec()
+    rows = run_sensitivity_grid(spec, hidden=[8], data_sizes=[120],
+                                lrs=[1e300, 0.01], wds=[1e-4])
+    assert math.isnan(rows[0][4])
+    assert rows[0][5].startswith("failed: training diverged at epoch 0: Adam moment")
+    assert math.isfinite(rows[1][4]) and rows[1][5] == ""
+
+
+def test_lambda_ablation_arm_with_diverging_steps_raises():
+    with pytest.raises(NonFiniteError, match="^training diverged at epoch 0") as info:
+        run_lambda_ablation(diverging_steps_spec())
+    assert info.value.epoch == 0 and info.value.partial_log.entries == []
+
+
 @pytest.mark.parametrize("axes", [
     dict(hidden=[8.5]), dict(data_sizes=[60.0]), dict(lrs=[float("nan")]),
     dict(wds=[float("inf")]),

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import pickle
 
@@ -285,6 +286,19 @@ def test_trainlog_csv_round_trip(tmp_path):
     assert len(lines) == 4
 
 
+def test_trainlog_csv_refuses_a_log_without_val_loss(tmp_path):
+    ds = spike_dataset()
+    model = init_elliptical(8, 1, Rng(2), 1.05, 0.1)
+    seen = []
+    log = train(cauchynet_trainable(model), ds, TrainConfig(epochs=3, seed=2),
+                epoch_callback=lambda e, m: seen.append(e), validate=False)
+    assert seen == [0, 1, 2] and len(log.entries) == 3
+    path = tmp_path / "log.csv"
+    with pytest.raises(ValueError, match="no val loss"):
+        log.write_csv(path)
+    assert not path.exists()
+
+
 def test_epoch_callback_sees_every_epoch():
     ds = spike_dataset()
     model = init_elliptical(8, 1, Rng(2), 1.05, 0.1)
@@ -319,7 +333,7 @@ def test_imag_error_shrinks_with_penalty():
     assert np.abs(e1).mean() < start
 
 
-def train_with_slots(monkeypatch, slots, val_fails=None, steps_fail=None):
+def train_with_slots(monkeypatch, slots, val_fails=None, steps_fail=None, validate=True):
     """What a caller of train() sees with `slots` process slots, when the val
     loss of epoch `val_fails` and the steps of epoch `steps_fail` raise
     NonFiniteError: the log or the error's message, epoch and partial log,
@@ -346,11 +360,13 @@ def train_with_slots(monkeypatch, slots, val_fails=None, steps_fail=None):
     try:
         log = train(Trainable(model, batch_gradient, predict), spike_dataset(),
                     TrainConfig(epochs=5, seed=2),
-                    epoch_callback=lambda e, m: seen.append((e, m.params.tobytes())))
+                    epoch_callback=lambda e, m: seen.append((e, m.params.tobytes())),
+                    validate=validate)
         outcome = rows(log)
     except NonFiniteError as exc:
         outcome = str(exc), exc.epoch, rows(exc.partial_log)
-    assert (val_calls == []) == (slots == 2)     # the val losses came from the evaluator
+    # The val losses came from the evaluator, or were not computed.
+    assert (val_calls == []) == (slots == 2 or not validate)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return outcome, seen
@@ -372,6 +388,16 @@ def test_divergence_is_the_same_with_an_evaluator(monkeypatch, val_fails, steps_
     # The callback runs once an epoch's steps are done, before its val loss
     # is known: it saw epoch 2 although epoch 2's val loss diverged.
     assert [e for e, _ in seen] == list(range(callbacks))
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_unvalidated_train_diverges_only_in_its_steps(monkeypatch, slots):
+    (text, epoch, entries), seen = train_with_slots(monkeypatch, slots, val_fails=0,
+                                                    steps_fail=3, validate=False)
+    (_, _, ref), ref_seen = train_with_slots(monkeypatch, 1, steps_fail=3)
+    assert text == "training diverged at epoch 3: step overflow" and epoch == 3
+    assert [r[:3] for r in entries] == [r[:3] for r in ref] and seen == ref_seen
+    assert all(math.isnan(r[3]) for r in entries)
 
 
 def test_epoch_callback_sees_the_same_parameters_with_an_evaluator(monkeypatch):

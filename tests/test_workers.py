@@ -9,7 +9,7 @@ import time
 import pytest
 
 from cauchynet import baseline as bl
-from cauchynet import cli, workers
+from cauchynet import cli, optim, workers
 from cauchynet import experiments as xp
 from cauchynet import model as mdl
 from cauchynet.errors import CauchyNetError, NonFiniteError, ValidationError
@@ -458,9 +458,11 @@ def test_no_evaluator_when_the_fits_fill_the_slots(tmp_path, monkeypatch, forks)
     assert forks() == 1
     run_sensitivity_grid(spec, hidden=[4, 8], data_sizes=[60], lrs=[0.01], wds=[0.0])
     assert forks() == 1
-    spec.lambdas = (0.1,)                   # one arm: a single fit again
+    spec.lambdas = (0.1,)                   # one arm: a single unvalidated fit
     run_lambda_ablation(spec)
-    assert forks() == 1
+    assert forks() == 0
+    run_sensitivity_grid(spec, hidden=[8], data_sizes=[60], lrs=[0.01], wds=[0.0])
+    assert forks() == 0                     # one cell: likewise no evaluator
     assert no_child_left()
 
 
@@ -486,33 +488,63 @@ def test_no_evaluator_with_an_unpinned_blas_or_other_threads(tmp_path, monkeypat
 
 
 def test_single_arm_ablation_divergence_matches_serial(tmp_path, monkeypatch, forks):
-    # val has 18 rows and test 12, so the val passes (in the evaluator when
-    # there is one) can be told from the epoch callback's test passes.
+    # The arm computes no val loss: every val pass (val has 18 rows, test
+    # 12) would overflow, and none is made.  30 train rows make one batch
+    # per epoch, so the third Adam step is epoch 2's.
     spec = tiny_baseline_spec()
     spec.lambdas, spec.fractions = (0.1,), (0.5, 0.3, 0.2)
-    original = mdl.predict
-    val_calls = []
+    original_predict, original_step = mdl.predict, optim.adam_step
+    val_calls, steps = [], []
 
-    def val_diverges_in_epoch_two(model, X):
+    def val_overflows(model, X):
         if len(X) == 18:
             val_calls.append(1)
-            if len(val_calls) == 3:
-                raise NonFiniteError("injected val overflow")
-        return original(model, X)
+            raise NonFiniteError("injected val overflow")
+        return original_predict(model, X)
 
+    def step_diverges_in_epoch_two(*args):
+        steps.append(1)
+        if len(steps) == 3:
+            raise NonFiniteError("injected step overflow")
+        return original_step(*args)
+
+    monkeypatch.setattr(mdl, "predict", val_overflows)
     out = {}
     for n in (1, 2):
         slots(monkeypatch, n)
-        monkeypatch.setattr(mdl, "predict", original)
+        monkeypatch.setattr(optim, "adam_step", original_step)
         out[n] = run_lambda_ablation(spec, tmp_path / str(n))
-        monkeypatch.setattr(mdl, "predict", val_diverges_in_epoch_two)
-        val_calls.clear()
+        monkeypatch.setattr(optim, "adam_step", step_diverges_in_epoch_two)
+        steps.clear()
         with pytest.raises(NonFiniteError) as info:
             run_lambda_ablation(spec)
         out[n] += (str(info.value), info.value.epoch,
                    len(info.value.partial_log.entries), forks())
-    assert out[1] == out[2][:-1] + (0,)
-    assert out[2][2:] == ("training diverged at epoch 2: injected val overflow", 2, 2, 2)
+    assert out[1] == out[2]
+    assert out[2][2:] == ("training diverged at epoch 2: injected step overflow", 2, 2, 0)
+    assert val_calls == []
+    assert no_child_left()
+
+
+def test_unvalidated_fit_trains_the_validated_model(monkeypatch, forks):
+    spec = tiny_baseline_spec()
+    _, scaled, _ = xp.prepare(spec)
+    slots(monkeypatch, 2)
+    ref, ref_log = xp.fit(spec, scaled)
+    assert forks() == 1                             # the validated fit's evaluator
+    original, predicted = mdl.predict, []
+
+    def counted(model, X):
+        predicted.append(len(X))
+        return original(model, X)
+
+    monkeypatch.setattr(mdl, "predict", counted)
+    net, log = xp.fit(spec, scaled, validate=False)
+    assert forks() == 0 and predicted == []         # no val pass, here or in a child
+    assert net.params.tobytes() == ref.params.tobytes()
+    rows = lambda log: [(e.epoch, e.lr, e.train_loss) for e in log.entries]
+    assert rows(log) == rows(ref_log) and len(log.entries) == spec.train.epochs
+    assert all(math.isnan(e.val_loss) for e in log.entries)
     assert no_child_left()
 
 
