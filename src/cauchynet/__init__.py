@@ -20,8 +20,8 @@ from .experiments import (ExperimentSpec, MetricsReport, ModelSpec, PRESETS,
                           fit, fit_baseline, get_preset, metric_mae, metric_mse,
                           prepare, run_experiment, run_kernel_demo,
                           run_lambda_ablation, run_sensitivity_grid)
-from .grad import (GradientWork, LossValue, backward, batch_gradient,
-                   cauchynet_trainable, finite_difference_gradients)
+from .grad import (GradientWork, LossValue, batch_gradient, cauchynet_trainable,
+                   finite_difference_gradients)
 from .kernel import (BoundaryMesh, KernelExpansion, ellipse_mesh,
                      evaluate_expansion_grid, fit_expansion_least_squares,
                      quadrature_expansion)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import fileio
-from .complex_linalg import Rng, as_inputs, copy_into
+from .complex_linalg import Rng, as_inputs, copy_into, normal_complex
 from .data import ScalerState
 from .errors import NonFiniteError, SchemaError
 from .grad import LossValue
@@ -61,11 +61,17 @@ def split_mlp_parameters(vec: np.ndarray, h: int, m: int):
 
 
 def init_mlp(h: int, m: int, rng: Rng) -> MlpModel:
-    """Kaiming-style normals for the weights, zero biases."""
-    s1 = math.sqrt(2.0 / m)
-    s2 = math.sqrt(2.0 / h)
-    W1 = np.array([[rng.normal(s1) for _ in range(m)] for _ in range(h)])
-    W2 = np.array([rng.normal(s2) for _ in range(h)])
+    """Kaiming-style normals for the weights, zero biases.
+
+    The h(m + 1) unit normals are the real and imaginary parts of
+    ceil(h(m + 1) / 2) complex draws, in order (an odd count drops the last
+    imaginary part); W1 takes the first h*m scaled by sqrt(2/m), W2 the
+    rest scaled by sqrt(2/h).
+    """
+    hm = h * m
+    z = normal_complex(rng, 1.0, (hm + h + 1) // 2).view(float)
+    W1 = z[:hm].reshape(h, m) * math.sqrt(2.0 / m)
+    W2 = z[hm:hm + h] * math.sqrt(2.0 / h)
     return MlpModel(W1, np.zeros(h), W2, 0.0)
 
 

@@ -1,10 +1,11 @@
 """Command-line experiment runner.
 
-Subcommands: train, evaluate, impute, ablate-lambda, sweep, kernel-demo,
-decompose, list-experiments.  Recipes come from named presets or a JSON
-config file mirroring ExperimentSpec; individual fields are overridden with
-repeated --set key=value flags (dotted paths, JSON-parsed values), sweep
-axes and penalty weights too (--set grid_hidden=[8,16] --set lambdas=[0.1]).
+Subcommands: train, evaluate, ablate-lambda, sweep, kernel-demo, decompose,
+list-experiments.  Recipes come from named presets or a JSON config file
+mirroring ExperimentSpec; individual fields are overridden with repeated
+--set key=value flags (dotted paths, JSON-parsed values), sweep axes and
+penalty weights too (--set grid_hidden=[8,16] --set lambdas=[0.1]).  A
+preset or config with a mask also writes imputation_errors.csv.
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence,
 4 I/O error or malformed checkpoint.  The CAUCHYNET_SEED environment
@@ -121,16 +122,6 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def cmd_impute(args):
-    spec = load_spec(args)
-    if spec.mask is None:
-        raise ValidationError(["impute requires a preset/config with a mask"])
-    report = xp.run_experiment(spec, _outdir(args, spec))
-    print(f"{spec.name}: hidden-region mse={report.mse:.6g} mae={report.mae:.6g}")
-    print(f"signed errors in {_outdir(args, spec) / 'imputation_errors.csv'}")
-    return EXIT_OK
-
-
 def _axis(arg, cast):
     """A comma-separated list of `cast` values, or None for an empty argument."""
     if not arg:
@@ -214,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("impute", help="run a masked preset and emit signed errors")
-    _add_spec_args(p)
-    p.set_defaults(fn=cmd_impute)
 
     p = sub.add_parser("ablate-lambda", help="sweep the imaginary-penalty weight")
     _add_spec_args(p)

@@ -55,7 +55,6 @@ class Rng:
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
-        self._spare_normal = None
 
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & MASK64
@@ -77,16 +76,6 @@ class Rng:
         if n is None:
             return lo + (hi - lo) * self.uniform()
         return lo + (hi - lo) * ((self._next_u64s(n) >> np.uint64(11)) * (1.0 / (1 << 53)))
-
-    def normal(self, sigma: float = 1.0) -> float:
-        """N(0, sigma^2) via Box-Muller; the sine mate is cached for the next call."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return z * sigma
-        r, c, s = self._box_muller()
-        self._spare_normal = r * s
-        return r * c * sigma
 
     def _box_muller(self):
         # (u1 + 1) * 2^-53 lies in (0, 1], keeping log(u1) finite.
@@ -113,12 +102,11 @@ class Rng:
 def normal_complex(rng: Rng, sigma: float, n: int | None = None):
     """Complex sample with independent N(0, sigma^2) real and imaginary parts.
 
-    Consumes exactly one Box-Muller pair (two uniforms), independent of any
-    cached scalar-normal state, so mixed scalar/complex draws stay
-    reproducible.  With n, returns the next n such samples as a complex
-    array, bit-equal to n single draws: the 2n uniforms come from one
-    uint64 pass, and each log, cos and sin is Python's `math` one, whose
-    results numpy's vector loops are not bound to match.
+    Consumes exactly one Box-Muller pair (two uniforms).  With n, returns
+    the next n such samples as a complex array, bit-equal to n single draws:
+    the 2n uniforms come from one uint64 pass, and each log, cos and sin is
+    Python's `math` one, whose results numpy's vector loops are not bound to
+    match.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")

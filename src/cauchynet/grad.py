@@ -1,4 +1,4 @@
-"""Loss, analytic backward pass, and the finite-difference gradient oracle.
+"""Loss, the analytic batch gradient, and the finite-difference gradient oracle.
 
 The training loss for one sample is
 
@@ -111,16 +111,6 @@ def batch_gradient(model: CauchyNetModel, X, y_true, lam: float, work=None):
     if not np.isfinite(g).all():
         raise NonFiniteError("gradient overflowed")
     return LossValue(fit + pen, fit, pen), g
-
-
-def backward(model: CauchyNetModel, x, y_true: float, lam: float) -> np.ndarray:
-    """Per-sample gradient vector of the loss at input x.
-
-    The batch gradient of the one-row batch (a mean over one sample is
-    exact).
-    """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return batch_gradient(model, x, [y_true], lam)[1]
 
 
 def cauchynet_trainable(model: CauchyNetModel):

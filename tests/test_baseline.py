@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from cauchynet.complex_linalg import Rng
+from cauchynet.complex_linalg import Rng, normal_complex
 from cauchynet.baseline import (MlpModel, init_mlp, load_mlp_checkpoint,
                                 mlp_batch_gradient, mlp_parameter_count,
                                 mlp_predict, save_mlp_checkpoint,
@@ -33,6 +35,22 @@ def test_parameter_count():
     assert mlp_parameter_count(model) == len(model.params)
 
 
+@pytest.mark.parametrize("h,m", [(7, 2), (33, 1)])   # h(m + 1) = 21 and 66
+@pytest.mark.parametrize("seed", [1, 12345])
+def test_init_mlp_draws_scalar_box_muller_pairs(h, m, seed):
+    # Reference: one scalar complex draw per pair of weights, real part
+    # first; W1 row-major scaled by sqrt(2/m), then W2 scaled by sqrt(2/h).
+    rng = Rng(seed)
+    z = []
+    while len(z) < h * (m + 1):
+        d = normal_complex(rng, 1.0)
+        z += [d.real, d.imag]
+    W1 = [z[j] * math.sqrt(2.0 / m) for j in range(h * m)]
+    W2 = [z[h * m + k] * math.sqrt(2.0 / h) for k in range(h)]
+    expected = np.array(W1 + [0.0] * h + W2 + [0.0])
+    assert init_mlp(h, m, Rng(seed)).params.tobytes() == expected.tobytes()
+
+
 def test_backward_zero_residual():
     model = init_mlp(5, 2, Rng(3))
     x = np.array([0.4, -0.7])
@@ -55,8 +73,9 @@ def test_backward_matches_finite_differences():
         h = 1 + rng.next_u64() % 6
         m = 1 + rng.next_u64() % 3
         model = init_mlp(h, m, rng)
-        model.b1[:] = np.array([rng.normal(0.5) for _ in range(h)])
-        model.b2 = rng.normal(0.5)
+        b = normal_complex(rng, 0.5, h + 1).real
+        model.b1[:] = b[:h]
+        model.b2 = b[h]
         x = np.array([rng.uniform_in(-1, 1) for _ in range(m)])
         y_true = rng.uniform_in(-2, 2)
         _, g = mlp_batch_gradient(model, x[None, :], np.array([y_true]))

@@ -2,7 +2,9 @@ import argparse
 import json
 import math
 import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +494,23 @@ def test_cli_list_experiments(capsys):
         assert name in out
 
 
+def test_readme_cli_block_parses():
+    # Every command README's CLI section shows is one the parser accepts, so a
+    # retired verb or flag cannot linger in the docs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?```bash\n(.*?)```", readme, re.S | re.M).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "cauchynet" for argv in commands)
+    rejected = []
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            rejected.append(shlex.join(argv))
+    assert rejected == []
+
+
 def test_cli_train_with_overrides(tmp_path, capsys):
     rc = cli.main(["train", "--preset", "exp1", "--out", str(tmp_path),
                    "--set", "n_samples=60", "--set", "model.h=8",
@@ -536,13 +555,8 @@ def test_cli_evaluate_round_trip(tmp_path, capsys):
     assert "test mse=" in capsys.readouterr().out
 
 
-def test_cli_impute_requires_mask(tmp_path, capsys):
-    rc = cli.main(["impute", "--preset", "exp1", "--out", str(tmp_path)])
-    assert rc == 2
-
-
 def test_cli_impute_gap_preset(tmp_path, capsys):
-    rc = cli.main(["impute", "--preset", "exp2-gap", "--out", str(tmp_path),
+    rc = cli.main(["train", "--preset", "exp2-gap", "--out", str(tmp_path),
                    "--set", "n_samples=120", "--set", "model.h=8",
                    "--set", "train.epochs=2"])
     assert rc == 0
@@ -687,7 +701,7 @@ def _series_csv(tmp_path, n):
                   "--set", "grid_sizes=[2]", "--set", "grid_lrs=[0.01]",
                   "--set", "grid_wds=[0]"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", 'fractions=["a",0.25,0.25]'], 2),
-    (lambda tmp: ["impute", "--preset", "exp2-disk", "--set", 'mask.radius="x"'], 2),
+    (lambda tmp: ["train", "--preset", "exp2-disk", "--set", 'mask.radius="x"'], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0.5]"], 2),
     (lambda tmp: ["ablate-lambda", "--preset", "exp5-lambda", "--set", "lambdas=a,b"], 2),
     (lambda tmp: ["sweep", "--preset", "exp5-grid", "--set", "grid_hidden=x"], 2),
@@ -704,7 +718,7 @@ def _series_csv(tmp_path, n):
     (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0, Infinity]"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "fractions=[1.0,0.0,0.0]"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "fractions=[0.0,0.5,0.5]"], 2),
-    (lambda tmp: ["impute", "--preset", "exp2-gap", "--set", "masked_fractions=[0.001,0.999]"], 2),
+    (lambda tmp: ["train", "--preset", "exp2-gap", "--set", "masked_fractions=[0.001,0.999]"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "n_samples=10",
                   "--set", "fractions=[0.5,0.5,0.0]"], 2),
     (lambda tmp: ["decompose", "--data", _series_csv(tmp, 3), "--period", "1"], 2),

@@ -3,8 +3,7 @@ import pytest
 
 from cauchynet.complex_linalg import Rng, normal_complex
 from cauchynet.errors import LengthMismatch
-from cauchynet.grad import (backward, batch_gradient,
-                            finite_difference_gradients)
+from cauchynet.grad import batch_gradient, finite_difference_gradients
 from cauchynet.model import CauchyNetModel, forward_batch, split_parameters
 
 
@@ -32,26 +31,26 @@ def test_backward_hand_checked_case():
     # h=m=1, B=0, C=1, x=1, y_true=0, lam=0:
     # o = 1/(1+b); d(Re o)/d(Re b) at b=0 is -1, times dL/dy = 2 gives -2.
     model = CauchyNetModel(1, 1, 0.0, np.zeros((1, 1), complex), np.ones(1, complex))
-    dB, _ = split_parameters(backward(model, [1.0], 0.0, 0.0), 1, 1)
+    dB, _ = split_parameters(batch_gradient(model, [[1.0]], [0.0], 0.0)[1], 1, 1)
     assert dB[0, 0].real == pytest.approx(-2.0)
     assert dB[0, 0].imag == pytest.approx(0.0)
 
 
 def test_backward_zero_at_stationary_point():
     model = CauchyNetModel(1, 1, 0.0, np.zeros((1, 1), complex), np.ones(1, complex))
-    dB, dC = split_parameters(backward(model, [1.0], 1.0, 0.5), 1, 1)  # y = 1, e = 0
+    dB, dC = split_parameters(batch_gradient(model, [[1.0]], [1.0], 0.5)[1], 1, 1)  # y = 1, e = 0
     assert np.all(dB == 0) and np.all(dC == 0)
 
 
 def test_backward_imag_partial_matches_fd():
     model = CauchyNetModel(1, 1, 0.0, np.zeros((1, 1), complex), np.ones(1, complex))
-    dB, _ = split_parameters(backward(model, [1.0], 1.0, 0.5), 1, 1)
+    dB, _ = split_parameters(batch_gradient(model, [[1.0]], [1.0], 0.5)[1], 1, 1)
     fd, _ = split_parameters(finite_difference_gradients(model, [1.0], 1.0, 0.5, step=1e-6), 1, 1)
     assert abs(dB[0, 0].imag - fd[0, 0].imag) <= 1e-5 * max(abs(fd[0, 0].imag), 1e-8)
 
 
 def test_gradient_check_sweep():
-    """Analytic backward vs central differences on 100 random instances."""
+    """One-row batch gradient vs central differences on 100 random instances."""
     rng = Rng(100)
     hs, ms, lams = (1, 2, 8), (1, 2, 3), (0.0, 0.1, 1.0)
     for i in range(100):
@@ -59,7 +58,7 @@ def test_gradient_check_sweep():
         model = offpole_model(h, m, rng)
         x = np.array([rng.uniform_in(-1, 1) for _ in range(m)])
         y_true = rng.uniform_in(-2, 2)
-        an = backward(model, x, y_true, lam)
+        an = batch_gradient(model, np.reshape(x, (1, -1)), [y_true], lam)[1]
         fd = finite_difference_gradients(model, x, y_true, lam, step=1e-6)
         assert max_rel_err(an, fd) < 1e-5
 
@@ -70,10 +69,11 @@ def test_backward_linear_in_lambda():
         model = offpole_model(2, 2, rng)
         x = np.array([rng.uniform_in(-1, 1), rng.uniform_in(-1, 1)])
         y_true = rng.uniform_in(-1, 1)
-        g0 = backward(model, x, y_true, 0.0)
-        g1 = backward(model, x, y_true, 1.0)
+        X = np.reshape(x, (1, -1))
+        g0 = batch_gradient(model, X, [y_true], 0.0)[1]
+        g1 = batch_gradient(model, X, [y_true], 1.0)[1]
         a = 0.37
-        ga = backward(model, x, y_true, a)
+        ga = batch_gradient(model, X, [y_true], a)[1]
         np.testing.assert_allclose(ga, g0 + a * (g1 - g0), atol=1e-10)
 
 
@@ -88,7 +88,7 @@ def test_batch_gradient_is_mean_of_per_sample():
     tot = 0.0
     for i in range(3):
         o, _, _ = forward_batch(model, X[i:i + 1])
-        acc += backward(model, X[i], yt[i], lam)
+        acc += batch_gradient(model, X[i:i + 1], yt[i:i + 1], lam)[1]
         tot += (o[0].real - yt[i]) ** 2 + lam * o[0].imag ** 2
     np.testing.assert_allclose(gb, acc / 3, rtol=1e-12)
     assert lv.total == pytest.approx(tot / 3)

@@ -63,9 +63,9 @@ def test_forward_deterministic():
 def test_conjugate_symmetric_model_has_zero_e_everywhere():
     rng = Rng(77)
     h = 6
-    B_half = np.array([[complex(rng.normal(), 0.3 + abs(rng.normal()))]
-                       for _ in range(h // 2)])
-    C_half = np.array([complex(rng.normal(), rng.normal()) for _ in range(h // 2)])
+    z = normal_complex(rng, 1.0, h // 2)
+    B_half = (z.real + 1j * (0.3 + np.abs(z.imag)))[:, None]
+    C_half = normal_complex(rng, 1.0, h // 2)
     B = np.vstack([B_half, B_half.conj()])
     C = np.concatenate([C_half, C_half.conj()])
     model = CauchyNetModel(h, 1, 0.0, B, C)

@@ -72,7 +72,6 @@ def test_batch_gradient_reaches_the_kernel_through_forward_batch():
 
 # Public names kept without a caller in the library or the benchmark.
 UNCALLED_BY_DESIGN = {
-    "backward": "per-sample gradient oracle for the batch gradient",
     "finite_difference_gradients": "forward-only gradient oracle for the analytic path",
     "cauchy_activation": "scalar activation oracle for the kernel block",
     "cauchy_activation_derivative": "closed-form derivative oracle for the activation",
