@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,32 +267,47 @@ def seasonal_decompose_multiplicative(series, period: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _row_name(rownum):
+    return f"row {rownum}" if rownum else "header"
+
 
 def load_series_csv(path, column: str) -> np.ndarray:
     """Ordered numeric series from a headered CSV column.
 
-    Unparseable cells raise ParseError citing the 1-based data row number.
+    ParseError names the file and the header or 1-based data row that holds
+    bytes that are not UTF-8, is malformed (csv.Error) or has a cell in the
+    column that is missing, unparseable or not finite.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    out, rownum = [], -1
+    # surrogateescape reads each byte that is not UTF-8 as a lone surrogate,
+    # which no UTF-8 text decodes to, so the row that holds it is known
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if column not in header:
-            raise ParseError(
-                f"{path}: column {column!r} not found; available: {header}")
-        col = header.index(column)
-        out = []
-        for rownum, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                out.append(float(row[col]))
-            except (ValueError, IndexError):
-                raise ParseError(
-                    f"{path}: row {rownum}: cannot parse {column!r} "
-                    f"value {row[col] if col < len(row) else '<missing>'!r}"
-                ) from None
+            for rownum, row in enumerate(csv.reader(fh)):
+                if _UNDECODABLE.search("".join(row)):
+                    raise ParseError(f"{path}: {_row_name(rownum)}: bytes that are not UTF-8")
+                if rownum == 0:
+                    header = [h.strip() for h in row]
+                    if column not in header:
+                        raise ParseError(
+                            f"{path}: column {column!r} not found; available: {header}")
+                    col = header.index(column)
+                elif any(c.strip() for c in row):
+                    cell = row[col] if col < len(row) else "<missing>"
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(f"{path}: row {rownum}: cannot parse "
+                                         f"{column!r} value {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise ParseError(f"{path}: row {rownum}: {column!r} value "
+                                         f"{cell!r} is not finite")
+                    out.append(value)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {_row_name(rownum + 1)}: {exc}") from None
+    if rownum < 0:
+        raise ParseError(f"{path}: empty file")
     return np.asarray(out)

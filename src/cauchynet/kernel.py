@@ -18,12 +18,15 @@ network's forward pass and `predict`, the scalar activation, every
 expansion whose centres are not a tensor grid and every fit whose samples
 or centres are not one go through it.  When the centres are the full
 tensor product of N >= 2 per-dimension node sets, as
-`quadrature_expansion` makes them, the kernel factorises per dimension:
-the expansion's evaluation takes only the n * sum_i n_i per-dimension
-reciprocals (`_factor_rows`), walking the input EVAL_BLOCK rows at a time,
-and a least-squares fit whose samples form a tensor grid too is solved
-from the SVDs of the per-dimension Cauchy matrices (`_solve_kronecker`).
-No (n, k, N) array is ever formed.
+`quadrature_expansion` makes them, the kernel factorises per dimension.
+Where the points are a tensor grid too, as the samples of a fit or the
+points an expansion is evaluated at, one small Cauchy matrix per
+dimension (`_cauchy_factors`) carries the whole kernel: the fit is solved
+from their SVDs (`_solve_kronecker`) and the evaluation is their mode
+products with the weight tensor (`_mode_products`).  At scattered points
+the evaluation takes the n * sum_i n_i per-dimension reciprocals
+(`_factor_rows`), walking the input EVAL_BLOCK rows at a time.  No
+(n, k, N) array is ever formed.
 """
 
 from __future__ import annotations
@@ -188,9 +191,9 @@ def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
 
 
 def _tensor_grid(xi):
-    """(nodes, flat) when the k points xi (k, N), centres or sample inputs,
-    are every point of a tensor grid with N >= 2 dimensions of at least 2
-    nodes each, else None.
+    """(nodes, flat) when the k points xi (k, N), centres, sample inputs or
+    evaluation points, are every point of a tensor grid with N >= 2
+    dimensions of at least 2 nodes each, else None.
 
     nodes[i] holds the n_i distinct values of column i, sorted; the points
     are a full grid when the n_i multiply to k and no two points share a
@@ -230,13 +233,42 @@ def _factor_rows(X, nodes):
         yield rows, factors, diffs
 
 
+def _mode_products(T, mats):
+    """T multiplied along each axis i by mats[i] (new_i, T.shape[i]): each
+    step is one matrix product on the leading axis, which then moves last,
+    so after N steps the axes are back in order."""
+    for M in mats:
+        T = np.moveaxis((M @ T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:]), 0, -1)
+    return T
+
+
+def _cauchy_factors(x_nodes, c_nodes):
+    """The per-dimension Cauchy matrices F_i = 1 / (c_i - x_i[:, None]),
+    (n_i, k_i), between the node sets of a tensor grid of points and one of
+    centres: K at grid point (j_1, ..., j_N) and centre (l_1, ..., l_N) is
+    the product of F_i[j_i, l_i] over i.  Both grids hold every
+    combination of their nodes, so the largest |K| is the product of each
+    F_i's largest entry; when that is not finite, PoleEncountered for an
+    exact zero difference, NonFiniteError otherwise.
+    """
+    diffs = [c[None, :] - x[:, None] for x, c in zip(x_nodes, c_nodes)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factors = [1.0 / d for d in diffs]
+        if not np.isfinite(math.prod(np.abs(F).max() for F in factors)):
+            _raise_non_finite(diffs)
+    return factors
+
+
 def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     """sum_k theta_k K(xi_k, x) at each of an (n,) or (n, N) array of points.
 
     On a tensor grid of centres (`_tensor_grid`) theta becomes the
-    n_1 x ... x n_N weight tensor W, and each block contracts it with the
-    per-dimension factors: one (rows, n_1) @ (n_1, k / n_1) product, then
-    one row-wise contraction per further dimension.  Otherwise theta_k
+    n_1 x ... x n_N weight tensor W.  When the points are a tensor grid too,
+    every value comes from the mode products of W with the per-dimension
+    Cauchy matrices of `_cauchy_factors`, read back in the points' order.
+    At other points each block contracts W with the per-dimension factors
+    of `_factor_rows`: one (rows, n_1) @ (n_1, k / n_1) product, then one
+    row-wise contraction per further dimension.  Otherwise theta_k
     K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is the
     network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign flips
     are exact): the same `kernel_sum` that `model.predict` runs.  Non-finite
@@ -251,6 +283,15 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     nodes, flat = grid
     W = np.empty(len(flat), dtype=complex)
     W[flat] = exp.theta
+    point_grid = _tensor_grid(X) if X.shape[1] == len(nodes) else None
+    if point_grid is not None:
+        x_nodes, x_flat = point_grid
+        factors = _cauchy_factors(x_nodes, nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _mode_products(W.reshape([len(v) for v in nodes]), factors).ravel()
+        if not np.isfinite(values).all():
+            raise NonFiniteError("kernel sum overflowed")
+        return values[x_flat]
     W = W.reshape(len(nodes[0]), -1)
     out = np.empty(len(X), dtype=complex)
     for rows, factors, diffs in _factor_rows(X, nodes):
@@ -309,15 +350,6 @@ def _solve_stacked(Af, k):
     return phi
 
 
-def _mode_products(T, mats):
-    """T multiplied along each axis i by mats[i] (new_i, T.shape[i]): each
-    step is one matrix product on the leading axis, which then moves last,
-    so after N steps the axes are back in order."""
-    for M in mats:
-        T = np.moveaxis((M @ T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:]), 0, -1)
-    return T
-
-
 def _solve_kronecker(f, sample_grid, centre_grid, ridge):
     """Grid-order weights W minimising |A w - f|^2 + ridge |w|^2 for the
     Kronecker design A = F_1 (x) ... (x) F_N, F_i = 1 / (c_i - s_i[:, None])
@@ -334,11 +366,7 @@ def _solve_kronecker(f, sample_grid, centre_grid, ridge):
     matrix_rank tolerance, else SingularSystem.
     """
     (s_nodes, s_flat), (c_nodes, c_flat) = sample_grid, centre_grid
-    diffs = [c[None, :] - s[:, None] for s, c in zip(s_nodes, c_nodes)]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        factors = [1.0 / d for d in diffs]
-        if not np.isfinite(math.prod(np.abs(F).max() for F in factors)):
-            _raise_non_finite(diffs)
+    factors = _cauchy_factors(s_nodes, c_nodes)
     try:
         svds = [np.linalg.svd(F, full_matrices=False) for F in factors]
     except np.linalg.LinAlgError as exc:

@@ -1,5 +1,12 @@
+import csv
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchynet.complex_linalg import Rng
 from cauchynet.data import (DiskMask, IntervalMask, apply_mask,
@@ -289,3 +296,47 @@ def test_load_series_bad_cell_cites_row(tmp_path):
     p.write_text("\n".join(rows) + "\n")
     with pytest.raises(ParseError, match="row 7"):
         load_series_csv(p, "y")
+
+
+@pytest.mark.parametrize("content,where", [
+    (b"t,y\n0,1\n1,\xff2\n", "row 2"),
+    (b"t,y\n0,1\n1,2\n2,3\n3,4,\xc3(\n", "row 4"),        # in another column
+    (b"\xfe\xfft,y\n0,1\n", "header"),
+    (b"t,y\n0,1\n1,nan\n2,3\n", "row 2"),
+    (b"t,y\n0,1\n1,inf\n", "row 2"),
+    (b"t,y\n0,-Infinity\n", "row 1"),
+    (b"t,y\n0,1e999\n", "row 1"),
+    (b"t,y\n0,1\n1," + b"9" * (csv.field_size_limit() + 1) + b"\n", "row 2"),
+], ids=["non-utf8", "non-utf8-other-column", "non-utf8-header", "nan", "inf",
+        "minus-infinity", "overflow", "csv-error"])
+def test_load_series_rejects_bad_rows(tmp_path, content, where):
+    p = tmp_path / "series.csv"
+    p.write_bytes(content)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: {where}: "):
+        load_series_csv(p, "y")
+
+
+# CSV-like text: numbers, nan/inf spellings, separators, quotes and line ends,
+# mixed with any other character UTF-8 can encode
+_CSV_TEXT = st.text(st.sampled_from(list('0123456789.-+eEinfatyIN,;"\n\r \t\x00'))
+                    | st.characters(exclude_categories=["Cs"]))
+# "t,value" rows whose value is often a number, a non-finite one or empty
+_CSV_ROWS = st.lists(st.tuples(st.integers(0, 9), st.sampled_from(
+    ["1", " 2.5", "-3e2", "nan", "inf", "-Infinity", "1e999", "", "x"]) | _CSV_TEXT)).map(
+        lambda rows: "".join(f"{t},{v}\n" for t, v in rows).encode())
+
+
+@settings(max_examples=100, deadline=None)
+@given(head=st.sampled_from([b"", b"t,y\n", b"y\r\n"]),
+       body=st.binary() | _CSV_TEXT.map(str.encode) | _CSV_ROWS)
+def test_load_series_returns_finite_floats_or_raises_parse_error(head, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "series.csv"
+        p.write_bytes(head + body)
+        try:
+            series = load_series_csv(p, "y")
+        except ParseError as exc:
+            assert str(exc).startswith(f"{p}: ")
+        else:
+            assert series.dtype == float and series.ndim == 1
+            assert np.isfinite(series).all()

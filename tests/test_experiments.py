@@ -614,6 +614,21 @@ def test_cli_missing_file_is_io_error(tmp_path, capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"t,y\n0,1\n1,\xff2\n", "row 2: bytes that are not UTF-8"),
+    (b"t,y\n0,1\n1,nan\n2,3\n", "row 2: 'y' value 'nan' is not finite"),
+], ids=["non-utf8", "nan-cell"])
+@pytest.mark.parametrize("command", ["decompose", "exp4-csv"])
+def test_cli_bad_csv_is_parse_error(tmp_path, capsys, content, message, command):
+    src = tmp_path / "series.csv"
+    src.write_bytes(content)
+    argv = (["decompose", "--data", str(src), "--period", "12"] if command == "decompose" else
+            ["train", "--preset", "exp4-csv", "--set", f"data_path={json.dumps(str(src))}"])
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert f"error: {src}: {message}" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [src]
+
+
 def test_cli_ablate_lambda(tmp_path, capsys):
     rc = cli.main(["ablate-lambda", "--preset", "exp1", "--out", str(tmp_path),
                    "--set", "n_samples=60", "--set", "model.h=8",

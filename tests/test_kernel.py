@@ -210,18 +210,35 @@ def _centre_layouts(exp, rng):
             "one-removed": (KernelExpansion(exp.xi[1:], exp.theta[1:]), False)}
 
 
+def _point_layouts(n, ndim, rng):
+    """{name: (points, a tensor grid)} for about n evaluation points: n
+    scattered points, and for ndim >= 2 a grid of max(2, round(n^(1/ndim)))
+    nodes per dimension in C order, shuffled, and with one point removed
+    (no longer a tensor grid)."""
+    layouts = {"scattered": (rng.uniform(-0.9, 0.9, size=(n, ndim)), False)}
+    if ndim == 1:
+        return layouts
+    axes = rng.uniform(-0.9, 0.9, size=(ndim, max(2, round(n ** (1 / ndim)))))
+    grid = _grid(list(axes))
+    layouts.update({"grid": (grid, True),
+                    "shuffled-grid": (grid[rng.permutation(len(grid))], True),
+                    "grid-one-removed": (grid[1:], False)})
+    return layouts
+
+
 @pytest.mark.parametrize("ndim,nodes", [(1, 64), (2, 16), (3, 8)])
 @pytest.mark.parametrize("n", [1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 1681])
 def test_grid_matches_reference_across_block_edges(n, ndim, nodes):
     full = quadrature_expansion(lambda z: np.exp(np.sum(z, axis=0)), _product_mesh(ndim, nodes))
     rng = np.random.default_rng(n)
-    xs = rng.uniform(-0.9, 0.9, size=(n, ndim))
-    for name, (exp, tensor) in _centre_layouts(full, rng).items():
-        assert (_tensor_grid(exp.xi) is not None) == tensor, name
-        ref = _reference_design(exp.xi, xs) @ exp.theta
-        vals = evaluate_expansion_grid(exp, xs)
-        assert vals.shape == (n,)
-        assert np.abs(vals - ref).max() <= 1e-14 * np.abs(ref).max(), name
+    for where, (xs, point_grid) in _point_layouts(n, ndim, rng).items():
+        assert (_tensor_grid(xs) is not None) == point_grid, where
+        for name, (exp, tensor) in _centre_layouts(full, rng).items():
+            assert (_tensor_grid(exp.xi) is not None) == tensor, name
+            ref = _reference_design(exp.xi, xs) @ exp.theta
+            vals = evaluate_expansion_grid(exp, xs)
+            assert vals.shape == (len(xs),)
+            assert np.abs(vals - ref).max() <= 1e-14 * np.abs(ref).max(), (where, name)
 
 
 def test_tensor_grid_recognises_only_full_grids():
@@ -279,24 +296,39 @@ def test_tensor_grid_pole_in_later_block_raises(ndim):
     assert _tensor_grid(xi) is not None
     xs = np.zeros((3 * EVAL_BLOCK, ndim))
     xs[2 * EVAL_BLOCK + 5, ndim - 1] = 2.0
-    with pytest.raises(PoleEncountered):
-        evaluate_expansion_grid(KernelExpansion(xi, exp.theta[perm]), xs)
-    with pytest.raises(PoleEncountered):
-        fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
+    # a shuffled grid of points whose last axis holds the node 2.0
+    grid = _grid([np.linspace(-0.5, 0.5, 5)] * (ndim - 1) + [np.linspace(0.0, 2.0, 9)])
+    grid = grid[np.random.default_rng(ndim).permutation(len(grid))]
+    assert _tensor_grid(xs) is None and _tensor_grid(grid) is not None
+    for points in (xs, grid):
+        with pytest.raises(PoleEncountered):
+            evaluate_expansion_grid(KernelExpansion(xi, exp.theta[perm]), points)
+        with pytest.raises(PoleEncountered):
+            fit_expansion_least_squares([(x, 1.0) for x in points], xi)
 
 
 def test_tensor_grid_overflow_raises_non_finite():
-    # the centre (1e-160i, 1e-160i) of a 2 x 2 grid: each factor is finite,
-    # their product -1e320 overflows, and no difference is an exact zero
+    # the centre (1e-160i, 1e-160i) of a 2 x 2 grid: at the point (0, 0)
+    # each factor is finite, their product -1e320 overflows, and no
+    # difference is an exact zero
     z = np.array([1e-160j, 2.0 + 1j])
     xi = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
     assert _tensor_grid(xi) is not None
     xs = np.zeros((EVAL_BLOCK + 3, 2))
     xs[:EVAL_BLOCK] = 1.0
-    for call in (lambda: evaluate_expansion_grid(KernelExpansion(xi, np.ones(4)), xs),
-                 lambda: fit_expansion_least_squares([(x, 1.0) for x in xs], xi)):
+    grid = _grid([[0.0, 1.0], [0.0, 0.5, 1.0]])
+    assert _tensor_grid(xs) is None and _tensor_grid(grid) is not None
+    # every kernel value of these centres is finite (|K| <= 4 at (0, 0)), the
+    # weighted sum is not
+    big = _grid([[0.5j, 2j]] * 2)
+    for points in (xs, grid):
+        for call in (lambda: evaluate_expansion_grid(KernelExpansion(xi, np.ones(4)), points),
+                     lambda: fit_expansion_least_squares([(x, 1.0) for x in points], xi)):
+            with pytest.raises(NonFiniteError) as exc:
+                call()
+            assert not isinstance(exc.value, PoleEncountered)
         with pytest.raises(NonFiniteError) as exc:
-            call()
+            evaluate_expansion_grid(KernelExpansion(big, [1e308, 0, 0, 0]), points)
         assert not isinstance(exc.value, PoleEncountered)
 
 
