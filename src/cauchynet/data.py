@@ -282,9 +282,10 @@ def load_series_csv(path, column: str) -> np.ndarray:
     column that is missing, unparseable or not finite.
     """
     out, rownum = [], -1
-    # surrogateescape reads each byte that is not UTF-8 as a lone surrogate,
-    # which no UTF-8 text decodes to, so the row that holds it is known
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    # utf-8-sig drops the byte-order mark a spreadsheet may write before the
+    # header; surrogateescape reads each byte that is not UTF-8 as a lone
+    # surrogate, which no UTF-8 text decodes to, so the row that holds it is known
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
             for rownum, row in enumerate(csv.reader(fh)):
                 if _UNDECODABLE.search("".join(row)):

@@ -366,9 +366,10 @@ def run_experiment(spec: ExperimentSpec, outdir) -> MetricsReport:
     """
     spec = validate_spec(spec)
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
+    # a refused dataset (a bad CSV, a mask that hides nothing) leaves no directory
     ds, scaled, scaler = prepare(spec)
+    outdir.mkdir(parents=True, exist_ok=True)
     seed = spec.train.seed
     files = []
 

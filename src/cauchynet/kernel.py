@@ -13,20 +13,18 @@ tests.
 
 The network's hidden layer is the same kernel: hidden_k = prod_i
 1/(x_i + B_ki + eps) = (-1)^N K(xi_k, x) for centres xi = -(B + eps).
-`cauchy_block` computes it, and its weighted sum, for a block of rows: the
-network's forward pass and `predict`, the scalar activation, every
-expansion whose centres are not a tensor grid and every fit whose samples
-or centres are not one go through it.  When the centres are the full
-tensor product of N >= 2 per-dimension node sets, as
-`quadrature_expansion` makes them, the kernel factorises per dimension.
-Where the points are a tensor grid too, as the samples of a fit or the
-points an expansion is evaluated at, one small Cauchy matrix per
-dimension (`_cauchy_factors`) carries the whole kernel: the fit is solved
-from their SVDs (`_solve_kronecker`) and the evaluation is their mode
-products with the weight tensor (`_mode_products`).  At scattered points
-the evaluation takes the n * sum_i n_i per-dimension reciprocals
-(`_factor_rows`), walking the input EVAL_BLOCK rows at a time.  No
-(n, k, N) array is ever formed.
+`cauchy_block` computes it, and its weighted sum, for a block of rows.
+Evaluation and fit each have two paths, chosen by one rule.  When the
+centres are the full tensor product of N >= 2 per-dimension node sets, as
+`quadrature_expansion` makes them, and the points (the samples of a fit or
+the points an expansion is evaluated at) are a full tensor grid too, one
+small Cauchy matrix per dimension (`_cauchy_factors`) carries the whole
+kernel: the fit is solved from their SVDs (`_solve_kronecker`) and the
+evaluation is their mode products with the weight tensor
+(`_mode_products`).  Every other input, like the network's forward pass,
+`predict` and the scalar activation, goes through `cauchy_block`
+EVAL_BLOCK rows at a time (`kernel_sum`, `kernel_rows`).  No (n, k, N)
+array is ever formed.
 """
 
 from __future__ import annotations
@@ -216,23 +214,6 @@ def _tensor_grid(xi):
     return nodes, flat
 
 
-def _factor_rows(X, nodes):
-    """Yield (rows, factors, diffs) over consecutive EVAL_BLOCK-row blocks of
-    X, with diffs[i] = nodes[i] - X[rows, i, None] and factors[i] = 1 / diffs[i],
-    each (rows, n_i): K(xi, x) for the grid point (j_1, ..., j_N) is the
-    product of factors[i][:, j_i] over i.  Division by zero is left to the
-    caller's finiteness check of the block it builds from them.
-    """
-    if X.shape[1] != len(nodes):
-        raise ValueError(f"inputs must have {len(nodes)} columns, got {X.shape[1]}")
-    for lo in range(0, len(X), EVAL_BLOCK):
-        rows = slice(lo, lo + EVAL_BLOCK)
-        diffs = [v - X[rows, i, None] for i, v in enumerate(nodes)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factors = [1.0 / d for d in diffs]
-        yield rows, factors, diffs
-
-
 def _mode_products(T, mats):
     """T multiplied along each axis i by mats[i] (new_i, T.shape[i]): each
     step is one matrix product on the leading axis, which then moves last,
@@ -262,47 +243,34 @@ def _cauchy_factors(x_nodes, c_nodes):
 def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     """sum_k theta_k K(xi_k, x) at each of an (n,) or (n, N) array of points.
 
-    On a tensor grid of centres (`_tensor_grid`) theta becomes the
-    n_1 x ... x n_N weight tensor W.  When the points are a tensor grid too,
-    every value comes from the mode products of W with the per-dimension
-    Cauchy matrices of `_cauchy_factors`, read back in the points' order.
-    At other points each block contracts W with the per-dimension factors
-    of `_factor_rows`: one (rows, n_1) @ (n_1, k / n_1) product, then one
-    row-wise contraction per further dimension.  Otherwise theta_k
-    K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is the
-    network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign flips
-    are exact): the same `kernel_sum` that `model.predict` runs.  Non-finite
-    points raise ValueError.
+    When the centres and the points are both full tensor grids
+    (`_tensor_grid`, N >= 2, each in any order), theta becomes the
+    n_1 x ... x n_N weight tensor W and every value comes from the mode
+    products of W with the per-dimension Cauchy matrices of
+    `_cauchy_factors`, read back in the points' order: the rule by which
+    `fit_expansion_least_squares` chooses `_solve_kronecker`.  Otherwise
+    theta_k K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is
+    the network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign
+    flips are exact): the same `kernel_sum` that `model.predict` runs.
+    Non-finite points raise ValueError.
     """
     X = as_inputs(xs)
     if not np.isfinite(X).all():
         raise ValueError("evaluation points must be finite")
-    grid = _tensor_grid(exp.xi)
-    if grid is None:
-        return kernel_sum(X, -exp.xi, 0.0, (-1) ** exp.xi.shape[1] * exp.theta)
-    nodes, flat = grid
+    N = exp.xi.shape[1]
+    centre_grid = _tensor_grid(exp.xi)
+    point_grid = _tensor_grid(X) if X.shape[1] == N else None
+    if centre_grid is None or point_grid is None:
+        return kernel_sum(X, -exp.xi, 0.0, (-1) ** N * exp.theta)
+    (nodes, flat), (x_nodes, x_flat) = centre_grid, point_grid
     W = np.empty(len(flat), dtype=complex)
     W[flat] = exp.theta
-    point_grid = _tensor_grid(X) if X.shape[1] == len(nodes) else None
-    if point_grid is not None:
-        x_nodes, x_flat = point_grid
-        factors = _cauchy_factors(x_nodes, nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _mode_products(W.reshape([len(v) for v in nodes]), factors).ravel()
-        if not np.isfinite(values).all():
-            raise NonFiniteError("kernel sum overflowed")
-        return values[x_flat]
-    W = W.reshape(len(nodes[0]), -1)
-    out = np.empty(len(X), dtype=complex)
-    for rows, factors, diffs in _factor_rows(X, nodes):
-        with np.errstate(over="ignore", invalid="ignore"):
-            o = factors[0] @ W
-            for f in factors[1:]:
-                o = np.einsum("rj,rjk->rk", f, o.reshape(len(f), f.shape[1], -1))
-        if not np.isfinite(o).all():
-            _raise_non_finite(diffs)
-        out[rows] = o[:, 0]
-    return out
+    factors = _cauchy_factors(x_nodes, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _mode_products(W.reshape([len(v) for v in nodes]), factors).ravel()
+    if not np.isfinite(values).all():
+        raise NonFiniteError("kernel sum overflowed")
+    return values[x_flat]
 
 
 def _back_substitute(U, b):

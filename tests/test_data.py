@@ -281,6 +281,9 @@ def test_load_series_csv(tmp_path):
     p = tmp_path / "series.csv"
     p.write_text("t,y\n0,1.5\n1,2.5\n")
     np.testing.assert_array_equal(load_series_csv(p, "y"), [1.5, 2.5])
+    # a spreadsheet's UTF-8 byte-order mark does not hide the first column's name
+    p.write_bytes(b"\xef\xbb\xbfy,t\n1.5,0\n2.5,1\n")
+    np.testing.assert_array_equal(load_series_csv(p, "y"), [1.5, 2.5])
 
 
 def test_load_series_missing_column(tmp_path):

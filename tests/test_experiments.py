@@ -594,18 +594,22 @@ def test_cli_kernel_demo_inverse_shift_default_contour(tmp_path, capsys):
 
 
 def test_cli_decompose(tmp_path, capsys):
-    src = tmp_path / "series.csv"
     n, period = 36, 6
     pattern = [0.8, 0.9, 1.0, 1.1, 1.2, 1.0]
-    rows = ["t,y"] + [f"{i},{5.0 * pattern[i % period]}" for i in range(n)]
-    src.write_text("\n".join(rows) + "\n")
-    out = tmp_path / "dec.csv"
-    rc = cli.main(["decompose", "--data", str(src), "--column", "y",
-                   "--period", str(period), "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,value,trend,seasonal,residual"
-    assert len(lines) == n + 1
+    values = [5.0 * pattern[i % period] for i in range(n)]
+    plain = "t,y\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values))
+    # a spreadsheet's UTF-8 byte-order mark before the first column's name
+    bom = "\ufeffy,t\n" + "".join(f"{v},{i}\n" for i, v in enumerate(values))
+    for name, text in (("plain", plain), ("bom", bom)):
+        src = tmp_path / f"{name}.csv"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / f"{name}-dec.csv"
+        rc = cli.main(["decompose", "--data", str(src), "--column", "y",
+                       "--period", str(period), "--out", str(out)])
+        assert rc == 0, name
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,value,trend,seasonal,residual"
+        assert len(lines) == n + 1
 
 
 def test_cli_missing_file_is_io_error(tmp_path, capsys):
@@ -626,7 +630,7 @@ def test_cli_bad_csv_is_parse_error(tmp_path, capsys, content, message, command)
             ["train", "--preset", "exp4-csv", "--set", f"data_path={json.dumps(str(src))}"])
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 4
     assert f"error: {src}: {message}" in capsys.readouterr().err
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [src]
+    assert list(tmp_path.rglob("*")) == [src]
 
 
 def test_cli_ablate_lambda(tmp_path, capsys):
@@ -707,6 +711,12 @@ def _series_csv(tmp_path, n):
     return str(path)
 
 
+def _nan_cell_csv(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("t,y\n0,1\n1,nan\n2,3\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("make_args,code", [
     (_bad_checkpoint_args, 4),
     (lambda tmp: ["train", "--preset", "exp1", "--set", 'model.h="abc"'], 2),
@@ -742,6 +752,9 @@ def _series_csv(tmp_path, n):
                   "--set", f"data_path={json.dumps(_series_csv(tmp, 3))}"], 2),
     (lambda tmp: ["train", "--preset", "exp4-csv", "--set", "period=2",
                   "--set", f"data_path={json.dumps(_series_csv(tmp, 4))}"], 2),
+    (lambda tmp: ["train", "--preset", "exp4-csv",
+                  "--set", f"data_path={json.dumps(_nan_cell_csv(tmp))}"], 4),
+    (lambda tmp: ["train", "--preset", "exp2-disk", "--set", "mask.radius=1e-9"], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
         "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
         "set-scaler-range-short",
@@ -750,13 +763,14 @@ def _series_csv(tmp_path, n):
         "kernel-demo-hi-infinite", "kernel-demo-center-nan", "set-lr0-nan", "set-epsilon-nan",
         "set-scaler-range-infinite", "empty-val-and-test", "empty-train",
         "empty-masked-train", "empty-test", "decompose-period-1",
-        "decompose-short-series", "csv-trend-short-series", "csv-trend-two-trend-points"])
+        "decompose-short-series", "csv-trend-short-series", "csv-trend-two-trend-points",
+        "csv-nan-cell", "mask-hides-no-samples"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     argv = make_args(tmp_path) + ["--out", str(tmp_path / "runs")]
     assert cli.main(argv) == code
     assert "error:" in capsys.readouterr().err
-    # a refused command writes no artifact
-    assert [p for p in (tmp_path / "runs").rglob("*") if p.is_file()] == []
+    # a refused command writes no artifact and leaves no directory
+    assert list((tmp_path / "runs").rglob("*")) == []
 
 
 @pytest.mark.parametrize("value", ["0", "-0.001", "NaN"])

@@ -8,7 +8,7 @@ import pytest
 from cauchynet.errors import NonFiniteError, PoleEncountered, SingularSystem
 from cauchynet.kernel import (EVAL_BLOCK, BoundaryMesh, KernelExpansion, _back_substitute,
                               _tensor_grid, ellipse_mesh, evaluate_expansion_grid,
-                              fit_expansion_least_squares, quadrature_expansion)
+                              fit_expansion_least_squares, kernel_sum, quadrature_expansion)
 
 
 def _at(exp, x):
@@ -239,6 +239,10 @@ def test_grid_matches_reference_across_block_edges(n, ndim, nodes):
             vals = evaluate_expansion_grid(exp, xs)
             assert vals.shape == (len(xs),)
             assert np.abs(vals - ref).max() <= 1e-14 * np.abs(ref).max(), (where, name)
+            if not (point_grid and tensor):
+                # one rule with the fit: off the both-grids path is the network's sum
+                summed = kernel_sum(xs, -exp.xi, 0.0, (-1) ** ndim * exp.theta)
+                assert vals.tobytes() == summed.tobytes(), (where, name)
 
 
 def test_tensor_grid_recognises_only_full_grids():

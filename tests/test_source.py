@@ -89,6 +89,14 @@ def _public_definitions(tree):
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
 
 
+def _private_functions(tree):
+    """Private top-level functions: helpers the library keeps for itself."""
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            yield node.name
+
+
 def _referenced_names(tree):
     """Every name used as a variable or an attribute."""
     for node in ast.walk(tree):
@@ -102,13 +110,15 @@ def test_every_public_function_has_a_caller():
     # API that only tests call is code the library carries for nothing: a
     # public function, class or method needs a reference from the library
     # (its __init__ re-exports do not count) or from the benchmark, or an
-    # entry above saying why it is kept.
+    # entry above saying why it is kept.  So does a private top-level
+    # function: a helper that only tests reach is a second path.
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     callers = [tree for path, tree in trees.items() if path.name != "__init__.py"]
     callers += [ast.parse(path.read_text(encoding="utf-8"))
                 for path in sorted((SRC.parents[1] / "perfbench").glob("*.py"))]
     referenced = {name for tree in callers for name in _referenced_names(tree)}
-    uncalled = sorted({name for tree in trees.values() for name in _public_definitions(tree)}
-                      - referenced - set(UNCALLED_BY_DESIGN))
+    defined = {name for tree in trees.values()
+               for name in (*_public_definitions(tree), *_private_functions(tree))}
+    uncalled = sorted(defined - referenced - set(UNCALLED_BY_DESIGN))
     assert uncalled == []
