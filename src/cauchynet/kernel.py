@@ -24,7 +24,11 @@ evaluation is their mode products with the weight tensor
 (`_mode_products`).  Every other input, like the network's forward pass,
 `predict` and the scalar activation, goes through `cauchy_block`
 EVAL_BLOCK rows at a time (`kernel_sum`, `kernel_rows`).  No (n, k, N)
-array is ever formed.
+array is ever formed.  `_tensor_grid` recognises a grid from the inputs
+alone: a C-order layout (last dimension fastest, as the quadrature's
+centres and `np.meshgrid(..., indexing="ij")` points come) is read in
+O(k) by `_c_order_grid`, any other order by sorting each column; the
+points are searched only when the centres are a grid.
 """
 
 from __future__ import annotations
@@ -200,10 +204,19 @@ def _tensor_grid(xi):
     dimension of one node factors nothing out, and leaving it to
     `kernel_sum` keeps a one-centre expansion equal to `predict` byte for
     byte.
+
+    Points in C order, as `quadrature_expansion` and
+    `np.meshgrid(..., indexing="ij")` lay them out, are read in O(k) by
+    `_c_order_grid`; any other order (shuffled, reversed, meshgrid's
+    default "xy") takes `np.unique` over each whole column.  Both give the
+    same nodes and flat, byte for byte.
     """
     k, N = xi.shape
     if N < 2:
         return None
+    grid = _c_order_grid(xi)
+    if grid is not None:
+        return grid
     nodes, index = zip(*(np.unique(xi[:, i], return_inverse=True) for i in range(N)))
     shape = [len(v) for v in nodes]
     if min(shape) < 2 or math.prod(shape) != k:
@@ -212,6 +225,51 @@ def _tensor_grid(xi):
     if np.bincount(flat, minlength=k).max() > 1:
         return None
     return nodes, flat
+
+
+def _c_order_grid(xi):
+    """`_tensor_grid`'s (nodes, flat) for float64 or complex128 points xi
+    (k, N) laid out in C order, read without sorting a column; None when
+    they are not, and the caller sorts.
+
+    Column i's first change gives its run length n_{i+1} ... n_N, so the
+    shape; every point must then hold, bit for bit, its axes' values at its
+    place in the n_1 x ... x n_N layout (a -0.0 where the axis holds 0.0
+    does not).  Only the n_i axis values are sorted: they give nodes[i] and
+    each axis position's rank, and flat is the rank sum
+    rank_1 n_2 ... n_N + ... + rank_N in point order.  Axis values that the
+    sort rule would merge (equal ones, or two NaNs) are left to it.
+    """
+    k, N = xi.shape
+    if k == 0 or xi.dtype not in (np.float64, np.complex128):
+        return None
+    # a valid shape has n_i >= 2, so each column changes within its first half
+    strides = [k, *(int((xi[:k // 2 + 1, i] != xi[0, i]).argmax()) for i in range(N))]
+    if 0 in strides:
+        return None
+    shape = [a // b for a, b in zip(strides, strides[1:])]
+    if min(shape) < 2 or math.prod(shape) != k:
+        return None
+    # each column's bits, one word per real part or imaginary part
+    if xi.strides[1] != xi.itemsize:
+        xi = np.ascontiguousarray(xi)
+    words = xi.view(np.uint64).reshape(k, N, -1)
+    nodes, ranks = [], []
+    for i, n in enumerate(shape):
+        rows = slice(0, strides[i], strides[i + 1])
+        along = [1] * N
+        along[i] = n
+        for w in range(words.shape[2]):
+            if not (words[:, i, w].reshape(shape) == words[rows, i, w].reshape(along)).all():
+                return None
+        order = np.argsort(xi[rows, i])
+        values = xi[rows, i][order]
+        # NaN sorts last and is the one value unequal to itself
+        if (values[1:] == values[:-1]).any() or values[-2] != values[-2]:
+            return None
+        nodes.append(values)
+        ranks.append(order.argsort() * strides[i + 1])
+    return tuple(nodes), reduce(np.add.outer, ranks).ravel()
 
 
 def _mode_products(T, mats):
@@ -259,7 +317,7 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
         raise ValueError("evaluation points must be finite")
     N = exp.xi.shape[1]
     centre_grid = _tensor_grid(exp.xi)
-    point_grid = _tensor_grid(X) if X.shape[1] == N else None
+    point_grid = _tensor_grid(X) if centre_grid is not None and X.shape[1] == N else None
     if centre_grid is None or point_grid is None:
         return kernel_sum(X, -exp.xi, 0.0, (-1) ** N * exp.theta)
     (nodes, flat), (x_nodes, x_flat) = centre_grid, point_grid
@@ -375,7 +433,8 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
 
     With ridge 0 the design itself must have full column rank, so n >= k,
     else SingularSystem.  samples is a sequence of (x, f(x)); non-finite
-    inputs, values or points raise ValueError before any solve.
+    inputs, values or points, and inputs without the centres' N columns,
+    raise ValueError before any solve.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
@@ -392,6 +451,8 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     fs = np.array([s[1] for s in samples], dtype=complex)
     if fs.shape != (len(xs),):
         raise ValueError("each sample value must be a scalar")
+    if xs.shape[1] != points.shape[1]:
+        raise ValueError(f"inputs must have {points.shape[1]} columns, got {xs.shape[1]}")
     if not np.isfinite(xs).all():
         raise ValueError("sample inputs must be finite")
     if not np.isfinite(fs).all():
@@ -399,7 +460,7 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
 
     n, (k, N) = len(xs), points.shape
     centre_grid = _tensor_grid(points)
-    sample_grid = _tensor_grid(xs) if xs.shape[1] == N else None
+    sample_grid = _tensor_grid(xs) if centre_grid is not None else None
     if centre_grid is not None and sample_grid is not None:
         W = _solve_kronecker(fs, sample_grid, centre_grid, ridge)
         return KernelExpansion(points, W[centre_grid[1]])

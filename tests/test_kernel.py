@@ -4,11 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cauchynet import kernel
 from cauchynet.errors import NonFiniteError, PoleEncountered, SingularSystem
 from cauchynet.kernel import (EVAL_BLOCK, BoundaryMesh, KernelExpansion, _back_substitute,
-                              _tensor_grid, ellipse_mesh, evaluate_expansion_grid,
-                              fit_expansion_least_squares, kernel_sum, quadrature_expansion)
+                              _c_order_grid, _tensor_grid, ellipse_mesh,
+                              evaluate_expansion_grid, fit_expansion_least_squares, kernel_sum,
+                              quadrature_expansion)
 
 
 def _at(exp, x):
@@ -205,6 +209,7 @@ def _centre_layouts(exp, rng):
     if exp.xi.shape[1] == 1:
         return {"tensor": (exp, False)}
     perm = rng.permutation(len(exp.theta))
+    assert _c_order_grid(exp.xi) is not None and _c_order_grid(exp.xi[perm]) is None
     return {"tensor": (exp, True),
             "shuffled": (KernelExpansion(exp.xi[perm], exp.theta[perm]), True),
             "one-removed": (KernelExpansion(exp.xi[1:], exp.theta[1:]), False)}
@@ -220,10 +225,28 @@ def _point_layouts(n, ndim, rng):
         return layouts
     axes = rng.uniform(-0.9, 0.9, size=(ndim, max(2, round(n ** (1 / ndim)))))
     grid = _grid(list(axes))
+    shuffled = grid[rng.permutation(len(grid))]
+    assert _c_order_grid(grid) is not None and _c_order_grid(shuffled) is None
     layouts.update({"grid": (grid, True),
-                    "shuffled-grid": (grid[rng.permutation(len(grid))], True),
+                    "shuffled-grid": (shuffled, True),
                     "grid-one-removed": (grid[1:], False)})
     return layouts
+
+
+# the two layouts of a tensor grid, one per recogniser in _tensor_grid
+LAYOUTS = ("c-order", "shuffled")
+
+
+def _arranged(points, layout, seed=0):
+    """The row order that puts a C-order grid of points in the layout:
+    unchanged for "c-order", a permutation for "shuffled".  It checks that
+    the layout reaches `_tensor_grid` by the recogniser it names, the
+    C-order read or the sort."""
+    order = np.arange(len(points))
+    if layout == "shuffled":
+        order = np.random.default_rng(seed).permutation(len(points))
+    assert (_c_order_grid(points[order]) is not None) == (layout == "c-order")
+    return order
 
 
 @pytest.mark.parametrize("ndim,nodes", [(1, 64), (2, 16), (3, 8)])
@@ -257,6 +280,149 @@ def test_tensor_grid_recognises_only_full_grids():
     assert _tensor_grid(grid[:5]) is None
     assert _tensor_grid(grid[:1]) is None                      # one node per dimension
     assert _tensor_grid(grid[::2]) is None                     # 3 x 1
+    # degenerate, broken and "xy" layouts of a real grid in C order
+    a, b = np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25])
+    grid = _grid([a, b])
+    assert _c_order_grid(grid) is not None
+    exp = KernelExpansion(3j + grid, np.arange(6) + 1j)
+    for name, xs in {"no point": grid[:0], "one point": grid[:1],
+                     "1 x n": _grid([a[:1], b]), "n x 1": _grid([a, b[:1]]),
+                     "a repeat for a missing point": grid[[0, 1, 2, 2, 4, 5]],
+                     "one missing": np.delete(grid, 3, axis=0),
+                     "one repeated": np.vstack([grid, grid[-1:]])}.items():
+        assert _tensor_grid(xs) is None, name
+        # every such input is evaluated by the network's sum
+        vals = evaluate_expansion_grid(exp, xs)
+        summed = kernel_sum(xs, -exp.xi, 0.0, exp.theta)
+        assert vals.shape == (len(xs),) and vals.tobytes() == summed.tobytes(), name
+    # the sort counts two NaN nodes on an axis as one value
+    assert _tensor_grid(_grid([[0.5, np.nan, np.nan], b])) is None
+    # meshgrid's default "xy" order is no C-order layout; the sort finds the grid
+    xy = np.stack(np.meshgrid(a, b), axis=-1).reshape(-1, 2)
+    assert _c_order_grid(xy) is None
+    (nodes, flat), (xy_nodes, xy_flat) = _tensor_grid(grid), _tensor_grid(xy)
+    assert all(u.tobytes() == v.tobytes() for u, v in zip(nodes, xy_nodes))
+    np.testing.assert_array_equal(xy[np.argsort(xy_flat)], grid[np.argsort(flat)])
+
+
+def test_c_order_and_sorted_grids_evaluate_and_fit_to_the_same_bytes():
+    # the C-order read and the sort give one (nodes, flat), so the
+    # Kronecker paths see the same problem in either order
+    exp = quadrature_expansion(lambda z: np.exp(z[0]) * np.cos(z[1]), _product_mesh(2, 12))
+    xs = _grid([np.linspace(-1, 1, 9), np.linspace(-0.5, 0.5, 7)])
+    fs = np.exp(xs[:, 0]) * np.cos(xs[:, 1])
+    centres = exp.xi[::3]
+    values = evaluate_expansion_grid(exp, xs)
+    theta = fit_expansion_least_squares(list(zip(xs, fs)), centres).theta
+    perm, order, cperm = (_arranged(p, "shuffled") for p in (exp.xi, xs, centres))
+    shuffled = KernelExpansion(exp.xi[perm], exp.theta[perm])
+    assert evaluate_expansion_grid(shuffled, xs[order]).tobytes() == values[order].tobytes()
+    fit = fit_expansion_least_squares(list(zip(xs[order], fs[order])), centres[cperm])
+    assert fit.theta.tobytes() == theta[cperm].tobytes()
+
+
+def _sort_rule(xi):
+    """The tensor-grid rule by sorting, written out: per-column np.unique,
+    ravel_multi_index of the inverse indices, and bincount for repeats."""
+    k, N = xi.shape
+    if N < 2:
+        return None
+    nodes, index = zip(*(np.unique(xi[:, i], return_inverse=True) for i in range(N)))
+    shape = [len(v) for v in nodes]
+    if min(shape) < 2 or math.prod(shape) != k:
+        return None
+    flat = np.ravel_multi_index(index, shape)
+    if np.bincount(flat, minlength=k).max() > 1:
+        return None
+    return nodes, flat
+
+
+_AXIS_POOL = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.75, 1.0, 3.0, 7.5, np.nan])
+# mostly distinct values (0.0 and -0.0 still both), sometimes any repeats
+AXIS_VALUES = (st.lists(_AXIS_POOL, min_size=2, max_size=4, unique_by=repr)
+               | st.lists(_AXIS_POOL, min_size=1, max_size=4))
+IMAG_VALUES = st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.5]), min_size=4, max_size=4)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), ndim=st.integers(2, 3), is_complex=st.booleans(),
+       layout=st.sampled_from(["c-order", "shuffled", "rows-reversed", "columns-reversed"]),
+       change=st.sampled_from([None, None, None, "drop", "repeat", "signed-zero"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tensor_grid_matches_the_sort_rule(data, ndim, is_complex, layout, change, seed):
+    # random axes (repeats, NaN nodes and both zeros drawn among them), laid
+    # out in C order or not, with a point dropped or repeated, or the sign
+    # of some copies of a 0.0 flipped: _tensor_grid equals the sort rule in
+    # every byte, and reads C order without sorting only where the bits allow
+    rng = np.random.default_rng(seed)
+    axes = [np.array(data.draw(AXIS_VALUES)) for _ in range(ndim)]
+    if is_complex:
+        axes = [a + 1j * np.array(data.draw(IMAG_VALUES))[:len(a)] for a in axes]
+    if change == "signed-zero":
+        axes[0][0] = 0.0
+    xs = _grid(axes)
+    mixed = False
+    if change == "drop":
+        xs = np.delete(xs, rng.integers(len(xs)), axis=0)
+    elif change == "repeat":
+        xs = np.insert(xs, rng.integers(len(xs) + 1), xs[rng.integers(len(xs))], axis=0)
+    elif change == "signed-zero":
+        # the points on the first axis position, 0.0, some flipped to -0.0
+        rows = np.arange(len(xs) // len(axes[0]))
+        flip = rows[rng.random(len(rows)) < 0.5]
+        xs.real[flip, 0] = -0.0
+        mixed = 0 < len(flip) < len(rows)
+    if layout == "shuffled":
+        xs = xs[rng.permutation(len(xs))]
+    elif layout == "rows-reversed":
+        xs = xs[::-1]                   # C order again, on reversed axes
+    elif layout == "columns-reversed":
+        xs = xs[:, ::-1]                # the first dimension fastest
+    got, ref = _tensor_grid(xs), _sort_rule(xs)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert [v.dtype for v in got[0]] == [v.dtype for v in ref[0]]
+        assert [v.tobytes() for v in got[0]] == [v.tobytes() for v in ref[0]]
+        assert got[1].dtype == ref[1].dtype and got[1].tobytes() == ref[1].tobytes()
+        # a NaN first point, unequal to itself, hides where its column changes
+        if layout in ("c-order", "rows-reversed") and not mixed and not np.isnan(xs[0]).any():
+            assert _c_order_grid(xs) is not None
+    if mixed:
+        # 0.0 and -0.0 are one value to the sort rule; the C-order read
+        # compares bits, so it leaves the mix to the sort
+        assert _c_order_grid(xs) is None
+
+
+def test_fit_rejects_mismatched_sample_columns_before_allocating():
+    # 20000 three-column samples against 500 two-dimensional centres: the
+    # stacked (n + k, k + 1) buffer alone would take 164 MB
+    rng = np.random.default_rng(0)
+    samples = list(zip(rng.uniform(-1, 1, size=(20000, 3)), np.ones(20000)))
+    xi = 3 * np.exp(2j * np.pi * rng.random((500, 2)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="inputs must have 2 columns, got 3"):
+            fit_expansion_least_squares(samples, xi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_points_are_searched_only_for_grid_centres(monkeypatch):
+    searched = []
+
+    def counted(xi):
+        searched.append(len(xi))
+        return _tensor_grid(xi)
+
+    monkeypatch.setattr(kernel, "_tensor_grid", counted)
+    xs = _grid([np.linspace(-1, 1, 5), np.linspace(-1, 1, 4)])
+    scattered = KernelExpansion(3 + np.arange(6.0).reshape(3, 2), np.ones(3))
+    evaluate_expansion_grid(scattered, xs)
+    fit_expansion_least_squares([(x, 1.0) for x in xs], scattered.xi)
+    assert searched == [3, 3]
 
 
 def test_one_point_calls_match_grid():
@@ -293,22 +459,22 @@ def test_grid_overflow_raises_non_finite():
 
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_tensor_grid_pole_in_later_block_raises(ndim):
-    # shuffled centres still form a tensor grid; the t = 0 node is 2 + 0j
+    # centres in C order or shuffled form a tensor grid; the t = 0 node is 2 + 0j
     exp = quadrature_expansion(lambda z: 1.0, _product_mesh(ndim, 8))
-    perm = np.random.default_rng(ndim).permutation(len(exp.theta))
-    xi = exp.xi[perm]
-    assert _tensor_grid(xi) is not None
     xs = np.zeros((3 * EVAL_BLOCK, ndim))
     xs[2 * EVAL_BLOCK + 5, ndim - 1] = 2.0
-    # a shuffled grid of points whose last axis holds the node 2.0
+    # a grid of points whose last axis holds the node 2.0
     grid = _grid([np.linspace(-0.5, 0.5, 5)] * (ndim - 1) + [np.linspace(0.0, 2.0, 9)])
-    grid = grid[np.random.default_rng(ndim).permutation(len(grid))]
-    assert _tensor_grid(xs) is None and _tensor_grid(grid) is not None
-    for points in (xs, grid):
-        with pytest.raises(PoleEncountered):
-            evaluate_expansion_grid(KernelExpansion(xi, exp.theta[perm]), points)
-        with pytest.raises(PoleEncountered):
-            fit_expansion_least_squares([(x, 1.0) for x in points], xi)
+    for layout in LAYOUTS:
+        perm = _arranged(exp.xi, layout, ndim)
+        xi = exp.xi[perm]
+        points_grid = grid[_arranged(grid, layout, ndim)]
+        assert _tensor_grid(xs) is None and _tensor_grid(points_grid) is not None
+        for points in (xs, points_grid):
+            with pytest.raises(PoleEncountered):
+                evaluate_expansion_grid(KernelExpansion(xi, exp.theta[perm]), points)
+            with pytest.raises(PoleEncountered):
+                fit_expansion_least_squares([(x, 1.0) for x in points], xi)
 
 
 def test_tensor_grid_overflow_raises_non_finite():
@@ -316,24 +482,26 @@ def test_tensor_grid_overflow_raises_non_finite():
     # each factor is finite, their product -1e320 overflows, and no
     # difference is an exact zero
     z = np.array([1e-160j, 2.0 + 1j])
-    xi = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
-    assert _tensor_grid(xi) is not None
     xs = np.zeros((EVAL_BLOCK + 3, 2))
     xs[:EVAL_BLOCK] = 1.0
-    grid = _grid([[0.0, 1.0], [0.0, 0.5, 1.0]])
-    assert _tensor_grid(xs) is None and _tensor_grid(grid) is not None
-    # every kernel value of these centres is finite (|K| <= 4 at (0, 0)), the
-    # weighted sum is not
-    big = _grid([[0.5j, 2j]] * 2)
-    for points in (xs, grid):
-        for call in (lambda: evaluate_expansion_grid(KernelExpansion(xi, np.ones(4)), points),
-                     lambda: fit_expansion_least_squares([(x, 1.0) for x in points], xi)):
+    # every kernel value of the centres `big` is finite (|K| <= 4 at (0, 0)),
+    # the weighted sum is not
+    big, big_weights = _grid([[0.5j, 2j]] * 2), np.array([1e308, 0, 0, 0])
+    c_xi, c_grid = _grid([z, z]), _grid([[0.0, 1.0], [0.0, 0.5, 1.0]])
+    for layout in LAYOUTS:
+        xi = c_xi[_arranged(c_xi, layout)]
+        grid = c_grid[_arranged(c_grid, layout)]
+        order = _arranged(big, layout)
+        assert _tensor_grid(xs) is None and _tensor_grid(grid) is not None
+        for points in (xs, grid):
+            for call in (lambda: evaluate_expansion_grid(KernelExpansion(xi, np.ones(4)), points),
+                         lambda: fit_expansion_least_squares([(x, 1.0) for x in points], xi)):
+                with pytest.raises(NonFiniteError) as exc:
+                    call()
+                assert not isinstance(exc.value, PoleEncountered)
             with pytest.raises(NonFiniteError) as exc:
-                call()
+                evaluate_expansion_grid(KernelExpansion(big[order], big_weights[order]), points)
             assert not isinstance(exc.value, PoleEncountered)
-        with pytest.raises(NonFiniteError) as exc:
-            evaluate_expansion_grid(KernelExpansion(big, [1e308, 0, 0, 0]), points)
-        assert not isinstance(exc.value, PoleEncountered)
 
 
 def test_kernel_rejects_mismatched_dimension():
@@ -457,47 +625,58 @@ def test_fit_ridge_matches_regularized_normal_equations(ridge):
 
 @pytest.mark.parametrize("ridge", [1e-6, 1e-2, 1.0])
 def test_kronecker_fit_ridge_matches_regularized_normal_equations(ridge):
-    # a shuffled 8 x 6 sample grid against a shuffled 4 x 3 centre grid:
-    # the Kronecker solve, on a design of condition ~67
-    rng = np.random.default_rng(3)
-    xi = rng.permutation(_grid([_circle_points(4), _circle_points(3)]))
-    xs = rng.permutation(_grid([np.linspace(-2.5, 2.5, 8), np.linspace(-2, 2, 6)]))
-    assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
-    _assert_ridge_fit_matches_normal_equations(
-        xi, xs, np.exp(xs[:, 0]) * np.cos(xs[:, 1]) + 0j, ridge)
+    # an 8 x 6 sample grid against a 4 x 3 centre grid, both in C order or
+    # both shuffled: the Kronecker solve, on a design of condition ~67
+    for layout in LAYOUTS:
+        xi = _grid([_circle_points(4), _circle_points(3)])
+        xi = xi[_arranged(xi, layout, 3)]
+        xs = _grid([np.linspace(-2.5, 2.5, 8), np.linspace(-2, 2, 6)])
+        xs = xs[_arranged(xs, layout, 4)]
+        assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
+        _assert_ridge_fit_matches_normal_equations(
+            xi, xs, np.exp(xs[:, 0]) * np.cos(xs[:, 1]) + 0j, ridge)
 
 
 def test_kronecker_fit_ridge_zero_needs_full_rank_per_dimension():
     # 15 samples for 8 centres, but 4 centre values against 3 sample values
     # in the first dimension leave the design's rank at 3 * 2 = 6 < 8
-    xi = _grid([_circle_points(4), _circle_points(2)])
-    xs = _grid([np.linspace(-1, 1, 3), np.linspace(-1, 1, 5)])
-    samples = [(x, 1.0) for x in xs]
-    with pytest.raises(SingularSystem):
-        fit_expansion_least_squares(samples, xi, ridge=0.0)
-    # with one sample value more the same centres fit
-    xs = _grid([np.linspace(-1, 1, 4), np.linspace(-1, 1, 5)])
-    fit_expansion_least_squares([(x, 1.0) for x in xs], xi, ridge=0.0)
+    for layout in LAYOUTS:
+        xi = _grid([_circle_points(4), _circle_points(2)])
+        xi = xi[_arranged(xi, layout)]
+        xs = _grid([np.linspace(-1, 1, 3), np.linspace(-1, 1, 5)])
+        samples = [(x, 1.0) for x in xs[_arranged(xs, layout)]]
+        with pytest.raises(SingularSystem):
+            fit_expansion_least_squares(samples, xi, ridge=0.0)
+        # with one sample value more the same centres fit
+        xs = _grid([np.linspace(-1, 1, 4), np.linspace(-1, 1, 5)])
+        fit_expansion_least_squares([(x, 1.0) for x in xs[_arranged(xs, layout)]], xi,
+                                    ridge=0.0)
 
 
 def test_kronecker_fit_pole_raises():
     # the sample grid's second axis holds 2.0, the real part of a real centre value
-    xi = _grid([_circle_points(3), np.array([2.0 + 0j, 1j, -1j])])
-    xs = _grid([np.linspace(-1, 1, 4), np.array([0.0, 1.0, 2.0, 2.5])])
-    assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
-    with pytest.raises(PoleEncountered):
-        fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
+    for layout in LAYOUTS:
+        xi = _grid([_circle_points(3), np.array([2.0 + 0j, 1j, -1j])])
+        xi = xi[_arranged(xi, layout)]
+        xs = _grid([np.linspace(-1, 1, 4), np.array([0.0, 1.0, 2.0, 2.5])])
+        xs = xs[_arranged(xs, layout)]
+        assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
+        with pytest.raises(PoleEncountered):
+            fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
 
 
 def test_kronecker_fit_overflow_raises_non_finite():
     # each factor is finite, but the product of their largest entries,
     # 1 / (1e-160i)^2 = -1e320, overflows; no difference is an exact zero
     z = np.array([1e-160j, 2.0 + 1j])
-    xi = _grid([z, z])
-    xs = _grid([[0.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(NonFiniteError) as exc:
-        fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
-    assert not isinstance(exc.value, PoleEncountered)
+    for layout in LAYOUTS:
+        xi = _grid([z, z])
+        xi = xi[_arranged(xi, layout)]
+        xs = _grid([[0.0, 1.0], [0.0, 1.0]])
+        xs = xs[_arranged(xs, layout)]
+        with pytest.raises(NonFiniteError) as exc:
+            fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
+        assert not isinstance(exc.value, PoleEncountered)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
@@ -546,16 +725,18 @@ def test_fit_rejects_a_non_finite_centre_before_solving():
 
 
 def test_a_grid_with_a_nan_node_is_rejected():
-    # a NaN node on each axis of a 3 x 3 grid still passes _tensor_grid's
-    # count, so the check has to come first
+    # a NaN node on each axis of a 3 x 3 grid, in C order or shuffled, still
+    # passes _tensor_grid's count, so the check has to come first
     axis = np.array([3.0 + 1j, np.nan, -3.0 + 1j])
-    points = _grid([axis, axis])
-    assert _tensor_grid(points) is not None
     samples = [(x, 1.0) for x in _grid([[-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]])]
-    with pytest.raises(ValueError, match="boundary points must be finite"):
-        fit_expansion_least_squares(samples, points)
-    with pytest.raises(ValueError, match="expansion centres must be finite"):
-        KernelExpansion(points, np.ones(len(points)))
+    for layout in LAYOUTS:
+        points = _grid([axis, axis])
+        points = points[_arranged(points, layout)]
+        assert _tensor_grid(points) is not None
+        with pytest.raises(ValueError, match="boundary points must be finite"):
+            fit_expansion_least_squares(samples, points)
+        with pytest.raises(ValueError, match="expansion centres must be finite"):
+            KernelExpansion(points, np.ones(len(points)))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
