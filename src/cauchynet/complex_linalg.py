@@ -139,9 +139,12 @@ def copy_into(view: np.ndarray, value, what: str) -> None:
     view[...] = value
 
 
-def as_inputs(X) -> np.ndarray:
-    """Coerce inputs to an (n, m) float array; 1-D input becomes m=1."""
+def as_inputs(X, what: str = "inputs") -> np.ndarray:
+    """Coerce inputs to an (n, m) float array; 1-D input becomes m=1, any
+    other shape but (n, m) is a ValueError naming `what`."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if X.ndim != 2:
+        raise ValueError(f"{what} must be (n,) or (n, m), got shape {X.shape}")
     return X

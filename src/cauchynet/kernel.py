@@ -67,16 +67,28 @@ class BoundaryMesh:
         return len(self.nodes)
 
 
+def _as_centres(xi, what):
+    """A complex (k, N) copy of xi, (k,) read as N = 1; any other shape is a
+    ValueError naming `what`."""
+    xi = np.array(xi, dtype=complex)
+    if xi.ndim == 1:
+        xi = xi[:, None]
+    if xi.ndim != 2:
+        raise ValueError(f"{what} must be (k,) or (k, N), got shape {xi.shape}")
+    return xi
+
+
 @dataclass
 class KernelExpansion:
     xi: np.ndarray      # complex (k, N) boundary points
     theta: np.ndarray   # complex (k,) weights
 
     def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=complex)
-        if self.xi.ndim == 1:
-            self.xi = self.xi[:, None]
-        self.theta = np.asarray(self.theta, dtype=complex)
+        # copies, so that a write to the caller's arrays cannot move the values
+        self.xi = _as_centres(self.xi, "xi")
+        self.theta = np.array(self.theta, dtype=complex)
+        if self.theta.ndim != 1:
+            raise ValueError(f"theta must be (k,), got shape {self.theta.shape}")
         if len(self.xi) != len(self.theta):
             raise ValueError("points and weights differ in length")
         if not np.isfinite(self.xi).all():
@@ -277,7 +289,8 @@ def _mode_products(T, mats):
     step is one matrix product on the leading axis, which then moves last,
     so after N steps the axes are back in order."""
     for M in mats:
-        T = np.moveaxis((M @ T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:]), 0, -1)
+        P = (M @ T.reshape(T.shape[0], -1)).reshape(-1, *T.shape[1:])
+        T = P.transpose(*range(1, P.ndim), 0)
     return T
 
 
@@ -312,7 +325,7 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     flips are exact): the same `kernel_sum` that `model.predict` runs.
     Non-finite points raise ValueError.
     """
-    X = as_inputs(xs)
+    X = as_inputs(xs, "evaluation points")
     if not np.isfinite(X).all():
         raise ValueError("evaluation points must be finite")
     N = exp.xi.shape[1]
@@ -412,6 +425,22 @@ def _solve_kronecker(f, sample_grid, centre_grid, ridge):
     return W
 
 
+def _sample_values(samples):
+    """The values f(x) of the samples (x, f(x)) as a complex (n,) array, the
+    bytes or the exception of np.array(values, dtype=complex): numpy infers
+    float64 from float values and casts the array once, where dtype=complex
+    converts value by value, 3x slower at 1681 values.  Values that infer no
+    number type (strings, None) take dtype=complex itself: a float32 beside
+    a string would be read back from its shortest repr.  A value that is no
+    scalar is a ValueError."""
+    values = [s[1] for s in samples]
+    fs = np.array(values)
+    fs = fs.astype(complex, copy=False) if fs.dtype.kind in "biufc" else np.array(values, dtype=complex)
+    if fs.shape != (len(samples),):
+        raise ValueError("each sample value must be a scalar")
+    return fs
+
+
 def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
                                 ) -> KernelExpansion:
     """Weights minimizing sum_j |sum_k theta_k K(xi_k, x_j) - f_j|^2 + ridge*|theta|^2.
@@ -432,25 +461,25 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     which would square the condition number.
 
     With ridge 0 the design itself must have full column rank, so n >= k,
-    else SingularSystem.  samples is a sequence of (x, f(x)); non-finite
-    inputs, values or points, and inputs without the centres' N columns,
+    else SingularSystem.  samples is a sequence of (x, f(x)): x a real
+    scalar or (N,) sequence, f(x) one real or complex scalar (a Python or
+    numpy number, a bool, or a numeric string, each read as
+    np.array(values, dtype=complex) reads it).  points is a (k,) or (k, N)
+    complex array.  Non-finite inputs, values or points, inputs without the
+    centres' N columns, and inputs, values or points of any other shape,
     raise ValueError before any solve.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
-    points = np.asarray(points, dtype=complex)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_centres(points, "points")
     if len(points) < 1:
         raise ValueError("need at least one boundary point")
     if not np.isfinite(points).all():
         raise ValueError("boundary points must be finite")
     if not 0 <= ridge < np.inf:
         raise ValueError("ridge must be nonnegative and finite")
-    xs = as_inputs([s[0] for s in samples])
-    fs = np.array([s[1] for s in samples], dtype=complex)
-    if fs.shape != (len(xs),):
-        raise ValueError("each sample value must be a scalar")
+    xs = as_inputs([s[0] for s in samples], "sample inputs")
+    fs = _sample_values(samples)
     if xs.shape[1] != points.shape[1]:
         raise ValueError(f"inputs must have {points.shape[1]} columns, got {xs.shape[1]}")
     if not np.isfinite(xs).all():

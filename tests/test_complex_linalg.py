@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from cauchynet.complex_linalg import Rng, derive_seed, normal_complex
+from cauchynet.complex_linalg import Rng, as_inputs, derive_seed, normal_complex
 
 
 def test_rng_replays_identical_stream():
@@ -62,3 +64,10 @@ def test_uniform_in_array_is_bit_equal_to_single_draws():
     expected = np.array([one.uniform_in(-0.8, 0.8) for _ in range(6000)])
     assert many.uniform_in(-0.8, 0.8, 6000).tobytes() == expected.tobytes()
     assert many.state == one.state
+
+
+@pytest.mark.parametrize("X", [np.zeros((3, 2, 1)), np.zeros((1, 1, 1, 1)), 2.0])
+def test_as_inputs_rejects_other_shapes(X):
+    with pytest.raises(ValueError, match=re.escape(
+            f"inputs must be (n,) or (n, m), got shape {np.shape(X)}")):
+        as_inputs(X)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from cauchynet import kernel
 from cauchynet.errors import NonFiniteError, PoleEncountered, SingularSystem
 from cauchynet.kernel import (EVAL_BLOCK, BoundaryMesh, KernelExpansion, _back_substitute,
-                              _c_order_grid, _tensor_grid, ellipse_mesh,
+                              _c_order_grid, _sample_values, _tensor_grid, ellipse_mesh,
                               evaluate_expansion_grid, fit_expansion_least_squares, kernel_sum,
                               quadrature_expansion)
 
@@ -698,6 +699,103 @@ def test_fit_rejects_non_finite_sample_inputs(shape):
 def test_fit_rejects_ragged_samples():
     with pytest.raises(ValueError):
         fit_expansion_least_squares([([0.0, 1.0], 1.0), ([0.5], 1.0)], _circle_points(4))
+
+
+SCALAR_MESSAGE = "each sample value must be a scalar"
+
+
+def _read_or_raise(read, values):
+    """read(values) as (bytes, None, False), or (None, the exception type,
+    whether its message is SCALAR_MESSAGE)."""
+    try:
+        return read(values).tobytes(), None, False
+    except Exception as exc:
+        return None, type(exc), str(exc) == SCALAR_MESSAGE
+
+
+def _reference_values(values):
+    fs = np.array(values, dtype=complex)
+    if fs.shape != (len(values),):
+        raise ValueError(SCALAR_MESSAGE)
+    return fs
+
+
+_SCALAR_VALUES = st.one_of(
+    st.floats(), st.integers(-2 ** 70, 2 ** 70), st.sampled_from([2 ** 53 + 1, 2 ** 64, 2 ** 1100]),
+    st.complex_numbers(), st.floats(width=32).map(np.float32),
+    st.complex_numbers(max_magnitude=1e30).map(np.complex64), st.booleans(),
+    st.sampled_from(["1.5", "-0", "2+3j", "nan", "abc", ""]), st.none(),
+    st.integers(-128, 127).map(np.int8), st.integers(0, 2 ** 64 - 1).map(np.uint64),
+    st.floats(width=16).map(np.float16), st.floats().map(np.longdouble))
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.one_of(_SCALAR_VALUES, st.lists(_SCALAR_VALUES, max_size=2)),
+                       min_size=1, max_size=5))
+def test_sample_values_read_as_dtype_complex(values):
+    # floats with -0.0, ints past 2^53 and 2^63, complex, numpy scalars,
+    # bools, strings, None, and ragged or nested values, mixed: the same
+    # bytes, or the same exception type and scalar message (a float32 beside
+    # a string infers a string array, which would read it back from its repr)
+    got = _read_or_raise(_sample_values, [(0.0, v) for v in values])
+    assert got == _read_or_raise(_reference_values, values)
+
+
+def test_fit_value_errors():
+    def fit(values):
+        return fit_expansion_least_squares(list(zip([[0.0], [0.5]], values)), _circle_points(4))
+    with pytest.raises(ValueError, match="sample values must be finite"):
+        fit([1.0, None])                 # read as NaN
+    with pytest.raises(ValueError, match="sequence"):
+        fit([1.0, [2.0, 3.0]])           # ragged
+    with pytest.raises(ValueError, match=SCALAR_MESSAGE):
+        fit([[1.0, 2.0], [3.0, 4.0]])    # nested
+
+
+def test_expansion_owns_its_arrays():
+    # a write to the arrays an expansion was made from, finite or not,
+    # leaves its values as they were
+    seen = []
+    quad = quadrature_expansion(lambda z: seen.append(z) or np.cos(z[0]) * np.exp(z[1]),
+                                _product_mesh(2, 8))
+    xs = _grid([np.linspace(-0.5, 0.5, 6)] * 2)
+    samples = list(zip(xs, evaluate_expansion_grid(quad, xs)))
+    # a grid of samples fits by the Kronecker solve, one sample fewer by the stacked QR
+    fits = [fit_expansion_least_squares(s, quad.xi[::2]) for s in (samples, samples[:-1])]
+    xi, theta = quad.xi.copy(), quad.theta.copy()
+    direct = KernelExpansion(xi, theta)
+    before = [evaluate_expansion_grid(e, xs).tobytes() for e in (quad, *fits, direct)]
+    seen[0][:] = np.nan
+    assert evaluate_expansion_grid(quad, xs).tobytes() == before[0]
+    quad.xi[0, 0] = 9.0
+    assert [evaluate_expansion_grid(e, xs).tobytes() for e in fits] == before[1:3]
+    xi[0, 0], theta[0] = np.nan, np.inf
+    assert evaluate_expansion_grid(direct, xs).tobytes() == before[3]
+
+
+@pytest.mark.parametrize("xi,theta,message", [
+    (np.ones((2, 2, 2)), np.ones(2), "xi must be (k,) or (k, N), got shape (2, 2, 2)"),
+    (3.0, np.ones(1), "xi must be (k,) or (k, N), got shape ()"),
+    (np.ones((2, 1)), np.ones((2, 1)), "theta must be (k,), got shape (2, 1)"),
+    (np.ones((2, 1)), 1.0, "theta must be (k,), got shape ()"),
+])
+def test_expansion_rejects_bad_shapes(xi, theta, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        KernelExpansion(xi, theta)
+
+
+def test_kernel_calls_reject_three_dimensional_inputs():
+    exp = KernelExpansion(_circle_points(4), np.ones(4))
+    bad = np.zeros((3, 2, 1))
+    with pytest.raises(ValueError, match=re.escape("evaluation points must be (n,) or (n, m), "
+                                                   "got shape (3, 2, 1)")):
+        evaluate_expansion_grid(exp, bad)
+    with pytest.raises(ValueError, match=re.escape("sample inputs must be (n,) or (n, m), "
+                                                   "got shape (3, 2, 1)")):
+        fit_expansion_least_squares([(x, 1.0) for x in bad], _circle_points(4))
+    with pytest.raises(ValueError, match=re.escape("points must be (k,) or (k, N), "
+                                                   "got shape (4, 1, 1)")):
+        fit_expansion_least_squares([([0.0], 1.0)], _circle_points(4)[:, None, None])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,12 @@ def test_predict_reconstructs_o():
     y, e = predict(model, np.linspace(-1, 1, 9))
     o, _, _ = forward_batch(model, np.linspace(-1, 1, 9))
     np.testing.assert_array_equal(y + 1j * e, o)
+
+
+def test_predict_rejects_three_dimensional_inputs():
+    with pytest.raises(ValueError, match=re.escape(
+            "inputs must be (n,) or (n, m), got shape (3, 2, 1)")):
+        predict(small_model(m=2), np.zeros((3, 2, 1)))
 
 
 # -- checkpoints -------------------------------------------------------------
