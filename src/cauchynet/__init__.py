@@ -26,8 +26,7 @@ from .kernel import (BoundaryMesh, KernelExpansion, ellipse_mesh,
                      evaluate_expansion_grid, fit_expansion_least_squares,
                      quadrature_expansion)
 from .model import (CauchyNetModel, forward_batch, init_elliptical,
-                    init_xavier_complex, load_checkpoint, parameter_count,
-                    predict, save_checkpoint)
+                    load_checkpoint, parameter_count, predict, save_checkpoint)
 from .optim import (AdamState, TrainConfig, TrainLog, Trainable, adam_step,
                     lr_at, train)
 

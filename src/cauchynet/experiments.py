@@ -84,7 +84,6 @@ class MetricsReport:
 class ModelSpec:
     h: int = 128
     epsilon: float = 1e-8
-    init: str = "elliptical"       # "elliptical" or "xavier"
     init_major: float = 6.0        # pole-ellipse semi-axes (input units)
     init_minor: float = 2.0
 
@@ -174,10 +173,7 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
         problems.append("model.h must be at least 1")
     if spec.model.epsilon < 0:
         problems.append("model.epsilon must be nonnegative")
-    if spec.model.init not in ("elliptical", "xavier"):
-        problems.append(f"unknown init strategy {spec.model.init!r}")
-    if spec.model.init == "elliptical" and (spec.model.init_major <= 0
-                                            or spec.model.init_minor <= 0):
+    if spec.model.init_major <= 0 or spec.model.init_minor <= 0:
         problems.append("elliptical init needs positive semi-axes")
     problems.extend(spec.train.validate())
     if spec.baseline_lr is not None and spec.baseline_lr <= 0:
@@ -288,11 +284,8 @@ def fit(spec: ExperimentSpec, scaled: dt.SplitDataset, epoch_callback=None, *,
     caller that keeps only the model; the model is the same bytes."""
     rng = Rng(derive_seed(spec.train.seed, _STREAM_INIT))
     ms = spec.model
-    if ms.init == "elliptical":
-        net = mdl.init_elliptical(ms.h, scaled.m, rng, semi_major=ms.init_major,
-                                  semi_minor=ms.init_minor, epsilon=ms.epsilon)
-    else:
-        net = mdl.init_xavier_complex(ms.h, scaled.m, rng, epsilon=ms.epsilon)
+    net = mdl.init_elliptical(ms.h, scaled.m, rng, semi_major=ms.init_major,
+                              semi_minor=ms.init_minor, epsilon=ms.epsilon)
     return net, train(grad.cauchynet_trainable(net), scaled, spec.train,
                       epoch_callback=epoch_callback, validate=validate)
 
@@ -638,7 +631,7 @@ def run_kernel_demo(target: str = "square", a: float = 2.0, b: float = 1.0,
 def _preset_intro_spike():
     return ExperimentSpec(
         name="intro-spike", generator="intro-spike", n_samples=400,
-        model=ModelSpec(h=128, init="elliptical", init_major=1.3, init_minor=0.2),
+        model=ModelSpec(h=128, init_major=1.3, init_minor=0.2),
         train=TrainConfig(epochs=500, lr0=0.001, weight_decay=0.0, lam=0.1, seed=10),
         baseline=True, baseline_lr=0.001)
 
@@ -646,7 +639,7 @@ def _preset_intro_spike():
 def _preset_exp1():
     return ExperimentSpec(
         name="exp1", generator="exp1", n_samples=300,
-        model=ModelSpec(h=128, init="elliptical", init_major=1.02, init_minor=0.1),
+        model=ModelSpec(h=128, init_major=1.02, init_minor=0.1),
         train=TrainConfig(epochs=200, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10),
         baseline=True)
 
@@ -656,7 +649,7 @@ def _preset_exp2_gap():
         name="exp2-gap", generator="exp2-gap", n_samples=360,
         mask=IntervalMask(half_width=0.15, centers="turning-points"),
         masked_fractions=(0.75, 0.25),
-        model=ModelSpec(h=128, init="elliptical", init_major=2.1, init_minor=0.4),
+        model=ModelSpec(h=128, init_major=2.1, init_minor=0.4),
         train=TrainConfig(epochs=500, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10))
 
 
@@ -665,14 +658,14 @@ def _preset_exp2_disk():
         name="exp2-disk", generator="disk2d", n_samples=3000,
         mask=DiskMask(radius=0.3, center=(0.0, 0.0)),
         masked_fractions=(0.6, 0.4),
-        model=ModelSpec(h=128, init="elliptical", init_major=0.9, init_minor=0.3),
+        model=ModelSpec(h=128, init_major=0.9, init_minor=0.3),
         train=TrainConfig(epochs=200, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10))
 
 
 def _preset_exp3_surface():
     return ExperimentSpec(
         name="exp3-surface", generator="surface2d", n_samples=300,
-        model=ModelSpec(h=128, init="elliptical", init_major=1.8, init_minor=0.8),
+        model=ModelSpec(h=128, init_major=1.8, init_minor=0.8),
         train=TrainConfig(epochs=500, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10))
 
 
@@ -680,7 +673,7 @@ def _preset_exp4_csv():
     return ExperimentSpec(
         name="exp4-csv", generator="csv-trend", n_samples=700,
         scaler_range=(-1.0, 1.0), period=12,
-        model=ModelSpec(h=128, init="elliptical", init_major=1.1, init_minor=0.3),
+        model=ModelSpec(h=128, init_major=1.1, init_minor=0.3),
         train=TrainConfig(epochs=200, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10))
 
 

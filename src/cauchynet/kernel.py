@@ -25,10 +25,9 @@ evaluation is their mode products with the weight tensor
 `predict` and the scalar activation, goes through `cauchy_block`
 EVAL_BLOCK rows at a time (`kernel_sum`, `kernel_rows`).  No (n, k, N)
 array is ever formed.  `_tensor_grid` recognises a grid from the inputs
-alone: a C-order layout (last dimension fastest, as the quadrature's
-centres and `np.meshgrid(..., indexing="ij")` points come) is read in
-O(k) by `_c_order_grid`, any other order by sorting each column; the
-points are searched only when the centres are a grid.
+alone, in O(k): only a C-order layout (last dimension fastest, as the
+quadrature's centres and `np.meshgrid(..., indexing="ij")` points come)
+is a grid; the points are searched only when the centres are a grid.
 """
 
 from __future__ import annotations
@@ -95,6 +94,10 @@ class KernelExpansion:
             raise ValueError("expansion centres must be finite")
         if not np.isfinite(self.theta).all():
             raise ValueError("expansion weights must be finite")
+        # read-only, so that a write to them raises at once instead of
+        # slipping past the checks above
+        self.xi.setflags(write=False)
+        self.theta.setflags(write=False)
 
 
 def cauchy_block(X, shifts, eps, weights, work=None):
@@ -207,53 +210,25 @@ def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
 def _tensor_grid(xi):
     """(nodes, flat) when the k points xi (k, N), centres, sample inputs or
     evaluation points, are every point of a tensor grid with N >= 2
-    dimensions of at least 2 nodes each, else None.
+    dimensions of at least 2 distinct nodes each, laid out in C order (last
+    dimension fastest, as `quadrature_expansion` and
+    `np.meshgrid(..., indexing="ij")` lay them out); else None.  Points in
+    any other order (shuffled, reversed columns, meshgrid's default "xy")
+    are no grid here and take `kernel_sum` or the stacked solve.  A dimension of
+    one node factors nothing out, and leaving it to `kernel_sum` keeps a
+    one-centre expansion equal to `predict` byte for byte.
 
-    nodes[i] holds the n_i distinct values of column i, sorted; the points
-    are a full grid when the n_i multiply to k and no two points share a
-    grid point, in any order.  flat[c] is point c's index in the C-order
-    (last dimension fastest) flattening of the n_1 x ... x n_N grid.  A
-    dimension of one node factors nothing out, and leaving it to
-    `kernel_sum` keeps a one-centre expansion equal to `predict` byte for
-    byte.
-
-    Points in C order, as `quadrature_expansion` and
-    `np.meshgrid(..., indexing="ij")` lay them out, are read in O(k) by
-    `_c_order_grid`; any other order (shuffled, reversed, meshgrid's
-    default "xy") takes `np.unique` over each whole column.  Both give the
-    same nodes and flat, byte for byte.
+    Read in O(k) without sorting a column: column i's first change gives its
+    run length n_{i+1} ... n_N, so the shape; every point must then hold,
+    bit for bit, its axes' values at its place in the n_1 x ... x n_N layout
+    (a -0.0 where the axis holds 0.0 does not).  Only the n_i axis values
+    are sorted: nodes[i] holds them in order, and flat[c], point c's index
+    in the C-order flattening of the grid on the sorted nodes, is the rank
+    sum rank_1 n_2 ... n_N + ... + rank_N.  Equal axis values, or two NaNs,
+    are no grid.
     """
     k, N = xi.shape
-    if N < 2:
-        return None
-    grid = _c_order_grid(xi)
-    if grid is not None:
-        return grid
-    nodes, index = zip(*(np.unique(xi[:, i], return_inverse=True) for i in range(N)))
-    shape = [len(v) for v in nodes]
-    if min(shape) < 2 or math.prod(shape) != k:
-        return None
-    flat = np.ravel_multi_index(index, shape)
-    if np.bincount(flat, minlength=k).max() > 1:
-        return None
-    return nodes, flat
-
-
-def _c_order_grid(xi):
-    """`_tensor_grid`'s (nodes, flat) for float64 or complex128 points xi
-    (k, N) laid out in C order, read without sorting a column; None when
-    they are not, and the caller sorts.
-
-    Column i's first change gives its run length n_{i+1} ... n_N, so the
-    shape; every point must then hold, bit for bit, its axes' values at its
-    place in the n_1 x ... x n_N layout (a -0.0 where the axis holds 0.0
-    does not).  Only the n_i axis values are sorted: they give nodes[i] and
-    each axis position's rank, and flat is the rank sum
-    rank_1 n_2 ... n_N + ... + rank_N in point order.  Axis values that the
-    sort rule would merge (equal ones, or two NaNs) are left to it.
-    """
-    k, N = xi.shape
-    if k == 0 or xi.dtype not in (np.float64, np.complex128):
+    if N < 2 or k == 0 or xi.dtype not in (np.float64, np.complex128):
         return None
     # a valid shape has n_i >= 2, so each column changes within its first half
     strides = [k, *(int((xi[:k // 2 + 1, i] != xi[0, i]).argmax()) for i in range(N))]
@@ -315,7 +290,7 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     """sum_k theta_k K(xi_k, x) at each of an (n,) or (n, N) array of points.
 
     When the centres and the points are both full tensor grids
-    (`_tensor_grid`, N >= 2, each in any order), theta becomes the
+    (`_tensor_grid`, N >= 2, each in C order), theta becomes the
     n_1 x ... x n_N weight tensor W and every value comes from the mode
     products of W with the per-dimension Cauchy matrices of
     `_cauchy_factors`, read back in the points' order: the rule by which
@@ -446,7 +421,7 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     """Weights minimizing sum_j |sum_k theta_k K(xi_k, x_j) - f_j|^2 + ridge*|theta|^2.
 
     When the samples' inputs and the centres are both full tensor grids
-    (`_tensor_grid`, N >= 2, each in any order), the design is a Kronecker
+    (`_tensor_grid`, N >= 2, each in C order), the design is a Kronecker
     product of per-dimension Cauchy matrices and `_solve_kronecker` solves
     the problem from their SVDs, with no (n, k) array.
 

@@ -66,17 +66,6 @@ def split_parameters(vec: np.ndarray, h: int, m: int):
     return cplx[:h * m].reshape(h, m), cplx[h * m:]
 
 
-def init_xavier_complex(h: int, m: int, rng: Rng,
-                        epsilon: float = DEFAULT_EPSILON) -> CauchyNetModel:
-    """All components of B and C drawn i.i.d. N(0, 2/(m+h)) per real part.
-
-    B is filled row-major before C, one complex draw per entry, so the
-    stream layout is reproducible.
-    """
-    draws = normal_complex(rng, math.sqrt(2.0 / (m + h)), h * (m + 1))
-    return CauchyNetModel(h, m, epsilon, draws[:h * m].reshape(h, m), draws[h * m:])
-
-
 def _arclength_angles(a: float, b: float, fractions: np.ndarray) -> np.ndarray:
     """Parameter angles of points at given arc-length fractions of the ellipse.
 
@@ -94,15 +83,15 @@ def _arclength_angles(a: float, b: float, fractions: np.ndarray) -> np.ndarray:
 def init_elliptical(h: int, m: int, rng: Rng,
                     semi_major: float = 6.0, semi_minor: float = 2.0,
                     epsilon: float = DEFAULT_EPSILON) -> CauchyNetModel:
-    """Experimental initializer placing the hidden-unit poles on an ellipse.
+    """The network's initializer: the hidden-unit poles on an ellipse.
 
     The pole of unit k in input dimension i sits on the origin-centered
     ellipse ``a cos(t) + i b sin(t)``, spaced uniformly by arc length;
     biases are the negated pole positions (minus epsilon) so the shifted
     denominator vanishes exactly on the ellipse.  Higher input dimensions
     follow a golden-ratio progression of arc positions so multi-dimensional
-    pole tuples cover the product of ellipses instead of a diagonal.  C
-    follows the normal scheme.
+    pole tuples cover the product of ellipses instead of a diagonal.  C is
+    drawn i.i.d. N(0, 2/(m+h)) per real part, one complex draw per unit.
 
     The default semi-axes (6 and 2) match the contour used by the kernel
     demo; experiment presets pass domain-scaled axes instead.

@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +33,7 @@ def tiny_spec(**kw):
     """Fast exp1-flavored spec for harness tests."""
     base = dict(
         name="tiny", generator="exp1", n_samples=60,
-        model=ModelSpec(h=16, init="elliptical", init_major=1.05, init_minor=0.1),
+        model=ModelSpec(h=16, init_major=1.05, init_minor=0.1),
         train=TrainConfig(epochs=5, lr0=0.01, weight_decay=0.0, lam=0.1, seed=10),
     )
     base.update(kw)
@@ -532,6 +535,34 @@ def test_cli_unknown_set_key(tmp_path, capsys):
     assert rc == 2
 
 
+def test_model_init_is_an_unknown_field(tmp_path, capsys):
+    # the network has one initializer, so no config field chooses it
+    doc = tiny_spec().to_dict()
+    doc["model"]["init"] = "xavier"
+    with pytest.raises(ValidationError, match=re.escape("unknown config fields: ['model.init']")):
+        ExperimentSpec.from_dict(doc)
+    rc = cli.main(["train", "--preset", "exp1", "--out", str(tmp_path),
+                   "--set", "model.init=elliptical"])
+    assert rc == 2
+    assert "unknown config fields: ['model.init']" in capsys.readouterr().err
+    assert not any(tmp_path.rglob("*"))
+
+
+def _run_module(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "cauchynet", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    listed = _run_module("list-experiments")
+    assert listed.returncode == 0 and "exp2-disk" in listed.stdout
+    refused = _run_module("train", "--preset", "nope")
+    assert refused.returncode == 2
+    assert "error: unknown preset 'nope'" in refused.stderr
+    assert "Traceback" not in refused.stderr
+
+
 def test_cli_config_file_and_env_seed(tmp_path, capsys, monkeypatch):
     cfg = tiny_spec().to_dict()
     cfg_path = tmp_path / "cfg.json"
@@ -689,7 +720,7 @@ def test_cli_sweep_out_of_range_cells_stop_before_compute(tmp_path, capsys, monk
 
 def _bad_checkpoint_args(tmp_path):
     path = tmp_path / "ckpt.json"
-    mdl.save_checkpoint(mdl.init_xavier_complex(8, 1, Rng(1)),
+    mdl.save_checkpoint(mdl.init_elliptical(8, 1, Rng(1)),
                         ScalerState(0.0, 1.0, 0.0, 1.0), path)
     doc = json.loads(path.read_text())
     doc["C_im"] = [0.5]

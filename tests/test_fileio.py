@@ -13,14 +13,14 @@ from cauchynet.complex_linalg import Rng
 from cauchynet.data import ScalerState
 from cauchynet.errors import SchemaError
 from cauchynet.fileio import write_csv
-from cauchynet.model import (CauchyNetModel, init_xavier_complex, load_checkpoint,
+from cauchynet.model import (CauchyNetModel, init_elliptical, load_checkpoint,
                              predict, save_checkpoint)
 
 SCALER = ScalerState(-1.5, 2.0, 0.0, 1.0)
 
 
 def _save_model(path):
-    save_checkpoint(init_xavier_complex(3, 2, Rng(1)), SCALER, path)
+    save_checkpoint(init_elliptical(3, 2, Rng(1)), SCALER, path)
 
 
 def _save_mlp(path):

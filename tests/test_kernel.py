@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from cauchynet import kernel
 from cauchynet.errors import NonFiniteError, PoleEncountered, SingularSystem
 from cauchynet.kernel import (EVAL_BLOCK, BoundaryMesh, KernelExpansion, _back_substitute,
-                              _c_order_grid, _sample_values, _tensor_grid, ellipse_mesh,
-                              evaluate_expansion_grid, fit_expansion_least_squares, kernel_sum,
-                              quadrature_expansion)
+                              _sample_values, _tensor_grid, ellipse_mesh, evaluate_expansion_grid,
+                              fit_expansion_least_squares, kernel_sum, quadrature_expansion)
 
 
 def _at(exp, x):
@@ -205,48 +204,46 @@ def _product_mesh(ndim, nodes):
 
 def _centre_layouts(exp, rng):
     """{name: (expansion, on the tensor path)} for a quadrature expansion:
-    its centres in tensor order, shuffled, and with one centre removed (no
-    longer a tensor grid).  A 1-D expansion has only the first."""
+    its centres in tensor order, shuffled (no C order, so no tensor grid),
+    and with one centre removed (no longer a tensor grid).  A 1-D expansion
+    has only the first."""
     if exp.xi.shape[1] == 1:
         return {"tensor": (exp, False)}
     perm = rng.permutation(len(exp.theta))
-    assert _c_order_grid(exp.xi) is not None and _c_order_grid(exp.xi[perm]) is None
     return {"tensor": (exp, True),
-            "shuffled": (KernelExpansion(exp.xi[perm], exp.theta[perm]), True),
+            "shuffled": (KernelExpansion(exp.xi[perm], exp.theta[perm]), False),
             "one-removed": (KernelExpansion(exp.xi[1:], exp.theta[1:]), False)}
 
 
 def _point_layouts(n, ndim, rng):
     """{name: (points, a tensor grid)} for about n evaluation points: n
     scattered points, and for ndim >= 2 a grid of max(2, round(n^(1/ndim)))
-    nodes per dimension in C order, shuffled, and with one point removed
-    (no longer a tensor grid)."""
+    nodes per dimension in C order, shuffled (no C order, so no tensor
+    grid), and with one point removed (no longer a tensor grid)."""
     layouts = {"scattered": (rng.uniform(-0.9, 0.9, size=(n, ndim)), False)}
     if ndim == 1:
         return layouts
     axes = rng.uniform(-0.9, 0.9, size=(ndim, max(2, round(n ** (1 / ndim)))))
     grid = _grid(list(axes))
-    shuffled = grid[rng.permutation(len(grid))]
-    assert _c_order_grid(grid) is not None and _c_order_grid(shuffled) is None
     layouts.update({"grid": (grid, True),
-                    "shuffled-grid": (shuffled, True),
+                    "shuffled-grid": (grid[rng.permutation(len(grid))], False),
                     "grid-one-removed": (grid[1:], False)})
     return layouts
 
 
-# the two layouts of a tensor grid, one per recogniser in _tensor_grid
+# two layouts of the points of a tensor grid: C order, a grid to
+# _tensor_grid, and shuffled, no grid
 LAYOUTS = ("c-order", "shuffled")
 
 
 def _arranged(points, layout, seed=0):
     """The row order that puts a C-order grid of points in the layout:
     unchanged for "c-order", a permutation for "shuffled".  It checks that
-    the layout reaches `_tensor_grid` by the recogniser it names, the
-    C-order read or the sort."""
+    `_tensor_grid` reads the points as a grid in C order and only then."""
     order = np.arange(len(points))
     if layout == "shuffled":
         order = np.random.default_rng(seed).permutation(len(points))
-    assert (_c_order_grid(points[order]) is not None) == (layout == "c-order")
+    assert (_tensor_grid(points[order]) is not None) == (layout == "c-order")
     return order
 
 
@@ -272,70 +269,39 @@ def test_grid_matches_reference_across_block_edges(n, ndim, nodes):
 def test_tensor_grid_recognises_only_full_grids():
     z = np.array([1j, 2j, 3j])
     grid = np.stack(np.meshgrid(z, z[:2] + 1, indexing="ij"), axis=-1).reshape(-1, 2)
+    # reversed rows are C order again, on reversed axes
     nodes, flat = _tensor_grid(grid[::-1])
     np.testing.assert_array_equal(flat, np.arange(6)[::-1])
     assert [len(v) for v in nodes] == [3, 2]
     assert _tensor_grid(grid[:, :1]) is None                   # one dimension
-    assert _tensor_grid(np.vstack([grid[1:], grid[:1]])) is not None
+    assert _tensor_grid(np.vstack([grid[1:], grid[:1]])) is None   # every point, no C order
     assert _tensor_grid(np.vstack([grid[1:], grid[1:2]])) is None  # a repeat, one missing
     assert _tensor_grid(grid[:5]) is None
     assert _tensor_grid(grid[:1]) is None                      # one node per dimension
     assert _tensor_grid(grid[::2]) is None                     # 3 x 1
-    # degenerate, broken and "xy" layouts of a real grid in C order
+    # two NaN nodes on an axis are no grid
     a, b = np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25])
+    assert _tensor_grid(_grid([[0.5, np.nan, np.nan], b])) is None
+    # degenerate, broken and reordered layouts of a real grid in C order
     grid = _grid([a, b])
-    assert _c_order_grid(grid) is not None
+    assert _tensor_grid(grid) is not None
+    mixed_zero = _grid([[0.0, -1.0, 2.0], b])
+    mixed_zero[1, 0] = -0.0
     exp = KernelExpansion(3j + grid, np.arange(6) + 1j)
     for name, xs in {"no point": grid[:0], "one point": grid[:1],
                      "1 x n": _grid([a[:1], b]), "n x 1": _grid([a, b[:1]]),
                      "a repeat for a missing point": grid[[0, 1, 2, 2, 4, 5]],
                      "one missing": np.delete(grid, 3, axis=0),
-                     "one repeated": np.vstack([grid, grid[-1:]])}.items():
+                     "one repeated": np.vstack([grid, grid[-1:]]),
+                     "shuffled": grid[[3, 0, 5, 1, 4, 2]],
+                     "meshgrid's default xy order": np.stack(np.meshgrid(a, b), axis=-1).reshape(-1, 2),
+                     "equal axis values": _grid([[0.5, 0.5, 2.0], b]),
+                     "0.0 and -0.0 on one axis position": mixed_zero}.items():
         assert _tensor_grid(xs) is None, name
         # every such input is evaluated by the network's sum
         vals = evaluate_expansion_grid(exp, xs)
         summed = kernel_sum(xs, -exp.xi, 0.0, exp.theta)
         assert vals.shape == (len(xs),) and vals.tobytes() == summed.tobytes(), name
-    # the sort counts two NaN nodes on an axis as one value
-    assert _tensor_grid(_grid([[0.5, np.nan, np.nan], b])) is None
-    # meshgrid's default "xy" order is no C-order layout; the sort finds the grid
-    xy = np.stack(np.meshgrid(a, b), axis=-1).reshape(-1, 2)
-    assert _c_order_grid(xy) is None
-    (nodes, flat), (xy_nodes, xy_flat) = _tensor_grid(grid), _tensor_grid(xy)
-    assert all(u.tobytes() == v.tobytes() for u, v in zip(nodes, xy_nodes))
-    np.testing.assert_array_equal(xy[np.argsort(xy_flat)], grid[np.argsort(flat)])
-
-
-def test_c_order_and_sorted_grids_evaluate_and_fit_to_the_same_bytes():
-    # the C-order read and the sort give one (nodes, flat), so the
-    # Kronecker paths see the same problem in either order
-    exp = quadrature_expansion(lambda z: np.exp(z[0]) * np.cos(z[1]), _product_mesh(2, 12))
-    xs = _grid([np.linspace(-1, 1, 9), np.linspace(-0.5, 0.5, 7)])
-    fs = np.exp(xs[:, 0]) * np.cos(xs[:, 1])
-    centres = exp.xi[::3]
-    values = evaluate_expansion_grid(exp, xs)
-    theta = fit_expansion_least_squares(list(zip(xs, fs)), centres).theta
-    perm, order, cperm = (_arranged(p, "shuffled") for p in (exp.xi, xs, centres))
-    shuffled = KernelExpansion(exp.xi[perm], exp.theta[perm])
-    assert evaluate_expansion_grid(shuffled, xs[order]).tobytes() == values[order].tobytes()
-    fit = fit_expansion_least_squares(list(zip(xs[order], fs[order])), centres[cperm])
-    assert fit.theta.tobytes() == theta[cperm].tobytes()
-
-
-def _sort_rule(xi):
-    """The tensor-grid rule by sorting, written out: per-column np.unique,
-    ravel_multi_index of the inverse indices, and bincount for repeats."""
-    k, N = xi.shape
-    if N < 2:
-        return None
-    nodes, index = zip(*(np.unique(xi[:, i], return_inverse=True) for i in range(N)))
-    shape = [len(v) for v in nodes]
-    if min(shape) < 2 or math.prod(shape) != k:
-        return None
-    flat = np.ravel_multi_index(index, shape)
-    if np.bincount(flat, minlength=k).max() > 1:
-        return None
-    return nodes, flat
 
 
 _AXIS_POOL = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.75, 1.0, 3.0, 7.5, np.nan])
@@ -350,11 +316,12 @@ IMAG_VALUES = st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.5]), min_size=4, max_
        layout=st.sampled_from(["c-order", "shuffled", "rows-reversed", "columns-reversed"]),
        change=st.sampled_from([None, None, None, "drop", "repeat", "signed-zero"]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_tensor_grid_matches_the_sort_rule(data, ndim, is_complex, layout, change, seed):
+def test_tensor_grid_reads_c_order_or_none(data, ndim, is_complex, layout, change, seed):
     # random axes (repeats, NaN nodes and both zeros drawn among them), laid
     # out in C order or not, with a point dropped or repeated, or the sign
-    # of some copies of a 0.0 flipped: _tensor_grid equals the sort rule in
-    # every byte, and reads C order without sorting only where the bits allow
+    # of some copies of a 0.0 flipped: _tensor_grid reads every C-order
+    # grid of distinct finite axis values, and whatever it reads is a grid
+    # in C order, bit for bit, with sorted nodes and each point's flat index
     rng = np.random.default_rng(seed)
     axes = [np.array(data.draw(AXIS_VALUES)) for _ in range(ndim)]
     if is_complex:
@@ -379,19 +346,22 @@ def test_tensor_grid_matches_the_sort_rule(data, ndim, is_complex, layout, chang
         xs = xs[::-1]                   # C order again, on reversed axes
     elif layout == "columns-reversed":
         xs = xs[:, ::-1]                # the first dimension fastest
-    got, ref = _tensor_grid(xs), _sort_rule(xs)
-    assert (got is None) == (ref is None)
-    if ref is not None:
-        assert [v.dtype for v in got[0]] == [v.dtype for v in ref[0]]
-        assert [v.tobytes() for v in got[0]] == [v.tobytes() for v in ref[0]]
-        assert got[1].dtype == ref[1].dtype and got[1].tobytes() == ref[1].tobytes()
-        # a NaN first point, unequal to itself, hides where its column changes
-        if layout in ("c-order", "rows-reversed") and not mixed and not np.isnan(xs[0]).any():
-            assert _c_order_grid(xs) is not None
-    if mixed:
-        # 0.0 and -0.0 are one value to the sort rule; the C-order read
-        # compares bits, so it leaves the mix to the sort
-        assert _c_order_grid(xs) is None
+    got = _tensor_grid(xs)
+    clean = (all(len(a) >= 2 and not np.isnan(a).any() and len(set(a.tolist())) == len(a)
+                 for a in axes)
+             and layout in ("c-order", "rows-reversed") and change in (None, "signed-zero")
+             and not mixed)
+    if clean:
+        assert got is not None
+    if got is not None:
+        nodes, flat = got
+        cells = xs.reshape(*[len(v) for v in nodes], ndim)
+        # axis i in layout order: the points that vary only dimension i
+        layout_axes = [cells[(0,) * i + (slice(None),) + (0,) * (ndim - 1 - i) + (i,)]
+                       for i in range(ndim)]
+        assert _grid(layout_axes).tobytes() == xs.tobytes()
+        assert [np.sort(a).tobytes() for a in layout_axes] == [v.tobytes() for v in nodes]
+        assert flat.dtype == np.intp and _grid(list(nodes))[flat].tobytes() == xs.tobytes()
 
 
 def test_fit_rejects_mismatched_sample_columns_before_allocating():
@@ -460,7 +430,8 @@ def test_grid_overflow_raises_non_finite():
 
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_tensor_grid_pole_in_later_block_raises(ndim):
-    # centres in C order or shuffled form a tensor grid; the t = 0 node is 2 + 0j
+    # centres and points in C order are tensor grids, shuffled they are not;
+    # either way a pole raises.  The t = 0 node is 2 + 0j
     exp = quadrature_expansion(lambda z: 1.0, _product_mesh(ndim, 8))
     xs = np.zeros((3 * EVAL_BLOCK, ndim))
     xs[2 * EVAL_BLOCK + 5, ndim - 1] = 2.0
@@ -470,7 +441,7 @@ def test_tensor_grid_pole_in_later_block_raises(ndim):
         perm = _arranged(exp.xi, layout, ndim)
         xi = exp.xi[perm]
         points_grid = grid[_arranged(grid, layout, ndim)]
-        assert _tensor_grid(xs) is None and _tensor_grid(points_grid) is not None
+        assert _tensor_grid(xs) is None
         for points in (xs, points_grid):
             with pytest.raises(PoleEncountered):
                 evaluate_expansion_grid(KernelExpansion(xi, exp.theta[perm]), points)
@@ -493,7 +464,7 @@ def test_tensor_grid_overflow_raises_non_finite():
         xi = c_xi[_arranged(c_xi, layout)]
         grid = c_grid[_arranged(c_grid, layout)]
         order = _arranged(big, layout)
-        assert _tensor_grid(xs) is None and _tensor_grid(grid) is not None
+        assert _tensor_grid(xs) is None
         for points in (xs, grid):
             for call in (lambda: evaluate_expansion_grid(KernelExpansion(xi, np.ones(4)), points),
                          lambda: fit_expansion_least_squares([(x, 1.0) for x in points], xi)):
@@ -521,6 +492,11 @@ def _grid(axes):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def _c_order(points):
+    """The points of a tensor grid sorted into C order on sorted axes."""
+    return points[np.lexsort(points.T[::-1])]
+
+
 # leading per-dimension centre counts of the grid shapes; the last takes the rest of k
 CENTRE_GRIDS = {"2t": [8], "2g": [6], "3g": [4, 3]}
 
@@ -528,12 +504,14 @@ CENTRE_GRIDS = {"2t": [8], "2g": [6], "3g": [4, 3]}
 def _fit_problem(n, k, shape, rng):
     """k centres on an ellipse (mirrored in a second dimension when shape is
     2), n samples and 50 held-out points of cos(sum x) drawn from rng.  A
-    CENTRE_GRIDS shape puts the centres on a shuffled tensor grid of ellipse
-    points; "2g" and "3g" put the samples on a shuffled grid too, with
-    n ** (1 / N) uniform coordinates per axis."""
+    CENTRE_GRIDS shape puts the centres on a C-order tensor grid of ellipse
+    points; "2g" and "3g" put the samples on a C-order grid too, with
+    n ** (1 / N) uniform coordinates per axis.  Each grid is drawn shuffled
+    and sorted back into C order on sorted axes: the draws, and so the
+    problems, of the shuffled grids these fits were written against."""
     if shape in CENTRE_GRIDS:
         counts = CENTRE_GRIDS[shape] + [k // math.prod(CENTRE_GRIDS[shape])]
-        points = rng.permutation(_grid([_ellipse_points(c) for c in counts]))
+        points = _c_order(rng.permutation(_grid([_ellipse_points(c) for c in counts])))
         ndim = len(counts)
     else:
         points = _ellipse_points(k)[:, None]
@@ -542,7 +520,7 @@ def _fit_problem(n, k, shape, rng):
         ndim = shape
     if shape in ("2g", "3g"):
         side = round(n ** (1 / ndim))
-        xs = rng.permutation(_grid(rng.uniform(-1, 1, size=(ndim, side))))
+        xs = _c_order(rng.permutation(_grid(rng.uniform(-1, 1, size=(ndim, side)))))
     else:
         xs = rng.uniform(-1, 1, size=(n, ndim))
     fs = np.cos(xs.sum(axis=1)) + 0j
@@ -626,14 +604,14 @@ def test_fit_ridge_matches_regularized_normal_equations(ridge):
 
 @pytest.mark.parametrize("ridge", [1e-6, 1e-2, 1.0])
 def test_kronecker_fit_ridge_matches_regularized_normal_equations(ridge):
-    # an 8 x 6 sample grid against a 4 x 3 centre grid, both in C order or
-    # both shuffled: the Kronecker solve, on a design of condition ~67
+    # an 8 x 6 sample grid against a 4 x 3 centre grid, on a design of
+    # condition ~67: both in C order, the Kronecker solve; both shuffled,
+    # the stacked solve
     for layout in LAYOUTS:
         xi = _grid([_circle_points(4), _circle_points(3)])
         xi = xi[_arranged(xi, layout, 3)]
         xs = _grid([np.linspace(-2.5, 2.5, 8), np.linspace(-2, 2, 6)])
         xs = xs[_arranged(xs, layout, 4)]
-        assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
         _assert_ridge_fit_matches_normal_equations(
             xi, xs, np.exp(xs[:, 0]) * np.cos(xs[:, 1]) + 0j, ridge)
 
@@ -661,7 +639,6 @@ def test_kronecker_fit_pole_raises():
         xi = xi[_arranged(xi, layout)]
         xs = _grid([np.linspace(-1, 1, 4), np.array([0.0, 1.0, 2.0, 2.5])])
         xs = xs[_arranged(xs, layout)]
-        assert _tensor_grid(xi) is not None and _tensor_grid(xs) is not None
         with pytest.raises(PoleEncountered):
             fit_expansion_least_squares([(x, 1.0) for x in xs], xi)
 
@@ -760,17 +737,36 @@ def test_expansion_owns_its_arrays():
                                 _product_mesh(2, 8))
     xs = _grid([np.linspace(-0.5, 0.5, 6)] * 2)
     samples = list(zip(xs, evaluate_expansion_grid(quad, xs)))
+    centres = quad.xi[::2].copy()
     # a grid of samples fits by the Kronecker solve, one sample fewer by the stacked QR
-    fits = [fit_expansion_least_squares(s, quad.xi[::2]) for s in (samples, samples[:-1])]
+    fits = [fit_expansion_least_squares(s, centres) for s in (samples, samples[:-1])]
     xi, theta = quad.xi.copy(), quad.theta.copy()
     direct = KernelExpansion(xi, theta)
     before = [evaluate_expansion_grid(e, xs).tobytes() for e in (quad, *fits, direct)]
     seen[0][:] = np.nan
     assert evaluate_expansion_grid(quad, xs).tobytes() == before[0]
-    quad.xi[0, 0] = 9.0
+    centres[0, 0] = 9.0
     assert [evaluate_expansion_grid(e, xs).tobytes() for e in fits] == before[1:3]
     xi[0, 0], theta[0] = np.nan, np.inf
     assert evaluate_expansion_grid(direct, xs).tobytes() == before[3]
+
+
+def test_expansion_arrays_are_read_only():
+    # a write to an expansion's own arrays raises at once, before any
+    # evaluation could read a value that skipped the finiteness checks
+    quad = quadrature_expansion(lambda z: np.cos(z[0]) * np.exp(z[1]), _product_mesh(2, 8))
+    with pytest.raises(ValueError, match="read-only"):
+        quad.xi[0, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        quad.theta[0] = np.inf
+    # fitting at a read-only view of the centres gives the bytes of a fit at
+    # a writable copy, on either solve
+    xs = _grid([np.linspace(-0.5, 0.5, 6)] * 2)
+    samples = list(zip(xs, evaluate_expansion_grid(quad, xs)))
+    for s in (samples, samples[:-1]):
+        fit = fit_expansion_least_squares(s, quad.xi[::4])
+        assert fit.theta.tobytes() == fit_expansion_least_squares(s, quad.xi[::4].copy()).theta.tobytes()
+        assert fit.xi.tobytes() == quad.xi[::4].tobytes()
 
 
 @pytest.mark.parametrize("xi,theta,message", [
@@ -823,14 +819,14 @@ def test_fit_rejects_a_non_finite_centre_before_solving():
 
 
 def test_a_grid_with_a_nan_node_is_rejected():
-    # a NaN node on each axis of a 3 x 3 grid, in C order or shuffled, still
-    # passes _tensor_grid's count, so the check has to come first
+    # a NaN node on each axis of a 3 x 3 grid in C order still passes
+    # _tensor_grid's read, so the check has to come first; shuffled, the
+    # points are no grid and take the same check
     axis = np.array([3.0 + 1j, np.nan, -3.0 + 1j])
     samples = [(x, 1.0) for x in _grid([[-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]])]
     for layout in LAYOUTS:
         points = _grid([axis, axis])
         points = points[_arranged(points, layout)]
-        assert _tensor_grid(points) is not None
         with pytest.raises(ValueError, match="boundary points must be finite"):
             fit_expansion_least_squares(samples, points)
         with pytest.raises(ValueError, match="expansion centres must be finite"):

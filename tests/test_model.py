@@ -8,8 +8,7 @@ from cauchynet.complex_linalg import Rng, normal_complex
 from cauchynet.data import ScalerState
 from cauchynet.errors import SchemaError
 from cauchynet.model import (CauchyNetModel, forward_batch, init_elliptical,
-                             init_xavier_complex, load_checkpoint,
-                             parameter_count, predict, save_checkpoint)
+                             load_checkpoint, parameter_count, predict, save_checkpoint)
 
 
 def small_model(h=1, m=1, B=None, C=None, eps=0.0):
@@ -45,9 +44,7 @@ def test_forward_two_inputs_product():
 
 
 def test_forward_batch_matches_single():
-    rng = Rng(31)
-    model = init_xavier_complex(6, 2, rng)
-    model.B += 0.5j  # keep clear of poles
+    model = init_elliptical(6, 2, Rng(31))
     X = np.array([[0.1, -0.3], [0.7, 0.2], [-0.5, 0.9]])
     o, hidden, _ = forward_batch(model, X)
     for i in range(len(X)):
@@ -57,7 +54,7 @@ def test_forward_batch_matches_single():
 
 
 def test_forward_deterministic():
-    model = init_xavier_complex(8, 1, Rng(5))
+    model = init_elliptical(8, 1, Rng(5))
     assert forward_one(model, [0.25]) == forward_one(model, [0.25])
 
 
@@ -83,31 +80,10 @@ def test_parameter_count_values():
 
 
 def test_parameter_count_matches_stored_scalars():
-    model = init_xavier_complex(7, 3, Rng(1))
+    model = init_elliptical(7, 3, Rng(1))
     cplx, real = parameter_count(model)
     assert cplx == model.B.size + model.C.size
     assert real == len(model.params)
-
-
-def test_xavier_init_variance():
-    # aggregate over many draws: per-component variance 2/(m+h) within 5%
-    h, m = 64, 4
-    rng = Rng(123)
-    comps = []
-    for _ in range(200):
-        mdl = init_xavier_complex(h, m, rng)
-        comps.append(mdl.params.copy())
-    v = np.var(np.concatenate(comps))
-    target = 2.0 / (m + h)
-    assert abs(v - target) / target < 0.05
-
-
-def test_xavier_trivial_variance_case():
-    # h = m = 1 has variance 1; sanity check the scale on a big sample
-    rng = Rng(9)
-    vals = np.concatenate([init_xavier_complex(1, 1, rng).params
-                           for _ in range(20000)])
-    assert abs(np.var(vals) - 1.0) < 0.05
 
 
 def test_elliptical_init_places_poles_on_ellipse():
@@ -119,9 +95,9 @@ def test_elliptical_init_places_poles_on_ellipse():
 
 
 def test_parameter_vector_round_trip():
-    model = init_xavier_complex(5, 2, Rng(8))
+    model = init_elliptical(5, 2, Rng(8))
     v = model.params.copy()
-    clone = init_xavier_complex(5, 2, Rng(99))
+    clone = init_elliptical(5, 2, Rng(99))
     clone.params[:] = v
     np.testing.assert_array_equal(clone.B, model.B)
     np.testing.assert_array_equal(clone.C, model.C)
@@ -134,8 +110,7 @@ def test_model_rejects_negative_or_nan_epsilon(eps):
 
 
 def test_predict_reconstructs_o():
-    model = init_xavier_complex(4, 1, Rng(21))
-    model.B += 0.4j
+    model = init_elliptical(4, 1, Rng(21))
     y, e = predict(model, np.linspace(-1, 1, 9))
     o, _, _ = forward_batch(model, np.linspace(-1, 1, 9))
     np.testing.assert_array_equal(y + 1j * e, o)
@@ -151,7 +126,7 @@ def test_predict_rejects_three_dimensional_inputs():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = init_xavier_complex(12, 2, Rng(10))
+    model = init_elliptical(12, 2, Rng(10))
     scaler = ScalerState(-3.25, 7.5, 0.0, 1.0)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, scaler, path, seed=10)
@@ -165,7 +140,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path):
     import json
-    model = init_xavier_complex(3, 1, Rng(1))
+    model = init_elliptical(3, 1, Rng(1))
     scaler = ScalerState(0, 1, 0, 1)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, scaler, path)
@@ -178,7 +153,7 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
 
 def test_checkpoint_missing_epsilon_rejected(tmp_path):
     import json
-    model = init_xavier_complex(3, 1, Rng(1))
+    model = init_elliptical(3, 1, Rng(1))
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, ScalerState(0, 1, 0, 1), path)
     doc = json.loads(path.read_text())
@@ -190,7 +165,7 @@ def test_checkpoint_missing_epsilon_rejected(tmp_path):
 
 def test_checkpoint_bad_version_rejected(tmp_path):
     import json
-    model = init_xavier_complex(3, 1, Rng(1))
+    model = init_elliptical(3, 1, Rng(1))
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, ScalerState(0, 1, 0, 1), path)
     doc = json.loads(path.read_text())
@@ -200,17 +175,13 @@ def test_checkpoint_bad_version_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("init", [init_elliptical, init_xavier_complex])
+@pytest.mark.parametrize("init", [init_elliptical])
 @pytest.mark.parametrize("h,m", [(1, 1), (128, 2), (1224, 1)])
 def test_init_draws_equal_the_scalar_loop(init, h, m):
-    # The one-draw-per-entry loop the initializers used to run: B row-major
-    # (xavier only), then C.
+    # The one-draw-per-unit loop the initializer used to run for C.
     drawn, scalar = Rng(1921), Rng(1921)
     net = init(h, m, drawn)
     sigma = math.sqrt(2.0 / (m + h))
-    if init is init_xavier_complex:
-        B = np.array([[normal_complex(scalar, sigma) for _ in range(m)] for _ in range(h)])
-        assert net.B.tobytes() == B.tobytes()
     C = np.array([normal_complex(scalar, sigma) for _ in range(h)])
     assert net.C.tobytes() == C.tobytes()
     assert drawn.state == scalar.state

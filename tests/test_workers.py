@@ -242,7 +242,7 @@ def test_unpicklable_worker_exception_becomes_a_library_error(monkeypatch, pipe)
 def tiny_baseline_spec():
     return ExperimentSpec(
         name="tiny", generator="exp1", n_samples=60, baseline=True,
-        model=ModelSpec(h=8, init="elliptical", init_major=1.05, init_minor=0.1),
+        model=ModelSpec(h=8, init_major=1.05, init_minor=0.1),
         train=TrainConfig(epochs=5, lr0=0.01, weight_decay=0.0, lam=0.1, seed=10))
 
 
