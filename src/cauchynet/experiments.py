@@ -12,7 +12,6 @@ manifest, which the manifest marks as nondeterministic.
 from __future__ import annotations
 
 import copy
-import hashlib
 import itertools
 import math
 import time
@@ -313,6 +312,7 @@ _RUN_NOTES = [
 
 
 def _sha256(path: Path) -> str:
+    import hashlib                         # here: it loads OpenSSL, and only a manifest needs it
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

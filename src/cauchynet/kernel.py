@@ -46,8 +46,6 @@ DEFAULT_RIDGE = 1e-15
 # centres of a 48x48 two-dimensional quadrature, about one L2 cache, and
 # the network's (64, h) blocks fit it at every preset width.
 EVAL_BLOCK = 64
-# Rows of each diagonal block that `_back_substitute` solves at once.
-_SOLVE_BLOCK = 64
 
 
 @dataclass
@@ -214,7 +212,7 @@ def _tensor_grid(xi):
     dimension fastest, as `quadrature_expansion` and
     `np.meshgrid(..., indexing="ij")` lay them out); else None.  Points in
     any other order (shuffled, reversed columns, meshgrid's default "xy")
-    are no grid here and take `kernel_sum` or the stacked solve.  A dimension of
+    are no grid here and take `kernel_sum` or the dense solve.  A dimension of
     one node factors nothing out, and leaving it to `kernel_sum` keeps a
     one-centre expansion equal to `predict` byte for byte.
 
@@ -319,49 +317,17 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     return values[x_flat]
 
 
-def _back_substitute(U, b):
-    """x with U x = b for an upper-triangular U (k, k), from the bottom in
-    diagonal blocks of _SOLVE_BLOCK: each block is one small solve against
-    b minus the matrix-vector product with the x already found.  Partial
-    pivoting never swaps rows of a triangular block, so each small solve is
-    a back-substitution; a zero pivot raises LinAlgError.  It stays in place
-    of one np.linalg.solve of the whole triangle, which is 2x slower at
-    k = 129 and 5x at k = 257 on one BLAS thread: a closing solve of C at a
-    width-128 network's poles reaches 2h = 256 columns."""
-    k = len(b)
-    x = np.empty_like(b)
-    for lo in range((k - 1) // _SOLVE_BLOCK * _SOLVE_BLOCK, -1, -_SOLVE_BLOCK):
-        hi = min(lo + _SOLVE_BLOCK, k)
-        x[lo:hi] = np.linalg.solve(U[lo:hi, lo:hi], b[lo:hi] - U[lo:hi, hi:] @ x[hi:])
-    return x
-
-
-def _solve_stacked(Af, k):
-    """phi minimising |H phi - f|^2 + ridge |phi|^2 from the stacked buffer
-    Af = [[H, f], [sqrt(ridge) I, 0]] of shape (n + k, k + 1).
-
-    R = qr(Af, mode="r") reduces the problem to the k x k triangular system
-    R[:k, :k] phi = R[:k, k], solved by `_back_substitute`: no Q, no singular
-    vectors.  For ridge > 0 the stacked design has full column rank, so
-    R[:k, :k] is nonsingular.  A zero in the last ridge row means ridge 0;
-    then H itself must have full column rank, so n >= k: SingularSystem when
-    R[:k, :k]'s smallest singular value is within numpy's matrix_rank
-    tolerance of 0, or when the solve fails or is not finite.
-    """
-    ridge_zero = Af[-1, k - 1] == 0
-    R = np.linalg.qr(Af, mode="r")[:k]
-    try:
-        if ridge_zero:
-            # numpy's matrix_rank tolerance: rounding leaves a repeated column's s near 0
-            s = np.linalg.svd(R[:, :k], compute_uv=False)
-            if s.min() <= s.max() * k * np.finfo(float).eps:
-                raise SingularSystem("design matrix is rank-deficient with ridge 0")
-        phi = _back_substitute(R[:, :k], R[:, k])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"least-squares solve failed: {exc}") from None
-    if not np.isfinite(phi).all():
-        raise SingularSystem("regularized solve produced non-finite weights")
-    return phi
+def _ridge_factors(s, ridge, k):
+    """The filter factors s / (s^2 + ridge), computed as 1 / (s + ridge / s)
+    so that s^2 never overflows, for the singular values s (any shape) of a
+    design with k columns: with its thin SVD U S V^H, the weights minimising
+    |A w - f|^2 + ridge |w|^2 are V diag(factors) U^H f.  Ridge 0 needs full
+    column rank: k singular values, the smallest above numpy's matrix_rank
+    tolerance max(s) k eps, else SingularSystem."""
+    if ridge == 0 and (s.size < k or s.min() <= s.max() * k * np.finfo(float).eps):
+        raise SingularSystem("design matrix is rank-deficient with ridge 0")
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (s + ridge / s)
 
 
 def _solve_kronecker(f, sample_grid, centre_grid, ridge):
@@ -371,33 +337,21 @@ def _solve_kronecker(f, sample_grid, centre_grid, ridge):
     samples and the centres; f is in the samples' order, W in C order.
 
     With the thin SVDs F_i = U_i S_i V_i^H, A = (x)U_i (x)S_i (x)V_i^H is a
-    thin SVD of A, so W = (x)V_i diag(s / (s^2 + ridge)) (x)U_i^H f, applied
-    as mode products of the n_1 x ... x n_N sample tensor; s / (s^2 + ridge)
-    is computed as 1 / (s + ridge / s), so s^2 never overflows.  A factor
-    holding an exact pole, or whose largest entries multiply past the
-    float range, raises as a kernel block would.  Ridge 0 needs full column
-    rank: k_i <= n_i in every dimension and the smallest s above numpy's
-    matrix_rank tolerance, else SingularSystem.
+    thin SVD of A, so W = (x)V_i diag(factors) (x)U_i^H f for the
+    `_ridge_factors` of the outer product of the s_i, applied as mode
+    products of the n_1 x ... x n_N sample tensor.  A factor holding an
+    exact pole, or whose largest entries multiply past the float range,
+    raises as a kernel block would.  At ridge 0 the outer product has k
+    values only when k_i <= n_i in every dimension.
     """
     (s_nodes, s_flat), (c_nodes, c_flat) = sample_grid, centre_grid
-    factors = _cauchy_factors(s_nodes, c_nodes)
-    try:
-        svds = [np.linalg.svd(F, full_matrices=False) for F in factors]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"least-squares solve failed: {exc}") from None
-    sigma = reduce(np.multiply.outer, [s for _, s, _ in svds])
-    if ridge == 0 and (any(F.shape[1] > F.shape[0] for F in factors)
-                       or sigma.min() <= sigma.max() * len(c_flat) * np.finfo(float).eps):
-        raise SingularSystem("design matrix is rank-deficient with ridge 0")
+    svds = [np.linalg.svd(F, full_matrices=False) for F in _cauchy_factors(s_nodes, c_nodes)]
+    gain = _ridge_factors(reduce(np.multiply.outer, [s for _, s, _ in svds]), ridge, len(c_flat))
     Y = np.empty(len(s_flat), dtype=complex)
     Y[s_flat] = f
     Z = _mode_products(Y.reshape([len(s) for s in s_nodes]), [U.conj().T for U, _, _ in svds])
-    with np.errstate(divide="ignore", over="ignore"):
-        Z *= 1.0 / (sigma + ridge / sigma)
-    W = _mode_products(Z, [Vh.conj().T for _, _, Vh in svds]).ravel()
-    if not np.isfinite(W).all():
-        raise SingularSystem("regularized solve produced non-finite weights")
-    return W
+    Z *= gain
+    return _mode_products(Z, [Vh.conj().T for _, _, Vh in svds]).ravel()
 
 
 def _sample_values(samples):
@@ -420,29 +374,30 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
                                 ) -> KernelExpansion:
     """Weights minimizing sum_j |sum_k theta_k K(xi_k, x_j) - f_j|^2 + ridge*|theta|^2.
 
-    When the samples' inputs and the centres are both full tensor grids
+    Both paths take the weights from a thin SVD U S V^H of the design, as
+    V diag(`_ridge_factors`) U^H f, with one rank rule at ridge 0.  When the
+    samples' inputs and the centres are both full tensor grids
     (`_tensor_grid`, N >= 2, each in C order), the design is a Kronecker
-    product of per-dimension Cauchy matrices and `_solve_kronecker` solves
-    the problem from their SVDs, with no (n, k) array.
+    product of per-dimension Cauchy matrices and `_solve_kronecker` takes
+    the SVD from theirs, with no (n, k) array.
 
-    Otherwise the ridge problem is ordinary least squares on the stacked
-    design [A; sqrt(ridge) I] with target [f; 0] (Tikhonov regularization
-    as an augmented system), so one (n + k, k + 1) buffer holds [A | f] in
-    its top n rows, filled block by block, and [sqrt(ridge) I | 0] in its
-    bottom k; `_solve_stacked` solves it.  The design is (-1)^N H for the
-    kernel blocks H of `kernel_rows` (shifts -xi, eps 0), so the fit solves
-    for (-1)^N theta against H and flips the sign at the end.  Cauchy-kernel
-    design matrices are too ill-conditioned for explicit normal equations,
-    which would square the condition number.
+    Otherwise one (n, k + 1) buffer holds [H | f], H filled block by block
+    from the kernel blocks of `kernel_rows` (shifts -xi, eps 0); the design
+    is (-1)^N H, so the fit solves for (-1)^N theta against H and flips the
+    sign at the end.  Its QR reduces [H | f] to [R | Q^H f] with at most k
+    rows, and since H = Q R the thin SVD of the triangle R is H's: no Q and
+    no (n, k) singular vectors are formed.  Cauchy-kernel design matrices
+    are too ill-conditioned for explicit normal equations, which would
+    square the condition number.
 
     With ridge 0 the design itself must have full column rank, so n >= k,
-    else SingularSystem.  samples is a sequence of (x, f(x)): x a real
-    scalar or (N,) sequence, f(x) one real or complex scalar (a Python or
-    numpy number, a bool, or a numeric string, each read as
-    np.array(values, dtype=complex) reads it).  points is a (k,) or (k, N)
-    complex array.  Non-finite inputs, values or points, inputs without the
-    centres' N columns, and inputs, values or points of any other shape,
-    raise ValueError before any solve.
+    else SingularSystem, as is a failed or non-finite solve.  samples is a
+    sequence of (x, f(x)): x a real scalar or (N,) sequence, f(x) one real
+    or complex scalar (a Python or numpy number, a bool, or a numeric
+    string, each read as np.array(values, dtype=complex) reads it).  points
+    is a (k,) or (k, N) complex array.  Non-finite inputs, values or
+    points, inputs without the centres' N columns, and inputs, values or
+    points of any other shape, raise ValueError before any solve.
     """
     if len(samples) < 1:
         raise ValueError("need at least one sample")
@@ -462,17 +417,24 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     if not np.isfinite(fs).all():
         raise ValueError("sample values must be finite")
 
-    n, (k, N) = len(xs), points.shape
+    k, N = points.shape
     centre_grid = _tensor_grid(points)
     sample_grid = _tensor_grid(xs) if centre_grid is not None else None
-    if centre_grid is not None and sample_grid is not None:
-        W = _solve_kronecker(fs, sample_grid, centre_grid, ridge)
-        return KernelExpansion(points, W[centre_grid[1]])
-    Af = np.zeros((n + k, k + 1), dtype=complex)
-    top = Af[:n]  # the last block's slice must not reach the ridge rows
-    top[:, k] = fs
-    np.fill_diagonal(Af[n:, :k], np.sqrt(ridge))
-    # the row sums of H carry the finiteness check of each block
-    for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
-        top[rows, :k] = hidden
-    return KernelExpansion(points, (-1) ** N * _solve_stacked(Af, k))
+    try:
+        if centre_grid is not None and sample_grid is not None:
+            theta = _solve_kronecker(fs, sample_grid, centre_grid, ridge)[centre_grid[1]]
+        else:
+            Hf = np.empty((len(xs), k + 1), dtype=complex)
+            Hf[:, k] = fs
+            # the row sums of H carry the finiteness check of each block
+            for rows, _, hidden in kernel_rows(xs, -points, 0.0, np.ones(k)):
+                Hf[rows, :k] = hidden
+            R = np.linalg.qr(Hf, mode="r")[:k]
+            U, s, Vh = np.linalg.svd(R[:, :k], full_matrices=False)
+            gain = _ridge_factors(s, ridge, k)
+            theta = (-1) ** N * (Vh.conj().T @ (gain * (U.conj().T @ R[:, k])))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"least-squares solve failed: {exc}") from None
+    if not np.isfinite(theta).all():
+        raise SingularSystem("regularized solve produced non-finite weights")
+    return KernelExpansion(points, theta)

@@ -548,16 +548,22 @@ def test_model_init_is_an_unknown_field(tmp_path, capsys):
     assert not any(tmp_path.rglob("*"))
 
 
-def _run_module(*args):
+def _run_python(*args):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    return subprocess.run([sys.executable, "-m", "cauchynet", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
+def test_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, 3.5 MB resident; only a run's manifest hashes
+    out = _run_python("-c", "import sys, cauchynet.cli; print('hashlib' in sys.modules)")
+    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
+
+
 def test_python_dash_m_runs_the_cli():
-    listed = _run_module("list-experiments")
+    listed = _run_python("-m", "cauchynet", "list-experiments")
     assert listed.returncode == 0 and "exp2-disk" in listed.stdout
-    refused = _run_module("train", "--preset", "nope")
+    refused = _run_python("-m", "cauchynet", "train", "--preset", "nope")
     assert refused.returncode == 2
     assert "error: unknown preset 'nope'" in refused.stderr
     assert "Traceback" not in refused.stderr
