@@ -3,22 +3,20 @@
 Subcommands: train, evaluate, ablate-lambda, sweep, kernel-demo, decompose,
 list-experiments.  Recipes come from named presets or a JSON config file
 mirroring ExperimentSpec; individual fields are overridden with repeated
---set key=value flags (dotted paths, JSON-parsed values), sweep axes and
-penalty weights too (--set grid_hidden=[8,16] --set lambdas=[0.1]).  A
-preset or config with a mask also writes imputation_errors.csv.
+--set key=value flags (dotted paths, JSON-parsed values), the seed, sweep
+axes and penalty weights too (--set train.seed=3 --set grid_hidden=[8,16]
+--set lambdas=[0.1]); a recipe command reads no other flag and no
+environment variable for a run value.  A preset or config with a mask also writes imputation_errors.csv.
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence,
-4 I/O error or malformed checkpoint.  The CAUCHYNET_SEED environment
-variable overrides the configured seed.
+4 I/O error or malformed checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import data as dt
@@ -61,6 +59,8 @@ def _apply_overrides(doc: dict, overrides: dict) -> dict:
 
 
 def load_spec(args) -> xp.ExperimentSpec:
+    if args.config and args.preset:
+        raise ValidationError(["give --preset or --config, not both"])
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -73,17 +73,7 @@ def load_spec(args) -> xp.ExperimentSpec:
     else:
         raise ValidationError(["provide --preset or --config"])
     doc = _apply_overrides(doc, _parse_set(args.set))
-    spec = xp.ExperimentSpec.from_dict(doc)
-    env_seed = os.environ.get("CAUCHYNET_SEED")
-    if env_seed is not None:
-        try:
-            spec.train.seed = int(env_seed)
-        except ValueError:
-            raise ValidationError(
-                [f"CAUCHYNET_SEED must be an integer, got {env_seed!r}"]) from None
-    if getattr(args, "seed", None) is not None:
-        spec.train.seed = args.seed
-    return spec
+    return xp.ExperimentSpec.from_dict(doc)
 
 
 def _add_spec_args(p):
@@ -91,8 +81,6 @@ def _add_spec_args(p):
     p.add_argument("--config", help="JSON config file mirroring ExperimentSpec")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config field (dotted path, JSON value)")
-    p.add_argument("--seed", type=int, help="override the training seed")
-    p.add_argument("--out", default="runs", help="output directory root")
 
 
 def _outdir(args, spec):
@@ -143,16 +131,6 @@ def cmd_ablate_lambda(args):
 
 def cmd_sweep(args):
     spec = load_spec(args)
-    if args.axes:
-        keep = set(args.axes.split(","))
-        # axis -> (grid field, the spec's own single value)
-        single = {"h": ("grid_hidden", spec.model.h), "n": ("grid_sizes", spec.n_samples),
-                  "lr": ("grid_lrs", spec.train.lr0), "wd": ("grid_wds", spec.train.weight_decay)}
-        unknown = keep - set(single)
-        if unknown:
-            raise ValidationError([f"unknown sweep axes: {sorted(unknown)}"])
-        spec = replace(spec, **{name: (value,) for axis, (name, value) in single.items()
-                                if axis not in keep})
     rows = xp.run_sensitivity_grid(spec, outdir=_outdir(args, spec))
     failed = sum(1 for r in rows if r[4] != r[4])
     print(f"{len(rows)} cells ({failed} failed) in "
@@ -197,24 +175,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run a full experiment preset")
-    _add_spec_args(p)
-    p.set_defaults(fn=cmd_train)
+    for name, about, fn in (
+            ("train", "run a full experiment preset", cmd_train),
+            ("ablate-lambda", "sweep the imaginary-penalty weight", cmd_ablate_lambda),
+            ("sweep", "hidden/data/lr/weight-decay sensitivity grid", cmd_sweep)):
+        p = sub.add_parser(name, help=about)
+        _add_spec_args(p)
+        p.add_argument("--out", default="runs", help="output directory root")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a preset's test split")
     _add_spec_args(p)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("ablate-lambda", help="sweep the imaginary-penalty weight")
-    _add_spec_args(p)
-    p.set_defaults(fn=cmd_ablate_lambda)
-
-    p = sub.add_parser("sweep", help="hidden/data/lr/weight-decay sensitivity grid")
-    _add_spec_args(p)
-    p.add_argument("--axes", help="axes to expand from the spec's grid_* lists, e.g. h,n; "
-                   "the others take the spec's single value")
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("kernel-demo", help="contour quadrature convergence table")
     p.add_argument("--target", default="square",

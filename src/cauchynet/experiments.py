@@ -23,6 +23,7 @@ import numpy as np
 from . import baseline as bl
 from . import data as dt
 from . import grad, kernel, model as mdl
+from .activation import DEFAULT_EPSILON
 from .complex_linalg import Rng, derive_seed
 from .data import DiskMask, IntervalMask
 from .errors import CauchyNetError, LengthMismatch, NonFiniteError, ValidationError
@@ -82,7 +83,7 @@ class MetricsReport:
 @dataclass
 class ModelSpec:
     h: int = 128
-    epsilon: float = 1e-8
+    epsilon: float = DEFAULT_EPSILON
     init_major: float = 6.0        # pole-ellipse semi-axes (input units)
     init_minor: float = 2.0
 
@@ -99,7 +100,6 @@ class ExperimentSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
     scaler_range: tuple[float, float] = (0.0, 1.0)
     baseline: bool = False                 # also train the ReLU MLP
-    baseline_lr: float | None = None
     data_path: str | None = None           # csv-trend generator only
     data_column: str = "y"
     period: int = 12
@@ -127,9 +127,6 @@ class ExperimentSpec:
         version = doc.pop("config_version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ValidationError([f"unsupported config_version {version!r}"])
-        tr = doc.get("train")
-        if isinstance(tr, dict) and "lambda" in tr:     # accepted alias for lam
-            tr["lam"] = tr.pop("lambda")
         return _check(cls, doc, "")
 
 
@@ -175,8 +172,6 @@ def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
     if spec.model.init_major <= 0 or spec.model.init_minor <= 0:
         problems.append("elliptical init needs positive semi-axes")
     problems.extend(spec.train.validate())
-    if spec.baseline_lr is not None and spec.baseline_lr <= 0:
-        problems.append("baseline_lr must be positive")
     if spec.scaler_range[1] <= spec.scaler_range[0]:
         problems.append("scaler_range must be increasing")
     if spec.generator == "csv-trend":
@@ -290,13 +285,11 @@ def fit(spec: ExperimentSpec, scaled: dt.SplitDataset, epoch_callback=None, *,
 
 
 def fit_baseline(spec: ExperimentSpec, scaled: dt.SplitDataset):
-    """The ReLU MLP of the spec's width and seed, trained on `scaled` at
-    spec.baseline_lr (spec.train.lr0 if unset).  Returns (mlp, log)."""
+    """The ReLU MLP of the spec's width and seed, trained on `scaled` with
+    spec.train, the network's schedule.  Returns (mlp, log)."""
     mlp = bl.init_mlp(spec.model.h, scaled.m,
                       Rng(derive_seed(spec.train.seed, _STREAM_BASELINE_INIT)))
-    cfg = (spec.train if spec.baseline_lr is None
-           else replace(spec.train, lr0=spec.baseline_lr))
-    return mlp, train(bl.mlp_trainable(mlp), scaled, cfg)
+    return mlp, train(bl.mlp_trainable(mlp), scaled, spec.train)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +626,7 @@ def _preset_intro_spike():
         name="intro-spike", generator="intro-spike", n_samples=400,
         model=ModelSpec(h=128, init_major=1.3, init_minor=0.2),
         train=TrainConfig(epochs=500, lr0=0.001, weight_decay=0.0, lam=0.1, seed=10),
-        baseline=True, baseline_lr=0.001)
+        baseline=True)
 
 
 def _preset_exp1():

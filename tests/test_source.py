@@ -46,6 +46,25 @@ def test_only_the_workers_module_forks():
     assert found == []
 
 
+def test_only_process_slots_reads_the_environment():
+    # A run's values come from its recipe alone: a preset or --config, plus
+    # --set.  The environment sets only the BLAS thread counts that size the
+    # forked workers, so a new environment knob fails here.
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}                        # node -> innermost enclosing function
+        for fn in ast.walk(tree):         # breadth first: inner functions overwrite
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else "")
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                found.add(f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}")
+    assert sorted(found) == ["workers.py:process_slots"]
+
+
 def test_experiments_trains_only_through_fit():
     # One fit path: every run, ablation arm and sweep cell trains through it.
     tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
