@@ -110,17 +110,6 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _axis(arg, cast):
-    """A comma-separated list of `cast` values, or None for an empty argument."""
-    if not arg:
-        return None
-    try:
-        return [cast(v) for v in arg.split(",")]
-    except ValueError:
-        raise ValidationError(
-            [f"expected comma-separated {cast.__name__} values, got {arg!r}"]) from None
-
-
 def cmd_ablate_lambda(args):
     spec = load_spec(args)
     rows, summary = xp.run_lambda_ablation(spec, _outdir(args, spec))
@@ -139,12 +128,8 @@ def cmd_sweep(args):
 
 
 def cmd_kernel_demo(args):
-    nodes = _axis(args.nodes, int)
     outdir = Path(args.out) / "kernel-demo"
-    rows = xp.run_kernel_demo(target=args.target, a=args.a, b=args.b,
-                              center=complex(args.center_re, args.center_im),
-                              node_counts=nodes, eval_lo=args.lo,
-                              eval_hi=args.hi, grid=args.grid, outdir=outdir)
+    rows = xp.run_kernel_demo(args.target, args.nodes, outdir)
     for n, err in rows:
         print(f"nodes={n:6d}  sup_error={err:.3e}")
     print(f"table in {outdir / 'kernel_demo.csv'}")
@@ -192,14 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-demo", help="contour quadrature convergence table")
     p.add_argument("--target", default="square",
                    choices=sorted(xp.KERNEL_DEMOS))
-    p.add_argument("--a", type=float, default=2.0, help="semi-major axis")
-    p.add_argument("--b", type=float, default=1.0, help="semi-minor axis")
-    p.add_argument("--center-re", type=float, default=0.0)
-    p.add_argument("--center-im", type=float, default=0.0)
-    p.add_argument("--nodes", default="16,32,64,128")
-    p.add_argument("--lo", type=float, default=-1.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=201)
+    p.add_argument("--nodes", type=int, nargs="+", default=[16, 32, 64, 128])
     p.add_argument("--out", default="runs")
     p.set_defaults(fn=cmd_kernel_demo)
 

@@ -92,7 +92,7 @@ class ModelSpec:
 class ExperimentSpec:
     name: str
     generator: str
-    n_samples: int = 300
+    n_samples: int = 300                   # csv-trend ignores it: the series sets the count
     fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
     mask: IntervalMask | DiskMask | None = None
     masked_fractions: tuple[float, float] = (0.75, 0.25)  # train/val share of visible points
@@ -529,7 +529,9 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
     """Cross-product sweep over hidden width, data size, lr, weight decay.
 
     A given axis replaces the spec's grid field (grid_hidden, grid_sizes,
-    grid_lrs, grid_wds) before the spec is checked.  Each cell is the spec
+    grid_lrs, grid_wds) before the spec is checked.  A csv-trend spec is
+    refused with ValidationError: its series, not n, sets the sample count,
+    so the data-size axis would label identical cells.  Each cell is the spec
     with its h, n, lr and wd, checked again; a cell that raises
     NonFiniteError or ValidationError becomes a NaN row whose note is the
     message.  If every cell fails the sweep raises: NonFiniteError when some
@@ -541,6 +543,9 @@ def run_sensitivity_grid(spec: ExperimentSpec, hidden=None, data_sizes=None,
     """
     axes = dict(grid_hidden=hidden, grid_sizes=data_sizes, grid_lrs=lrs, grid_wds=wds)
     spec = validate_spec(replace(spec, **{k: tuple(v) for k, v in axes.items() if v is not None}))
+    if spec.generator == "csv-trend":
+        raise ValidationError(["a sweep cannot run csv-trend: its series sets the "
+                               "sample count, so every data size would run the same cells"])
     grid = (spec.grid_hidden, spec.grid_sizes, spec.grid_lrs, spec.grid_wds)
     if not all(grid):
         raise ValidationError(["every sweep axis must be nonempty"])
@@ -577,14 +582,16 @@ KERNEL_DEMOS = {
     "exp": (np.exp, np.exp),
     "inverse-shift": (lambda z: 1.0 / (3.0 - z), lambda x: 1.0 / (3.0 - x)),
 }
+KERNEL_DEMO_AXES = (2.0, 1.0)          # semi-axes a, b of the contour
+KERNEL_DEMO_SPAN = (-1.0, 1.0)
+KERNEL_DEMO_POINTS = 201
 
 
-def run_kernel_demo(target: str = "square", a: float = 2.0, b: float = 1.0,
-                    center: complex = 0j, node_counts=(16, 32, 64, 128),
-                    eval_lo: float = -1.0, eval_hi: float = 1.0,
-                    grid: int = 201, outdir=None):
+def run_kernel_demo(target: str, node_counts=(16, 32, 64, 128), outdir=None):
     """Sup-norm quadrature error over a dense interior grid per node count.
 
+    The contour is the ellipse KERNEL_DEMO_AXES about the origin, and the
+    grid KERNEL_DEMO_POINTS evenly spaced points on KERNEL_DEMO_SPAN.
     Emits one (nodes, sup_error) row per requested node count regardless of
     accuracy.  The target must be holomorphic on and inside the contour for
     the reconstruction to converge.
@@ -594,18 +601,11 @@ def run_kernel_demo(target: str = "square", a: float = 2.0, b: float = 1.0,
                                f"known: {sorted(KERNEL_DEMOS)}"])
     if not node_counts or min(node_counts) < 4:
         raise ValidationError([f"node counts must be at least 4, got {node_counts}"])
-    if grid < 1:
-        raise ValidationError([f"grid must be at least 1, got {grid}"])
-    bounds = (a, b, center, eval_lo, eval_hi)
-    if not np.isfinite(bounds).all():
-        raise ValidationError([f"a, b, center, eval_lo and eval_hi must be finite, got {bounds}"])
-    if not (a > 0 and b > 0):
-        raise ValidationError([f"semi-axes must be positive, got a={a}, b={b}"])
     f, f_real = KERNEL_DEMOS[target]
-    xs = np.linspace(eval_lo, eval_hi, grid)
+    xs = np.linspace(*KERNEL_DEMO_SPAN, KERNEL_DEMO_POINTS)
     rows = []
     for n in node_counts:
-        mesh = kernel.ellipse_mesh(a, b, center=center, nodes=int(n))
+        mesh = kernel.ellipse_mesh(*KERNEL_DEMO_AXES, nodes=int(n))
         exp = kernel.quadrature_expansion(f, mesh)
         vals = kernel.evaluate_expansion_grid(exp, xs)
         rows.append((int(n), float(np.abs(vals - f_real(xs)).max())))
@@ -664,7 +664,7 @@ def _preset_exp3_surface():
 
 def _preset_exp4_csv():
     return ExperimentSpec(
-        name="exp4-csv", generator="csv-trend", n_samples=700,
+        name="exp4-csv", generator="csv-trend",
         scaler_range=(-1.0, 1.0), period=12,
         model=ModelSpec(h=128, init_major=1.1, init_minor=0.3),
         train=TrainConfig(epochs=200, lr0=0.01, weight_decay=1e-4, lam=0.1, seed=10))

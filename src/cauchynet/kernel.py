@@ -173,15 +173,15 @@ def kernel_sum(X, shifts, eps, weights) -> np.ndarray:
     return out
 
 
-def ellipse_mesh(a: float, b: float, center: complex = 0j,
-                 nodes: int = 64) -> BoundaryMesh:
-    """Equal-parameter trapezoidal mesh of the ellipse a*cos t + i b*sin t."""
+def ellipse_mesh(a: float, b: float, nodes: int = 64) -> BoundaryMesh:
+    """Equal-parameter trapezoidal mesh of the ellipse a*cos t + i b*sin t;
+    `BoundaryMesh([m.nodes[0] + c], m.increments)` is mesh m moved to centre c."""
     if a <= 0 or b <= 0:
         raise ValueError("semi-axes must be positive")
     if nodes < 4:
         raise ValueError("need at least 4 nodes")
     t = 2 * np.pi * np.arange(nodes) / nodes
-    zeta = center + a * np.cos(t) + 1j * b * np.sin(t)
+    zeta = a * np.cos(t) + 1j * b * np.sin(t)
     dzeta = (-a * np.sin(t) + 1j * b * np.cos(t)) * (2 * np.pi / nodes)
     return BoundaryMesh([zeta], [dzeta])
 

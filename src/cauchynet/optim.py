@@ -30,15 +30,10 @@ _BETA1, _BETA2, _EPS_ADAM = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, and the three vectors each
-    `adam_step` writes its temporaries into."""
+    """Adam's moments and step count."""
     m1: np.ndarray
     m2: np.ndarray
     t: int = 0
-    scratch: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = np.empty((3, len(self.m1)))
 
     @classmethod
     def for_size(cls, n: int) -> "AdamState":
@@ -140,26 +135,19 @@ def adam_step(model, grad_vec: np.ndarray, state: AdamState, lr: float,
     if g.shape != p.shape:
         raise ValueError("gradient and parameter vectors differ in shape")
     state.t += 1
-    decayed, update, denom = state.scratch
-    # Same elementwise operations in the same order as the textbook update,
-    # written into the state's scratch vectors.  An overflow raises where it
-    # happens, at no extra pass over the arrays; NaN or inf in the gradient
-    # shows up in `new`.
+    # An overflow raises where it happens, at no extra pass over the arrays;
+    # NaN or inf in the gradient shows up in `new`.
     try:
         with np.errstate(over="raise", invalid="raise"):
             if weight_decay:
-                g = np.add(g, np.multiply(weight_decay, p, out=decayed), out=decayed)
+                g = g + weight_decay * p
             state.m1 *= _BETA1
-            state.m1 += np.multiply(1 - _BETA1, g, out=update)
+            state.m1 += (1 - _BETA1) * g
             state.m2 *= _BETA2
-            state.m2 += np.multiply(np.multiply(1 - _BETA2, g, out=update), g, out=update)
-            m_hat = np.divide(state.m1, 1 - _BETA1 ** state.t, out=update)
-            np.divide(state.m2, 1 - _BETA2 ** state.t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += _EPS_ADAM
-            np.multiply(lr, m_hat, out=update)
-            update /= denom
-            new = np.subtract(p, update, out=update)
+            state.m2 += (1 - _BETA2) * g * g
+            m_hat = state.m1 / (1 - _BETA1 ** state.t)
+            denom = np.sqrt(state.m2 / (1 - _BETA2 ** state.t)) + _EPS_ADAM
+            new = p - lr * m_hat / denom
     except FloatingPointError as exc:
         raise NonFiniteError(f"Adam moment or parameter update: {exc}") from None
     if not np.isfinite(new).all():

@@ -53,6 +53,7 @@ it.  Every child is reaped on every path.
 from __future__ import annotations
 
 import collections
+import ctypes
 import os
 import pickle
 import signal
@@ -145,7 +146,6 @@ class Pipeline:
 
     def __enter__(self) -> "Pipeline":
         if process_slots() >= 2 * _busy and threading.active_count() == 1:
-            import ctypes                  # here: only a forked evaluator needs it
             self._cpus = os.sched_getaffinity(0)
             self._this_cpu = getattr(ctypes.CDLL(None), "sched_getcpu", lambda: -1)
             read_fd, write_fd = os.pipe()

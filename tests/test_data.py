@@ -122,7 +122,7 @@ def test_disk2d_not_symmetric():
 
 
 def test_turning_points_of_sine():
-    pts = find_turning_points(np.sin, 0.0, 2 * np.pi, grid=500)
+    pts = find_turning_points(np.sin, 0.0, 2 * np.pi)
     assert len(pts) == 2
     assert pts[0] == pytest.approx(np.pi / 2, abs=1e-6)
     assert pts[1] == pytest.approx(3 * np.pi / 2, abs=1e-6)
@@ -135,12 +135,7 @@ def test_turning_points_of_gap_target():
 
 def test_turning_points_constant_function():
     assert find_turning_points(lambda x: np.ones_like(np.asarray(x, float)) * 3.0,
-                               0.0, 1.0, grid=200) == []
-
-
-def test_turning_points_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        find_turning_points(np.sin, 0, 1, grid=10)
+                               0.0, 1.0) == []
 
 
 # -- splits and masks --------------------------------------------------------

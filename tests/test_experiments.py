@@ -418,28 +418,12 @@ def test_sensitivity_grid_every_cell_failed(monkeypatch, failures, expected):
 
 
 def test_kernel_demo_square(tmp_path):
-    rows = run_kernel_demo("square", a=2.0, b=1.0,
-                           node_counts=(16, 32, 64, 128), outdir=tmp_path)
+    rows = run_kernel_demo("square", node_counts=(16, 32, 64, 128), outdir=tmp_path)
     errs = [e for _, e in rows]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-8
     lines = (tmp_path / "kernel_demo.csv").read_text().splitlines()
     assert lines[0] == "nodes,sup_error"
-
-
-def test_kernel_demo_constant_exact_at_center():
-    # at the contour center the trapezoid sum telescopes exactly
-    rows = run_kernel_demo("one", a=1.0, b=1.0, node_counts=(16,),
-                           eval_lo=0.0, eval_hi=0.0, grid=1)
-    assert rows[0][1] < 1e-12
-
-
-def test_kernel_demo_constant_geometric_off_center():
-    # off-center the error decays like |x|^nodes; 64 nodes reach the floor
-    rows = run_kernel_demo("one", a=1.0, b=1.0, node_counts=(16, 64),
-                           eval_lo=-0.3, eval_hi=0.3)
-    assert rows[0][1] < 1e-7
-    assert rows[1][1] < 1e-12
 
 
 def test_kernel_demo_coarse_run_emits_row():
@@ -614,7 +598,7 @@ def test_cli_divergence_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_kernel_demo(tmp_path, capsys):
-    rc = cli.main(["kernel-demo", "--target", "square", "--nodes", "16,32",
+    rc = cli.main(["kernel-demo", "--target", "square", "--nodes", "16", "32",
                    "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "kernel-demo" / "kernel_demo.csv").exists()
@@ -694,7 +678,8 @@ def _flags(parser):
 
 
 def test_cli_sweep_and_ablation_take_only_spec_flags():
-    # seeds, sweep axes and penalty weights come in only through the checked spec
+    # seeds, sweep axes and penalty weights come in only through the checked
+    # spec; kernel-demo's contour and grid are constants
     spec_parser = argparse.ArgumentParser()
     cli._add_spec_args(spec_parser)
     commands = next(a for a in cli.build_parser()._actions
@@ -702,6 +687,7 @@ def test_cli_sweep_and_ablation_take_only_spec_flags():
     for name in ("train", "ablate-lambda", "sweep"):
         assert _flags(commands[name]) == _flags(spec_parser) | {"--out"}, name
     assert _flags(commands["evaluate"]) == _flags(spec_parser) | {"--checkpoint"}
+    assert _flags(commands["kernel-demo"]) == {"-h", "--help", "--target", "--nodes", "--out"}
 
 
 def test_cli_ablate_lambda_flag_is_gone(tmp_path, capsys):
@@ -725,6 +711,21 @@ def test_cli_second_ways_in_are_gone(tmp_path, capsys, monkeypatch, argv):
         cli.main(argv + ["--set", "n_samples=60", "--set", "train.epochs=1"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a", "2"], ["--b", "1"], ["--center-re", "0"], ["--center-im", "0"],
+    ["--lo", "-1"], ["--hi", "1"], ["--grid", "201"], ["--nodes", "16,32"],
+], ids=["a", "b", "center-re", "center-im", "lo", "hi", "grid", "nodes-string"])
+def test_cli_kernel_demo_refuses_contour_flags(tmp_path, capsys, argv):
+    # the contour and grid are constants, even at their old defaults, and
+    # --nodes takes its counts as separate integers
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel-demo", *argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cauchynet") and "Traceback" not in err
     assert not any(tmp_path.rglob("*"))
 
 
@@ -799,14 +800,7 @@ def _nan_cell_csv(tmp_path):
     (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0.5]"], 2),
     (lambda tmp: ["ablate-lambda", "--preset", "exp5-lambda", "--set", "lambdas=a,b"], 2),
     (lambda tmp: ["sweep", "--preset", "exp5-grid", "--set", "grid_hidden=x"], 2),
-    (lambda tmp: ["kernel-demo", "--nodes", "x"], 2),
     (lambda tmp: ["kernel-demo", "--nodes", "2"], 2),
-    (lambda tmp: ["kernel-demo", "--grid", "0"], 2),
-    (lambda tmp: ["kernel-demo", "--a", "0"], 2),
-    (lambda tmp: ["kernel-demo", "--a", "-1", "--b", "1"], 2),
-    (lambda tmp: ["kernel-demo", "--lo", "nan"], 2),
-    (lambda tmp: ["kernel-demo", "--hi", "inf"], 2),
-    (lambda tmp: ["kernel-demo", "--center-re", "nan"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "train.lr0=NaN"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "model.epsilon=NaN"], 2),
     (lambda tmp: ["train", "--preset", "exp1", "--set", "scaler_range=[0, Infinity]"], 2),
@@ -824,17 +818,17 @@ def _nan_cell_csv(tmp_path):
     (lambda tmp: ["train", "--preset", "exp4-csv",
                   "--set", f"data_path={json.dumps(_nan_cell_csv(tmp))}"], 4),
     (lambda tmp: ["train", "--preset", "exp2-disk", "--set", "mask.radius=1e-9"], 2),
+    (lambda tmp: ["sweep", "--preset", "exp4-csv",
+                  "--set", f"data_path={json.dumps(_series_csv(tmp, 240))}"], 2),
 ], ids=["bad-checkpoint", "set-h-string", "set-epochs-float", "config-unknown-key",
         "config-lambda-alias", "preset-and-config", "set-baseline-lr", "set-lambda-alias",
         "sweep-all-cells-invalid", "set-fractions-string", "set-mask-radius-string",
         "set-scaler-range-short",
-        "lambdas-string", "hidden-string", "nodes-string", "nodes-below-4", "grid-zero",
-        "semi-axis-zero", "semi-axis-negative", "kernel-demo-lo-nan",
-        "kernel-demo-hi-infinite", "kernel-demo-center-nan", "set-lr0-nan", "set-epsilon-nan",
+        "lambdas-string", "hidden-string", "nodes-below-4", "set-lr0-nan", "set-epsilon-nan",
         "set-scaler-range-infinite", "empty-val-and-test", "empty-train",
         "empty-masked-train", "empty-test", "decompose-period-1",
         "decompose-short-series", "csv-trend-short-series", "csv-trend-two-trend-points",
-        "csv-nan-cell", "mask-hides-no-samples"])
+        "csv-nan-cell", "mask-hides-no-samples", "sweep-csv-trend"])
 def test_cli_exit_codes(tmp_path, capsys, make_args, code):
     argv = make_args(tmp_path)
     if argv[0] != "evaluate":              # evaluate writes no file, so takes no --out

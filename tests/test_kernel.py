@@ -62,9 +62,18 @@ def test_ellipse_mesh_rejects_bad_params():
 
 
 def test_quadrature_constant_function():
+    # at the contour center the trapezoid sum telescopes exactly
     mesh = ellipse_mesh(1.0, 1.0, nodes=16)
     exp = quadrature_expansion(lambda z: 1.0 + 0j, mesh)
     assert abs(_at(exp, [0.0]) - 1.0) < 1e-12
+
+
+def test_quadrature_constant_geometric_off_center():
+    # off-center the error decays like |x|^nodes; 64 nodes reach the floor
+    xs = np.linspace(-0.3, 0.3, 201)
+    for nodes, bound in ((16, 1e-7), (64, 1e-12)):
+        exp = quadrature_expansion(lambda z: 1.0 + 0j, ellipse_mesh(1.0, 1.0, nodes=nodes))
+        assert np.abs(evaluate_expansion_grid(exp, xs) - 1.0).max() < bound
 
 
 def test_quadrature_square_on_ellipse():

@@ -224,10 +224,10 @@ def reference_train(model, batch_gradient, predict, ds, cfg):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["cauchynet", "mlp"])
 def test_train_matches_the_fresh_array_loop(kind, m, h, weight_decay):
-    """train reuses one gradient workspace, Adam's scratch vectors and one
-    gathered copy of the epoch's rows; the log and the final parameters are
-    those of the loop that allocates afresh.  70 train rows in batches of
-    32 leave a short last batch."""
+    """train reuses one gradient workspace and one gathered copy of the
+    epoch's rows; the log and the final parameters are those of the loop
+    that allocates afresh.  70 train rows in batches of 32 leave a short
+    last batch."""
     rng = Rng(100 * m + h)
     x = rng.uniform_in(-1.0, 1.0, 90 * m).reshape(90, m)
     y = np.sin(3.0 * x).sum(axis=1) / m

@@ -1,9 +1,11 @@
 """Checks over the library's source text."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import cauchynet
+from cauchynet import cli
 
 SRC = Path(cauchynet.__file__).parent
 
@@ -63,6 +65,31 @@ def test_only_process_slots_reads_the_environment():
             if name in ("environ", "environb", "getenv", "getenvb"):
                 found.add(f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}")
     assert sorted(found) == ["workers.py:process_slots"]
+
+
+def _args_read(fn):
+    """The attributes that function `fn` reads off a name `args`."""
+    return {node.attr for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args"}
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # A flag its command never reads is a setting that silently does nothing.
+    # Each option must be read as args.<dest> by the command's handler or by
+    # a cli.py function the handler calls (load_spec, _outdir).
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unread = []
+    for name, parser in commands.items():
+        handler = functions[parser.get_default("fn").__name__]
+        called = {ast.unparse(node.func) for node in ast.walk(handler)
+                  if isinstance(node, ast.Call)} & functions.keys()
+        read = set().union(*(_args_read(functions[f]) for f in called | {handler.name}))
+        unread += [f"{name} {action.option_strings[0]}" for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction) and action.dest not in read]
+    assert unread == []
 
 
 def test_experiments_trains_only_through_fit():
