@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchynet import cli, workers
+from cauchynet import cli, kernel, workers
 from cauchynet import experiments as xp
 from cauchynet import model as mdl
 from cauchynet.complex_linalg import Rng
@@ -424,6 +424,14 @@ def test_kernel_demo_square(tmp_path):
     assert errs[-1] < 1e-8
     lines = (tmp_path / "kernel_demo.csv").read_text().splitlines()
     assert lines[0] == "nodes,sup_error"
+
+
+def test_kernel_demo_constant_exact_at_center():
+    # the demo's constant target: at the centre of a circle the trapezoid sum
+    # telescopes exactly (the demo's own 2 x 1 ellipse needs 64 nodes)
+    f, _ = xp.KERNEL_DEMOS["one"]
+    exp = kernel.quadrature_expansion(f, kernel.ellipse_mesh(1.0, 1.0, nodes=16))
+    assert abs(kernel.evaluate_expansion_grid(exp, np.zeros(1))[0] - 1.0) < 1e-12
 
 
 def test_kernel_demo_coarse_run_emits_row():
