@@ -27,7 +27,8 @@ EVAL_BLOCK rows at a time (`kernel_sum`, `kernel_rows`).  No (n, k, N)
 array is ever formed.  `_tensor_grid` recognises a grid from the inputs
 alone, in O(k): only a C-order layout (last dimension fastest, as the
 quadrature's centres and `np.meshgrid(..., indexing="ij")` points come)
-is a grid; the points are searched only when the centres are a grid.
+is a grid, read in its own node order with no index map; the points are
+searched only when the centres are a grid.
 """
 
 from __future__ import annotations
@@ -206,24 +207,26 @@ def quadrature_expansion(f_boundary, mesh: BoundaryMesh) -> KernelExpansion:
 
 
 def _tensor_grid(xi):
-    """(nodes, flat) when the k points xi (k, N), centres, sample inputs or
-    evaluation points, are every point of a tensor grid with N >= 2
-    dimensions of at least 2 distinct nodes each, laid out in C order (last
-    dimension fastest, as `quadrature_expansion` and
-    `np.meshgrid(..., indexing="ij")` lay them out); else None.  Points in
-    any other order (shuffled, reversed columns, meshgrid's default "xy")
-    are no grid here and take `kernel_sum` or the dense solve.  A dimension of
-    one node factors nothing out, and leaving it to `kernel_sum` keeps a
-    one-centre expansion equal to `predict` byte for byte.
+    """The per-dimension node arrays, nodes[i] in the order the points hold
+    them, when the k points xi (k, N) (centres, sample inputs or evaluation
+    points) are every point of a tensor grid with N >= 2 dimensions of at
+    least 2 nodes each, laid out in C order (last dimension fastest, as
+    `quadrature_expansion` and `np.meshgrid(..., indexing="ij")` lay them
+    out); else None.  Point c is then grid point c, so values and weights
+    reshape to the grid with no index map.  Other orders (shuffled, reversed
+    columns, meshgrid's default "xy") take `kernel_sum` or the dense solve.
+    A dimension of one node factors nothing out, and leaving it to
+    `kernel_sum` keeps a one-centre expansion equal to `predict` byte for
+    byte.
 
-    Read in O(k) without sorting a column: column i's first change gives its
-    run length n_{i+1} ... n_N, so the shape; every point must then hold,
-    bit for bit, its axes' values at its place in the n_1 x ... x n_N layout
-    (a -0.0 where the axis holds 0.0 does not).  Only the n_i axis values
-    are sorted: nodes[i] holds them in order, and flat[c], point c's index
-    in the C-order flattening of the grid on the sorted nodes, is the rank
-    sum rank_1 n_2 ... n_N + ... + rank_N.  Equal axis values, or two NaNs,
-    are no grid.
+    Read in O(k) without sorting: column i's first change gives its run
+    length n_{i+1} ... n_N, so the shape; every point must then hold, bit
+    for bit, its axes' values at its place in the n_1 x ... x n_N layout (a
+    -0.0 where the axis holds 0.0 does not).  Equal axis values keep the
+    factorisation exact and are allowed, but one that repeats an axis's
+    first value at once lengthens the first run, so the points read as a
+    grid of another shape or as none.  Callers refuse non-finite points
+    first.
     """
     k, N = xi.shape
     if N < 2 or k == 0 or xi.dtype not in (np.float64, np.complex128):
@@ -239,7 +242,6 @@ def _tensor_grid(xi):
     if xi.strides[1] != xi.itemsize:
         xi = np.ascontiguousarray(xi)
     words = xi.view(np.uint64).reshape(k, N, -1)
-    nodes, ranks = [], []
     for i, n in enumerate(shape):
         rows = slice(0, strides[i], strides[i + 1])
         along = [1] * N
@@ -247,14 +249,7 @@ def _tensor_grid(xi):
         for w in range(words.shape[2]):
             if not (words[:, i, w].reshape(shape) == words[rows, i, w].reshape(along)).all():
                 return None
-        order = np.argsort(xi[rows, i])
-        values = xi[rows, i][order]
-        # NaN sorts last and is the one value unequal to itself
-        if (values[1:] == values[:-1]).any() or values[-2] != values[-2]:
-            return None
-        nodes.append(values)
-        ranks.append(order.argsort() * strides[i + 1])
-    return tuple(nodes), reduce(np.add.outer, ranks).ravel()
+    return [xi[0:strides[i]:strides[i + 1], i] for i in range(N)]
 
 
 def _mode_products(T, mats):
@@ -288,10 +283,10 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     """sum_k theta_k K(xi_k, x) at each of an (n,) or (n, N) array of points.
 
     When the centres and the points are both full tensor grids
-    (`_tensor_grid`, N >= 2, each in C order), theta becomes the
-    n_1 x ... x n_N weight tensor W and every value comes from the mode
-    products of W with the per-dimension Cauchy matrices of
-    `_cauchy_factors`, read back in the points' order: the rule by which
+    (`_tensor_grid`, N >= 2, each in C order), theta reshaped is the
+    n_1 x ... x n_N weight tensor W, and the mode products of W with the
+    per-dimension Cauchy matrices of `_cauchy_factors` are the values, in
+    the points' order as they come: the rule by which
     `fit_expansion_least_squares` chooses `_solve_kronecker`.  Otherwise
     theta_k K(xi_k, x) = (-1)^N theta_k / prod_i (x_i - xi_ki), so this is
     the network's sum with shifts -xi, eps 0 and weights (-1)^N theta (sign
@@ -306,15 +301,13 @@ def evaluate_expansion_grid(exp: KernelExpansion, xs) -> np.ndarray:
     point_grid = _tensor_grid(X) if centre_grid is not None and X.shape[1] == N else None
     if centre_grid is None or point_grid is None:
         return kernel_sum(X, -exp.xi, 0.0, (-1) ** N * exp.theta)
-    (nodes, flat), (x_nodes, x_flat) = centre_grid, point_grid
-    W = np.empty(len(flat), dtype=complex)
-    W[flat] = exp.theta
-    factors = _cauchy_factors(x_nodes, nodes)
+    W = exp.theta.reshape([len(v) for v in centre_grid])
+    factors = _cauchy_factors(point_grid, centre_grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _mode_products(W.reshape([len(v) for v in nodes]), factors).ravel()
+        values = _mode_products(W, factors).ravel()
     if not np.isfinite(values).all():
         raise NonFiniteError("kernel sum overflowed")
-    return values[x_flat]
+    return values
 
 
 def _ridge_factors(s, ridge, k):
@@ -331,10 +324,11 @@ def _ridge_factors(s, ridge, k):
 
 
 def _solve_kronecker(f, sample_grid, centre_grid, ridge):
-    """Grid-order weights W minimising |A w - f|^2 + ridge |w|^2 for the
-    Kronecker design A = F_1 (x) ... (x) F_N, F_i = 1 / (c_i - s_i[:, None])
-    of shape (n_i, k_i), with the (nodes, flat) of `_tensor_grid` for the
-    samples and the centres; f is in the samples' order, W in C order.
+    """The weights w minimising |A w - f|^2 + ridge |w|^2 for the Kronecker
+    design A = F_1 (x) ... (x) F_N, F_i = 1 / (c_i - s_i[:, None]) of shape
+    (n_i, k_i), with the node arrays of `_tensor_grid` for the samples and
+    the centres; f and w are in the samples' and the centres' order, which
+    are their grids' C order.
 
     With the thin SVDs F_i = U_i S_i V_i^H, A = (x)U_i (x)S_i (x)V_i^H is a
     thin SVD of A, so W = (x)V_i diag(factors) (x)U_i^H f for the
@@ -344,12 +338,12 @@ def _solve_kronecker(f, sample_grid, centre_grid, ridge):
     raises as a kernel block would.  At ridge 0 the outer product has k
     values only when k_i <= n_i in every dimension.
     """
-    (s_nodes, s_flat), (c_nodes, c_flat) = sample_grid, centre_grid
-    svds = [np.linalg.svd(F, full_matrices=False) for F in _cauchy_factors(s_nodes, c_nodes)]
-    gain = _ridge_factors(reduce(np.multiply.outer, [s for _, s, _ in svds]), ridge, len(c_flat))
-    Y = np.empty(len(s_flat), dtype=complex)
-    Y[s_flat] = f
-    Z = _mode_products(Y.reshape([len(s) for s in s_nodes]), [U.conj().T for U, _, _ in svds])
+    svds = [np.linalg.svd(F, full_matrices=False)
+            for F in _cauchy_factors(sample_grid, centre_grid)]
+    k = math.prod(len(c) for c in centre_grid)
+    gain = _ridge_factors(reduce(np.multiply.outer, [s for _, s, _ in svds]), ridge, k)
+    Y = f.reshape([len(s) for s in sample_grid])
+    Z = _mode_products(Y, [U.conj().T for U, _, _ in svds])
     Z *= gain
     return _mode_products(Z, [Vh.conj().T for _, _, Vh in svds]).ravel()
 
@@ -379,7 +373,8 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     samples' inputs and the centres are both full tensor grids
     (`_tensor_grid`, N >= 2, each in C order), the design is a Kronecker
     product of per-dimension Cauchy matrices and `_solve_kronecker` takes
-    the SVD from theirs, with no (n, k) array.
+    the SVD from theirs, with no (n, k) array and no reordering: the
+    centres' order is the weights'.
 
     Otherwise one (n, k + 1) buffer holds [H | f], H filled block by block
     from the kernel blocks of `kernel_rows` (shifts -xi, eps 0); the design
@@ -422,7 +417,7 @@ def fit_expansion_least_squares(samples, points, ridge: float = DEFAULT_RIDGE
     sample_grid = _tensor_grid(xs) if centre_grid is not None else None
     try:
         if centre_grid is not None and sample_grid is not None:
-            theta = _solve_kronecker(fs, sample_grid, centre_grid, ridge)[centre_grid[1]]
+            theta = _solve_kronecker(fs, sample_grid, centre_grid, ridge)
         else:
             Hf = np.empty((len(xs), k + 1), dtype=complex)
             Hf[:, k] = fs

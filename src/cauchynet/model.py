@@ -93,8 +93,8 @@ def init_elliptical(h: int, m: int, rng: Rng,
     pole tuples cover the product of ellipses instead of a diagonal.  C is
     drawn i.i.d. N(0, 2/(m+h)) per real part, one complex draw per unit.
 
-    The default semi-axes (6 and 2) match the contour used by the kernel
-    demo; experiment presets pass domain-scaled axes instead.
+    The default semi-axes (6 and 2) are `experiments.ModelSpec`'s defaults,
+    init_major and init_minor; experiment presets pass domain-scaled axes.
     """
     B = np.empty((h, m), dtype=complex)
     for i in range(m):

@@ -116,6 +116,18 @@ def test_batch_gradient_reaches_the_kernel_through_forward_batch():
     assert kernel_calls == []
 
 
+def test_kernel_reads_grids_without_sorting():
+    # A C-order grid is read in its own node order in one pass over the
+    # points, the O(k) of the kernel module's docstring; a sort or a unique
+    # would bring back an index map between the points and the grid.
+    tree = ast.parse((SRC / "kernel.py").read_text(encoding="utf-8"))
+    found = [f"kernel.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] in ("sort", "argsort", "lexsort",
+                                                          "unique", "sorted")]
+    assert found == []
+
+
 # Public names kept without a caller in the library or the benchmark.
 UNCALLED_BY_DESIGN = {
     "finite_difference_gradients": "forward-only gradient oracle for the analytic path",
