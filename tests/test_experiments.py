@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -286,6 +288,7 @@ def test_divergence_leaves_partial_trainlog_and_manifest(tmp_path, capsys, monke
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["status"] == "diverged"
     assert list(manifest["files"]) == ["trainlog.csv"]
+    assert "min_abs_im_B" not in manifest      # no trained network to certify
     assert not (run / "checkpoint.json").exists()
 
 
@@ -539,10 +542,61 @@ def _run_python(*args):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_import_leaves_hashlib_unloaded():
-    # hashlib loads OpenSSL, 3.5 MB resident; only a run's manifest hashes
-    out = _run_python("-c", "import sys, cauchynet.cli; print('hashlib' in sys.modules)")
-    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
+def _run_in_fresh_interpreter(outdir, block_builtin_sha256=False):
+    """Import the CLI and run tiny_spec() into outdir in a new interpreter.
+
+    Returns whether hashlib was loaded after the import and whether
+    _hashlib and hashlib were loaded after the run."""
+    script = "\n".join([
+        "import json, sys",
+        'sys.modules["_sha2"] = sys.modules["_sha256"] = None' if block_builtin_sha256 else "",
+        "import cauchynet.cli",
+        "from cauchynet.experiments import ExperimentSpec, run_experiment",
+        "after_import = 'hashlib' in sys.modules",
+        "run_experiment(ExperimentSpec.from_dict(json.loads(sys.argv[1])), sys.argv[2])",
+        "print(json.dumps([after_import, '_hashlib' in sys.modules, 'hashlib' in sys.modules]))",
+    ])
+    out = _run_python("-c", script, json.dumps(tiny_spec().to_dict()), str(outdir))
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def _assert_manifest_digests_are_hashlib_sha256(outdir):
+    files = json.loads((outdir / "manifest.json").read_text())["files"]
+    assert "checkpoint.json" in files
+    assert files == {f: hashlib.sha256((outdir / f).read_bytes()).hexdigest() for f in files}
+
+
+def test_import_leaves_hashlib_unloaded(tmp_path):
+    # hashlib maps OpenSSL, 3.5 MB resident; the manifest hashes its files with
+    # CPython's built-in SHA-256 where the build has one, so a run never maps it
+    hashlib_after_import, openssl_after_run, _ = _run_in_fresh_interpreter(tmp_path)
+    assert not hashlib_after_import
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        assert not openssl_after_run
+    _assert_manifest_digests_are_hashlib_sha256(tmp_path)
+
+
+def test_manifest_digests_fall_back_to_hashlib(tmp_path):
+    # a build without _sha2 or _sha256 hashes through hashlib, to the same digests
+    *_, hashlib_after_run = _run_in_fresh_interpreter(tmp_path, block_builtin_sha256=True)
+    assert hashlib_after_run
+    _assert_manifest_digests_are_hashlib_sha256(tmp_path)
+
+
+@pytest.mark.parametrize("spec", [
+    tiny_spec(),
+    tiny_spec(name="tiny-2d", generator="surface2d",
+              model=ModelSpec(h=16, init_major=1.8, init_minor=0.8)),
+], ids=["m=1", "m=2"])
+def test_ok_manifest_certifies_the_hidden_values(tmp_path, spec):
+    run_experiment(spec, tmp_path)
+    bound = json.loads((tmp_path / "manifest.json").read_text())["min_abs_im_B"]
+    net, _ = mdl.load_checkpoint(tmp_path / "checkpoint.json")
+    assert bound == np.abs(net.B.imag).min() > 0
+    # epsilon is real, so |x_i + B_ki + eps| >= |Im B_ki| for every real x_i
+    _, hidden, _ = mdl.forward_batch(net, build_dataset(spec).test_x)
+    assert np.abs(hidden).max() <= (1 / bound) ** net.m * (1 + 1e-12)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -48,6 +48,15 @@ def test_only_the_workers_module_forks():
     assert found == []
 
 
+def _enclosing_functions(tree):
+    """id(node) -> the name of the innermost function that holds the node."""
+    owner = {}
+    for fn in ast.walk(tree):             # breadth first: inner functions overwrite
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return owner
+
+
 def test_only_process_slots_reads_the_environment():
     # A run's values come from its recipe alone: a preset or --config, plus
     # --set.  The environment sets only the BLAS thread counts that size the
@@ -55,16 +64,38 @@ def test_only_process_slots_reads_the_environment():
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {}                        # node -> innermost enclosing function
-        for fn in ast.walk(tree):         # breadth first: inner functions overwrite
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        owner = _enclosing_functions(tree)
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else "")
             if name in ("environ", "environb", "getenv", "getenvb"):
                 found.add(f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}")
     assert sorted(found) == ["workers.py:process_slots"]
+
+
+def test_library_loads_neither_openssl_nor_numpy_random():
+    # Measured in a fresh interpreter each, OpenSSL (hashlib, _hashlib, ssl)
+    # adds 3.5 MB resident and numpy.random 6.1 MB.  The library draws from
+    # its own complex_linalg.Rng, and the manifest hashes with CPython's
+    # built-in SHA-256; hashlib is its last resort on a build without one.
+    heavy = ("hashlib", "_hashlib", "ssl", "numpy.random")
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names]
+            elif isinstance(node, ast.Attribute):   # numpy loads numpy.random on first use
+                names = [f"{ast.unparse(node.value)}.{node.attr}".replace("np.", "numpy.", 1)]
+            else:
+                continue
+            if any(name == m or name.startswith(m + ".") for name in names for m in heavy):
+                found.append(f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}")
+    assert found == ["experiments.py:_sha256"]
 
 
 def _args_read(fn):
